@@ -7,7 +7,7 @@ degreewise invariant subspaces under finite matrix-group actions, and
 low-degree Leray-Serre spectral-sequence pages.
 """
 
-from .ffla import FieldMatrix, FieldScalar, is_prime, nullspace, rref, subspace_intersection
+from .ffla import FieldMatrix, is_prime, nullspace, rref
 from .galg import (
     AlgebraContext,
     AlgebraMap,
@@ -17,7 +17,7 @@ from .galg import (
     elementary_abelian_context,
     linear_substitution,
     multiply,
-    multiply_truncating,
+    signed_leibniz,
 )
 from .cyclo import (
     CycInt,

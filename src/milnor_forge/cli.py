@@ -4,9 +4,12 @@ Usage: ``verify <suite> [--primes P1,P2,...] [--scenario NAME]
 [--sweep-scalars] [--dickson-cap N] [--format json|text] [--seed N]``.
 
 Exit codes: 0 when every check passes (notes allowed), 1 when any check
-fails, 2 on usage errors.  Checks run concurrently across (prime, suite)
-pairs — ``MILNOR_FORGE_THREADS`` caps the worker count — and are emitted in
-canonical (check_id, prime) order regardless of completion order.
+fails, 2 on usage errors.  The (suite, prime) jobs run one after another in
+the calling thread, so each record's ``elapsed_ms`` is its own check's time;
+an exception raised by a suite outside its checks becomes one ``fail``
+record ``<suite>.setup`` at that prime and the run carries on.  Records are
+emitted in canonical (check_id, prime) order.  ``MILNOR_FORGE_THREADS``, if
+set, must be an integer; it is reserved as the worker cap.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 
 from . import cyclo, invariants, milnor, specseq
@@ -172,26 +175,22 @@ _SUITE_RUNNERS = {
 
 
 def run(config: RunConfig) -> list[CheckReport]:
-    jobs = [
-        (suite, prime)
-        for suite in config.suites
-        for prime in config.primes
-    ]
-    workers = os.cpu_count() or 1
     env_cap = os.environ.get("MILNOR_FORGE_THREADS")
     if env_cap:
         try:
-            workers = max(1, int(env_cap))
+            int(env_cap)
         except ValueError:
             raise SystemExit(f"MILNOR_FORGE_THREADS is not an integer: {env_cap!r}")
-    workers = min(workers, max(1, len(jobs)))
     reports: list[CheckReport] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_SUITE_RUNNERS[suite], prime, config) for suite, prime in jobs
-        ]
-        for future in futures:
-            reports.extend(future.result())
+    for suite in config.suites:
+        for prime in config.primes:
+            start = time.perf_counter()
+            try:
+                reports.extend(_SUITE_RUNNERS[suite](prime, config))
+            except Exception as exc:  # one job's setup error must not lose the others
+                elapsed = int((time.perf_counter() - start) * 1000)
+                details = f"{type(exc).__name__}: {exc}"
+                reports.append(CheckReport(f"{suite}.setup", prime, FAIL, details, elapsed))
     reports.sort(key=lambda r: (r.check_id, r.prime))
     return reports
 
@@ -229,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
             f"Default primes: {','.join(str(p) for p in DEFAULT_PRIMES)}. "
             f"Matrix suites accept primes up to {MATRIX_PRIME_CAP}; the rank-2 "
             f"modular-generator product check is capped at {DICKSON_DEFAULT_CAP} "
-            "by default (raise with --dickson-cap). MILNOR_FORGE_THREADS caps "
-            "the worker count."
+            "by default (raise with --dickson-cap). Suites run one after "
+            "another in one thread; MILNOR_FORGE_THREADS, if set, must be an "
+            "integer."
         ),
     )
     parser.add_argument("suite", choices=SUITES + ("all",), help="check suite to run")

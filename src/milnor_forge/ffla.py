@@ -7,23 +7,17 @@ sparse formats; the degreewise spaces this package handles stay small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-_PRIME_CACHE: set[int] = set()
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n in _PRIME_CACHE:
-        return True
     d = 2
     while d * d <= n:
         if n % d == 0:
             return False
         d += 1
-    _PRIME_CACHE.add(n)
     return True
 
 
@@ -31,60 +25,6 @@ def check_prime(modulus: int) -> int:
     if not is_prime(modulus):
         raise ValueError(f"modulus {modulus} is not prime")
     return modulus
-
-
-@dataclass(frozen=True)
-class FieldScalar:
-    """A residue in F_l; the modulus must be prime."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.modulus)
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def _coerce(self, other) -> "FieldScalar | None":
-        if isinstance(other, FieldScalar):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other
-        if isinstance(other, int):
-            return FieldScalar(other, self.modulus)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.residue + other.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.residue - other.residue, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FieldScalar(self.residue * other.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldScalar(-self.residue, self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def inverse(self) -> "FieldScalar":
-        if self.residue == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldScalar(pow(self.residue, self.modulus - 2, self.modulus), self.modulus)
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -280,32 +220,3 @@ def in_span(vector: Sequence[int], basis: Sequence[Sequence[int]], modulus: int)
 
 def spans_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int) -> bool:
     return row_space_basis(a, modulus) == row_space_basis(b, modulus)
-
-
-def subspace_intersection(
-    bases: Sequence[Sequence[Sequence[int]]], modulus: int
-) -> list[tuple[int, ...]]:
-    """Canonical basis of the intersection of the spans of vector lists.
-
-    Each subspace is converted to its annihilating equations (the nullspace of
-    the matrix whose rows span it); the intersection is the joint kernel.
-    """
-    check_prime(modulus)
-    if not bases:
-        raise ValueError("need at least one subspace")
-    dim = None
-    for basis in bases:
-        for v in basis:
-            if dim is None:
-                dim = len(v)
-            elif len(v) != dim:
-                raise ValueError("ambient dimension mismatch")
-    if any(not basis for basis in bases):
-        return []
-    assert dim is not None
-    constraints: list[tuple[int, ...]] = []
-    for basis in bases:
-        constraints.extend(nullspace(FieldMatrix([tuple(v) for v in basis], modulus)))
-    if not constraints:
-        return [tuple(FieldMatrix.identity(dim, modulus).entries[i]) for i in range(dim)]
-    return nullspace(FieldMatrix(constraints, modulus))

@@ -360,8 +360,47 @@ def multiply(a: Element, b: Element, truncate: bool = False) -> Element:
     return Element(ctx, terms)
 
 
-def multiply_truncating(a: Element, b: Element) -> Element:
-    return multiply(a, b, truncate=True)
+def signed_leibniz(
+    element: Element,
+    rules: Mapping[int, tuple[int, Element]],
+    truncate: bool = False,
+) -> Element:
+    """Extend an odd derivation from generator powers to ``element``.
+
+    ``rules`` maps a generator position to ``(power, image)``: the derivation
+    sends generator^power to ``image`` and every unlisted generator to zero.
+    Each monomial is expanded factor by factor with the signed Leibniz rule
+    D(ab) = D(a) b + (-1)^deg(a) a D(b): a factor g^n contributes
+    (n // power) * (prefix * g^(n - power)) * image * (suffix), so a power
+    below ``power`` contributes nothing.  At l = 2 the sign is vacuous.
+    ``truncate`` is passed to ``multiply``: drop terms above the truncation
+    degree instead of raising ``TruncationOverflowError``.
+    """
+    ctx = element.context
+    p = ctx.prime
+    n_gens = len(ctx.generators)
+    out = ctx.zero()
+    for mono, coeff in element.terms.items():
+        prefix_degree = 0
+        for i, e in enumerate(mono):
+            if e:
+                rule = rules.get(i)
+                if rule is not None:
+                    power, img = rule
+                    sign = -1 if (p != 2 and prefix_degree % 2) else 1
+                    c = (sign * (e // power) * coeff) % p
+                    if c:
+                        left = Element(
+                            ctx, {mono[:i] + (e - power,) + (0,) * (n_gens - i - 1): 1}
+                        )
+                        right = Element(ctx, {(0,) * (i + 1) + mono[i + 1:]: 1})
+                        term = multiply(
+                            multiply(left, img, truncate=truncate), right,
+                            truncate=truncate,
+                        )
+                        out = out + term.scale(c)
+                prefix_degree += e * ctx._degrees[i]
+    return out
 
 
 class AlgebraMap:
@@ -392,15 +431,6 @@ class AlgebraMap:
                 self._cache[mono] = img
             out = out + img.scale(coeff)
         return out
-
-    def compose(self, other: "AlgebraMap") -> "AlgebraMap":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        if self.context is not other.context:
-            raise ValueError("context mismatch")
-        return AlgebraMap(
-            self.context,
-            {g.name: self(other.images[g.name]) for g in self.context.generators},
-        )
 
 
 def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> AlgebraMap:

@@ -178,17 +178,6 @@ def element_span_contains(
     return ffla.in_span(candidate.coordinates(monos), vectors, ctx.prime)
 
 
-def spans_match(
-    ctx: AlgebraContext, d: int, a: Sequence[Element], b: Sequence[Element]
-) -> bool:
-    monos = ctx.basis_of_degree(d)
-    return ffla.spans_equal(
-        [el.coordinates(monos) for el in a],
-        [el.coordinates(monos) for el in b],
-        ctx.prime,
-    )
-
-
 # ---------------------------------------------------------------------------
 # check suites
 

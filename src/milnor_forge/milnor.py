@@ -18,6 +18,7 @@ from .galg import (
     TruncationOverflowError,
     elementary_abelian_context,
     multiply,
+    signed_leibniz,
 )
 from .report import FAIL, NOTE, PASS, CheckReport, run_check
 
@@ -26,10 +27,11 @@ class Derivation:
     """A degree-homogeneous odd derivation determined by generator images.
 
     Extension to products follows the signed Leibniz rule
-    D(ab) = D(a) b + (-1)^deg(a) a D(b); at l = 2 the sign is vacuous.
+    D(ab) = D(a) b + (-1)^deg(a) a D(b) (``galg.signed_leibniz``); at l = 2
+    the sign is vacuous.
     """
 
-    __slots__ = ("context", "shift", "images")
+    __slots__ = ("context", "shift", "images", "_rules")
 
     parity = "odd"
 
@@ -51,31 +53,12 @@ class Derivation:
                 )
             cleaned[name] = img
         self.images = cleaned
+        self._rules = {context.position(name): (1, img) for name, img in cleaned.items()}
 
     def __call__(self, element: Element, truncate: bool = False) -> Element:
         if element.context is not self.context:
             raise ValueError("element belongs to a different context")
-        ctx = self.context
-        out = ctx.zero()
-        for mono, coeff in element.terms.items():
-            prefix_degree = 0
-            for i, e in enumerate(mono):
-                gen = ctx.generators[i]
-                if e:
-                    img = self.images.get(gen.name)
-                    if img is not None:
-                        sign = -1 if (ctx.prime != 2 and prefix_degree % 2) else 1
-                        c = (sign * e * coeff) % ctx.prime
-                        if c:
-                            left = Element(ctx, {mono[:i] + (e - 1,) + (0,) * (len(mono) - i - 1): 1})
-                            right = Element(ctx, {(0,) * (i + 1) + mono[i + 1:]: 1})
-                            term = multiply(
-                                multiply(left, img, truncate=truncate), right,
-                                truncate=truncate,
-                            )
-                            out = out + term.scale(c)
-                    prefix_degree += e * gen.degree
-        return out
+        return signed_leibniz(element, self._rules, truncate)
 
 
 def milnor_q(j: int, ctx: AlgebraContext) -> Derivation:

@@ -51,7 +51,3 @@ def run_check(check_id: str, prime: int, fn: Callable[[], tuple[str, str]]) -> C
         status, details = FAIL, f"{type(exc).__name__}: {exc}"
     elapsed = int((time.perf_counter() - start) * 1000)
     return CheckReport(check_id, prime, status, details, elapsed)
-
-
-def all_pass(reports: list[CheckReport]) -> bool:
-    return not any(r.failed for r in reports)

@@ -1,8 +1,9 @@
 import json
+import threading
 
 import pytest
 
-from milnor_forge import cli
+from milnor_forge import cli, invariants
 from milnor_forge.cli import RunConfig, main, parse_config, report_json, report_text, run
 from milnor_forge.report import CheckReport
 
@@ -117,6 +118,45 @@ class TestMain:
         monkeypatch.setenv("MILNOR_FORGE_THREADS", "lots")
         with pytest.raises(SystemExit):
             main(["matrices", "--primes", "3"])
+
+
+class TestRunLoop:
+    def test_runs_jobs_in_order_in_calling_thread(self, monkeypatch):
+        calls = []
+        for suite in cli.SUITES:
+            def recorder(prime, config, suite=suite):
+                calls.append((suite, prime, threading.get_ident()))
+                return []
+
+            monkeypatch.setitem(cli._SUITE_RUNNERS, suite, recorder)
+        run(RunConfig(primes=(5, 2, 3)))
+        caller = threading.get_ident()
+        assert calls == [(s, p, caller) for s in cli.SUITES for p in (5, 2, 3)]
+
+    def test_setup_error_becomes_fail_record(self, monkeypatch, capsys):
+        def broken_closure(*args, **kwargs):
+            raise RuntimeError("closure unavailable")
+
+        monkeypatch.setattr(invariants, "group_closure", broken_closure)
+        assert main(["all", "--primes", "3", "--format", "json"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        failed = [r for r in records if r["status"] == "fail"]
+        assert failed == [
+            {
+                "check_id": "invariants.setup",
+                "prime": 3,
+                "status": "fail",
+                "details": "RuntimeError: closure unavailable",
+                "elapsed_ms": failed[0]["elapsed_ms"],
+            }
+        ]
+        # every record of the other suites at l=3 is still there
+        others = run(RunConfig(primes=(3,), suites=("matrices", "milnor", "ss")))
+        assert others
+        assert [
+            (r["check_id"], r["status"])
+            for r in records if not r["check_id"].startswith("invariants.")
+        ] == [(r.check_id, r.status) for r in others]
 
 
 class TestReports:

@@ -5,14 +5,10 @@ from hypothesis import given, strategies as st
 
 from milnor_forge.ffla import (
     FieldMatrix,
-    FieldScalar,
-    in_span,
     is_prime,
     nullspace,
-    row_space_basis,
     rref,
     spans_equal,
-    subspace_intersection,
 )
 
 
@@ -63,29 +59,6 @@ def field_matrices(draw, max_dim=4, primes=(2, 3, 5, 7)):
     return FieldMatrix(entries, p)
 
 
-class TestFieldScalar:
-    def test_rejects_composite_modulus(self):
-        with pytest.raises(ValueError):
-            FieldScalar(1, 4)
-
-    def test_arithmetic(self):
-        a = FieldScalar(3, 5)
-        b = FieldScalar(4, 5)
-        assert (a + b).residue == 2
-        assert (a * b).residue == 2
-        assert (a - b).residue == 4
-        assert (-a).residue == 2
-
-    def test_inverse(self):
-        a = FieldScalar(3, 7)
-        assert (a * a.inverse()).residue == 1
-        with pytest.raises(ZeroDivisionError):
-            FieldScalar(0, 7).inverse()
-
-    def test_normalizes_residue(self):
-        assert FieldScalar(12, 5).residue == 2
-
-
 class TestRref:
     def test_identity_unchanged(self):
         m = FieldMatrix.identity(3, 5)
@@ -124,33 +97,6 @@ class TestNullspace:
         assert basis == [(3, 1, 0)]
 
 
-class TestSubspaceIntersection:
-    def test_self_intersection(self):
-        basis = [(1, 0, 1), (0, 1, 0)]
-        result = subspace_intersection([basis, basis], 3)
-        assert len(result) == 2
-        assert spans_equal(result, basis, 3)
-
-    def test_with_full_space(self):
-        basis = [(1, 2), (0, 1)]
-        sub = [(1, 1)]
-        result = subspace_intersection([sub, basis], 5)
-        assert len(result) == 1
-        assert spans_equal(result, sub, 5)
-
-    def test_plane_meets_line(self):
-        result = subspace_intersection([[(1, 0), (0, 1)], [(1, 1)]], 3)
-        assert len(result) == 1
-        assert in_span((1, 1), result, 3)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            subspace_intersection([[(1, 0)], [(1, 0, 0)]], 3)
-
-    def test_empty_subspace(self):
-        assert subspace_intersection([[], [(1, 0)]], 3) == []
-
-
 class TestMatrixOps:
     def test_inverse(self):
         m = FieldMatrix([[1, 1], [0, 1]], 5)
@@ -183,62 +129,6 @@ def test_nullspace_vectors_annihilated(m):
 def test_rank_matches_minor_oracle(m):
     rank, _ = rref(m)
     assert rank == minor_rank([list(r) for r in m.entries], m.modulus)
-
-
-@given(field_matrices(max_dim=3), field_matrices(max_dim=3))
-def test_intersection_commutative_in_dimension(a, b):
-    if a.modulus != b.modulus or a.cols != b.cols:
-        return
-    p = a.modulus
-    lhs = subspace_intersection([list(a.entries), list(b.entries)], p)
-    rhs = subspace_intersection([list(b.entries), list(a.entries)], p)
-    assert len(lhs) == len(rhs)
-    assert spans_equal(lhs, rhs, p)
-
-
-@given(field_matrices(max_dim=3))
-def test_intersection_idempotent_in_dimension(m):
-    basis = row_space_basis(m.entries, m.modulus)
-    if not basis:
-        return
-    result = subspace_intersection([basis, basis], m.modulus)
-    assert len(result) == len(basis)
-
-
-def enumerate_span(basis, p):
-    """Every vector of the span, by brute force over coefficient tuples."""
-    dim = len(basis[0])
-    vectors = {tuple([0] * dim)}
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        v = tuple(
-            sum(c * row[i] for c, row in zip(coeffs, basis)) % p for i in range(dim)
-        )
-        vectors.add(v)
-    return vectors
-
-
-@given(field_matrices(max_dim=3, primes=(2, 3, 5)), field_matrices(max_dim=3, primes=(2, 3, 5)))
-def test_intersection_matches_brute_force_enumeration(a, b):
-    if a.modulus != b.modulus or a.cols != b.cols:
-        return
-    p = a.modulus
-    basis_a = row_space_basis(a.entries, p)
-    basis_b = row_space_basis(b.entries, p)
-    if not basis_a or not basis_b:
-        return
-    result = subspace_intersection([basis_a, basis_b], p)
-    common = enumerate_span(basis_a, p) & enumerate_span(basis_b, p)
-    if result:
-        assert enumerate_span(result, p) == common
-    else:
-        assert common == {tuple([0] * a.cols)}
-
-
-def test_single_subspace_preserves_span():
-    basis = [(2, 4, 0), (0, 0, 3)]
-    result = subspace_intersection([basis], 5)
-    assert len(result) == 2
-    assert spans_equal(result, basis, 5)
 
 
 def test_is_prime_small_values():

@@ -248,6 +248,21 @@ class TestFirstScenarioOdd:
             assert_all_pass(check_bg1(prime))
 
 
+class TestScenarioBuilders:
+    def test_bg1_at_two_is_the_characteristic_two_scenario(self):
+        sc, two = scenario_bg1(2), scenario_bg1_two()
+        assert sc.context.generators == two.context.generators
+        assert sc.context.top_degree == two.context.top_degree
+        assert run_scenario(sc).dims == run_scenario(two).dims
+
+    @pytest.mark.parametrize("prime", (2, 3, 5))
+    def test_slack_widens_truncation_only(self, prime):
+        narrow, wide = scenario_bg1(prime), scenario_bg1(prime, slack=2)
+        assert wide.context.top_degree == narrow.context.top_degree + 2
+        assert wide.target_degree == narrow.target_degree
+        assert run_scenario(wide).dims == run_scenario(narrow).dims
+
+
 class TestFirstScenarioTwo:
     def test_final_dims(self):
         result = run_scenario(scenario_bg1_two())
