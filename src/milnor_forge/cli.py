@@ -263,7 +263,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        primes = tuple(int(tok) for tok in args.primes.split(",") if tok.strip())
+        # a repeated prime is run once: one record per (check, prime)
+        primes = tuple(dict.fromkeys(int(tok) for tok in args.primes.split(",") if tok.strip()))
     except ValueError:
         parser.error(f"--primes must be a comma-separated integer list: {args.primes!r}")
     if not primes:

@@ -7,6 +7,7 @@ sparse formats; the degreewise spaces this package handles stay small.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -51,6 +52,21 @@ class FieldMatrix:
         self.cols = cols
         self.modulus = modulus
         self.entries = rows
+
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...], modulus: int) -> "FieldMatrix":
+        """Wrap ``entries`` without checking or reducing them.
+
+        Only for results this module builds itself, never for outside input:
+        a nonempty, rectangular tuple of tuples with every entry already in
+        ``[0, modulus)``, and a modulus already known to be prime.
+        """
+        m = cls.__new__(cls)
+        m.rows = len(entries)
+        m.cols = len(entries[0])
+        m.modulus = modulus
+        m.entries = entries
+        return m
 
     @classmethod
     def identity(cls, n: int, modulus: int) -> "FieldMatrix":
@@ -117,11 +133,11 @@ class FieldMatrix:
             raise ValueError("shape mismatch")
         p = self.modulus
         bt = list(zip(*other.entries))
-        out = [
-            [sum(a * b for a, b in zip(row, col)) % p for col in bt]
+        out = tuple(
+            tuple([sum(map(mul, row, col)) % p for col in bt])
             for row in self.entries
-        ]
-        return FieldMatrix(out, p)
+        )
+        return FieldMatrix._trusted(out, p)
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(list(zip(*self.entries)), self.modulus)
@@ -147,7 +163,7 @@ class FieldMatrix:
         return FieldMatrix([row[n:] for row in reduced], p)
 
 
-def _rref_rows(rows: list[list[int]], p: int) -> tuple[int, list[list[int]]]:
+def _rref_rows(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[list[int]]]:
     rows = [list(r) for r in rows]
     nrows, ncols = len(rows), len(rows[0])
     pivot_row = 0
@@ -174,8 +190,9 @@ def _rref_rows(rows: list[list[int]], p: int) -> tuple[int, list[list[int]]]:
 
 def rref(m: FieldMatrix) -> tuple[int, FieldMatrix]:
     """Reduced row-echelon form; returns (rank, reduced).  Row space preserved."""
-    rank, rows = _rref_rows([list(r) for r in m.entries], m.modulus)
-    return rank, FieldMatrix(rows, m.modulus)
+    rank, rows = _rref_rows(m.entries, m.modulus)
+    # elimination keeps the entries of a reduced matrix in [0, modulus)
+    return rank, FieldMatrix._trusted(tuple(map(tuple, rows)), m.modulus)
 
 
 def nullspace(m: FieldMatrix) -> list[tuple[int, ...]]:

@@ -53,11 +53,18 @@ class GeneratorSpec:
 
 
 class AlgebraContext:
-    """Immutable generator data plus the working truncation degree."""
+    """Immutable generator data plus the working truncation degree.
+
+    Three memos fill lazily and are bounded by the finite set of monomials of
+    degree at most ``top_degree``: the basis per degree, the degree of each
+    such monomial, and ``_merge_monomials`` of each pair whose product degree
+    is within the truncation (``multiply`` keys it by left, then right).
+    """
 
     __slots__ = (
         "prime", "generators", "top_degree", "annihilator_pairs",
         "_index", "_degrees", "_odd_positions", "_basis_cache",
+        "_degree_memo", "_merge_memo",
     )
 
     def __init__(
@@ -101,6 +108,8 @@ class AlgebraContext:
             pairs.add((min(ia, ib), max(ia, ib)))
         self.annihilator_pairs = frozenset(pairs)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
+        self._degree_memo: dict[Monomial, int] = {}
+        self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
 
     # -- structure queries ---------------------------------------------------
 
@@ -111,7 +120,12 @@ class AlgebraContext:
         return self.generators[self._index[name]]
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))
+        d = self._degree_memo.get(mono)
+        if d is None:
+            d = sum(e * g for e, g in zip(mono, self._degrees))
+            if d <= self.top_degree:
+                self._degree_memo[mono] = d
+        return d
 
     def monomial_bidegree(self, mono: Monomial) -> tuple[int, int]:
         p = q = 0
@@ -124,9 +138,14 @@ class AlgebraContext:
         return p, q
 
     def monomial_killed(self, mono: Monomial) -> bool:
-        if self.prime != 2 and any(mono[i] > 1 for i in self._odd_positions):
-            return True
-        return any(mono[a] and mono[b] for a, b in self.annihilator_pairs)
+        if self.prime != 2:
+            for i in self._odd_positions:
+                if mono[i] > 1:
+                    return True
+        for a, b in self.annihilator_pairs:
+            if mono[a] and mono[b]:
+                return True
+        return False
 
     # -- element constructors --------------------------------------------------
 
@@ -214,6 +233,19 @@ class Element:
     def __init__(self, context: AlgebraContext, terms: dict[Monomial, int]):
         self.context = context
         self.terms = {m: c for m, c in terms.items() if c % context.prime}
+
+    @classmethod
+    def _trusted(cls, context: AlgebraContext, terms: dict[Monomial, int]) -> "Element":
+        """Wrap ``terms`` without filtering or copying.
+
+        Only for results the package builds itself, never for outside input:
+        every coefficient must already be reduced into ``1..p-1`` (so none is
+        zero), and the caller hands over the dict and does not change it.
+        """
+        el = cls.__new__(cls)
+        el.context = context
+        el.terms = terms
+        return el
 
     def _check(self, other: "Element") -> None:
         if self.context is not other.context:
@@ -324,40 +356,59 @@ def _merge_monomials(ctx: AlgebraContext, left: Monomial, right: Monomial):
     return (-1 if inversions % 2 else 1, merged)
 
 
+_UNSEEN = object()
+
+
 def multiply(a: Element, b: Element, truncate: bool = False) -> Element:
     """Bilinear Koszul-signed product.
 
     Exact mode raises ``TruncationOverflowError`` when a surviving term would
     exceed the truncation degree; truncating mode silently drops such terms
     (used only by the spectral-sequence engine, where pages are degreewise).
+    Monomial merges within the truncation are memoized on the context.
     """
     a._check(b)
     ctx = a.context
     p = ctx.prime
     cap = ctx.top_degree
+    merges = ctx._merge_memo
     terms: dict[Monomial, int] = {}
     for m1, c1 in a.terms.items():
-        d1 = ctx.monomial_degree(m1)
+        row = merges.get(m1)
+        if row is None:
+            row = {}
         for m2, c2 in b.terms.items():
-            merged = _merge_monomials(ctx, m1, m2)
+            merged = row.get(m2, _UNSEEN)
+            if merged is _UNSEEN:
+                # only products within the truncation enter the memo
+                d = ctx.monomial_degree(m1) + ctx.monomial_degree(m2)
+                if d > cap:
+                    if truncate or _merge_monomials(ctx, m1, m2) is None:
+                        continue
+                    raise TruncationOverflowError(
+                        f"product degree {d} exceeds truncation {cap}"
+                    )
+                merged = row[m2] = _merge_monomials(ctx, m1, m2)
+                merges[m1] = row
             if merged is None:
                 continue
             sign, mono = merged
-            if d1 + ctx.monomial_degree(m2) > cap:
-                if truncate:
-                    continue
-                raise TruncationOverflowError(
-                    f"product degree {d1 + ctx.monomial_degree(m2)} exceeds "
-                    f"truncation {cap}"
-                )
-            c = (sign * c1 * c2) % p
+            c = (terms.get(mono, 0) + sign * c1 * c2) % p
             if c:
-                mono_c = terms.get(mono, 0) + c
-                if mono_c % p:
-                    terms[mono] = mono_c % p
-                else:
-                    terms.pop(mono, None)
-    return Element(ctx, terms)
+                terms[mono] = c
+            else:
+                terms.pop(mono, None)
+    return Element._trusted(ctx, terms)
+
+
+def _accumulate(terms: dict[Monomial, int], el: Element, c: int, p: int) -> None:
+    """In place: ``terms += c * el`` with coefficients kept in ``1..p-1``."""
+    for m, v in el.terms.items():
+        s = (terms.get(m, 0) + c * v) % p
+        if s:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
 
 
 def signed_leibniz(
@@ -379,7 +430,7 @@ def signed_leibniz(
     ctx = element.context
     p = ctx.prime
     n_gens = len(ctx.generators)
-    out = ctx.zero()
+    terms: dict[Monomial, int] = {}
     for mono, coeff in element.terms.items():
         prefix_degree = 0
         for i, e in enumerate(mono):
@@ -390,17 +441,17 @@ def signed_leibniz(
                     sign = -1 if (p != 2 and prefix_degree % 2) else 1
                     c = (sign * (e // power) * coeff) % p
                     if c:
-                        left = Element(
+                        left = Element._trusted(
                             ctx, {mono[:i] + (e - power,) + (0,) * (n_gens - i - 1): 1}
                         )
-                        right = Element(ctx, {(0,) * (i + 1) + mono[i + 1:]: 1})
+                        right = Element._trusted(ctx, {(0,) * (i + 1) + mono[i + 1:]: 1})
                         term = multiply(
                             multiply(left, img, truncate=truncate), right,
                             truncate=truncate,
                         )
-                        out = out + term.scale(c)
+                        _accumulate(terms, term, c, p)
                 prefix_degree += e * ctx._degrees[i]
-    return out
+    return Element._trusted(ctx, terms)
 
 
 class AlgebraMap:
@@ -420,17 +471,18 @@ class AlgebraMap:
     def __call__(self, element: Element) -> Element:
         if element.context is not self.context:
             raise ValueError("element belongs to a different context")
-        out = self.context.zero()
+        ctx = self.context
+        terms: dict[Monomial, int] = {}
         for mono, coeff in element.terms.items():
             img = self._cache.get(mono)
             if img is None:
-                img = self.context.one()
-                for e, g in zip(mono, self.context.generators):
+                img = ctx.one()
+                for e, g in zip(mono, ctx.generators):
                     for _ in range(e):
                         img = multiply(img, self.images[g.name])
                 self._cache[mono] = img
-            out = out + img.scale(coeff)
-        return out
+            _accumulate(terms, img, coeff, ctx.prime)
+        return Element._trusted(ctx, terms)
 
 
 def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> AlgebraMap:

@@ -110,22 +110,27 @@ def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> A
         raise ValueError(f"matrix rank {m.rows} != {n} degree-1 generators")
     if m.modulus != ctx.prime:
         raise ValueError("modulus mismatch")
-    images: dict[str, Element] = {}
-    for j, gen in enumerate(degree_one):
-        img = ctx.zero()
-        for i, target in enumerate(degree_one):
-            c = m[j, i]
+
+    units: dict[str, dict] = {}
+
+    def combination(row: tuple[int, ...], names: list[str]) -> Element:
+        # sum_i row[i] * names[i]: distinct generators, reduced coefficients
+        terms = {}
+        for c, name in zip(row, names):
             if c:
-                img = img + ctx.generator(target.name).scale(c)
-        images[gen.name] = img
+                if name not in units:
+                    units[name] = ctx.generator(name).terms
+                terms.update(dict.fromkeys(units[name], c))
+        return Element._trusted(ctx, terms)
+
+    targets = [g.name for g in degree_one]
+    partners = [g.bockstein_partner for g in degree_one]
+    images: dict[str, Element] = {}
+    for gen, row in zip(degree_one, m.entries):
+        images[gen.name] = combination(row, targets)
         partner = gen.bockstein_partner
         if partner is not None and partner != gen.name:
-            pimg = ctx.zero()
-            for i, target in enumerate(degree_one):
-                c = m[j, i]
-                if c:
-                    pimg = pimg + ctx.generator(target.bockstein_partner).scale(c)
-            images[partner] = pimg
+            images[partner] = combination(row, partners)
     return linear_substitution(ctx, images)
 
 
@@ -360,7 +365,13 @@ def group_closure(w: WeylPresentation, cap: int = 10**6) -> list[FieldMatrix]:
 
 def group_closure_oracle(prime: int) -> list[CheckReport]:
     """Small-prime cross-check: enumerate the group, compare order against the
-    shape-predicate count, and recompute the invariants from the full list."""
+    shape-predicate count, and recompute the invariants from the full list.
+
+    The recomputation intersects the degree-4 space with the kernel of
+    1 - g* for every enumerated element g in turn.  An element that fixes
+    every vector of the current subspace leaves it unchanged, so the kernel
+    and row-reduction steps are skipped for it.
+    """
     check_prime(prime)
     if prime > 5:
         raise ValueError("closure oracle restricted to l <= 5")
@@ -395,7 +406,11 @@ def group_closure_oracle(prime: int) -> list[CheckReport]:
             for vec in current:
                 el = Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
                 rows.append((el - f(el)).coordinates(basis))
-            coeff_kernel = ffla.nullspace(FieldMatrix(list(zip(*rows)), prime)) if rows else []
+            if not any(any(row) for row in rows):
+                # every current vector is fixed by this element: the kernel is
+                # the whole coefficient space, so ``current`` stays as it is
+                continue
+            coeff_kernel = ffla.nullspace(FieldMatrix(list(zip(*rows)), prime))
             p = prime
             current = ffla.row_space_basis(
                 [

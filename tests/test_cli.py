@@ -110,6 +110,18 @@ class TestMain:
             record = json.loads(line)
             assert list(record) == ["check_id", "prime", "status", "details", "elapsed_ms"]
 
+    def test_repeated_prime_runs_once(self, capsys):
+        def records(primes):
+            assert main(["all", "--primes", primes, "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            return [
+                {k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                for line in out.splitlines()
+            ]
+
+        assert parse_config(["all", "--primes", "5,3,5"]).primes == (5, 3)
+        assert records("3,3") == records("3")
+
     def test_thread_cap_env(self, monkeypatch, capsys):
         monkeypatch.setenv("MILNOR_FORGE_THREADS", "1")
         assert main(["matrices", "--primes", "3"]) == 0

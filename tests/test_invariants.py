@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from milnor_forge import invariants
 from milnor_forge.ffla import FieldMatrix, spans_equal
 from milnor_forge.galg import Element, elementary_abelian_context
 from milnor_forge.invariants import (
@@ -175,6 +176,33 @@ class TestClosureOracle:
         for prime in (2, 3):
             w = weyl_generators(prime)
             assert w.shape_count() == prime**2 * (prime**3 - prime)
+
+    def test_subspace_check_fails_on_a_wrong_generator_answer(self, monkeypatch):
+        # the oracle is handed the 3-dimensional block-diagonal answer
+        # instead of the line the full group fixes
+        real = invariants.invariant_subspace
+        monkeypatch.setattr(
+            invariants, "invariant_subspace",
+            lambda ctx, d, w: real(ctx, d, w.generators[:2]),
+        )
+        reports = {r.check_id: r for r in group_closure_oracle(3)}
+        assert reports["invariants.closure.subspace"].status == FAIL
+
+    def test_induced_images_match_generator_sums(self):
+        # the images as sums of scaled generators, built with public arithmetic
+        ctx = elementary_abelian_context(3, 3, 8)
+        degree_one = [g for g in ctx.generators if g.degree == 1]
+        for m in group_closure(weyl_generators(3)):
+            f = induced_action(m, ctx)
+            for j, gen in enumerate(degree_one):
+                for name, targets in (
+                    (gen.name, [t.name for t in degree_one]),
+                    (gen.bockstein_partner, [t.bockstein_partner for t in degree_one]),
+                ):
+                    expected = ctx.zero()
+                    for i, target in enumerate(targets):
+                        expected = expected + ctx.generator(target).scale(m[j, i])
+                    assert f.images[name] == expected
 
 
 class TestSL2Generation:
