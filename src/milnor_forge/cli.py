@@ -152,13 +152,14 @@ def _invariants_suite(prime: int, config: RunConfig) -> list[CheckReport]:
 
 def _ss_suite(prime: int, config: RunConfig) -> list[CheckReport]:
     reports: list[CheckReport] = []
+    scenarios = specseq.JobScenarios(prime)  # shared by this job's checks only
     if config.scenario in ("all", "bg1"):
-        reports.extend(specseq.check_bg1(prime, sweep_scalars=config.sweep_scalars))
-        reports.extend(specseq.check_engine_invariants(prime))
+        reports.extend(specseq.check_bg1(prime, config.sweep_scalars, scenarios))
+        reports.extend(specseq.check_engine_invariants(prime, scenarios))
     if config.scenario in ("all", "bpu") and prime != 2:
-        reports.extend(specseq.check_bpu(prime))
+        reports.extend(specseq.check_bpu(prime, scenarios))
     if config.scenario == "all":
-        reports.extend(specseq.iota_image_check(prime))
+        reports.extend(specseq.iota_image_check(prime, scenarios))
     return reports
 
 

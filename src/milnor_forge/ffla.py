@@ -226,13 +226,60 @@ def row_space_basis(vectors: Iterable[Sequence[int]], modulus: int) -> list[tupl
     return [red.entries[r] for r in range(rank)]
 
 
+class _Echelon:
+    """A growing basis of a subspace of F_l^n, kept in echelon form.
+
+    ``rows`` maps each pivot column to its row: the pivot entry is 1 and the
+    row is zero at the pivot columns of every row inserted before it.  So
+    ``reduce`` clears the pivot columns of a vector by taking the rows in
+    insertion order, and a vector lies in the span exactly when it reduces to
+    zero.  Each vector is reduced once, against the rows kept so far; nothing
+    is row-reduced again.  Package-internal: the modulus must be prime and
+    every vector as long as the first.
+    """
+
+    __slots__ = ("modulus", "rows")
+
+    def __init__(self, modulus: int, vectors: Iterable[Sequence[int]] = ()):
+        self.modulus = modulus
+        self.rows: dict[int, list[int]] = {}
+        for v in vectors:
+            self.insert(v)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vector: Sequence[int]) -> list[int]:
+        """``vector`` minus its part along the rows, entries in ``[0, l)``."""
+        p = self.modulus
+        v = [x % p for x in vector]
+        for col, row in self.rows.items():
+            c = v[col]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vector: Sequence[int]) -> bool:
+        """Add ``vector`` to the basis; False, keeping nothing, if already spanned."""
+        v = self.reduce(vector)
+        for col, c in enumerate(v):
+            if c:
+                p = self.modulus
+                inv = pow(c, p - 2, p)
+                self.rows[col] = [(x * inv) % p for x in v]
+                return True
+        return False
+
+
 def in_span(vector: Sequence[int], basis: Sequence[Sequence[int]], modulus: int) -> bool:
     if not any(x % modulus for x in vector):
         return True
     if not basis:
         return False
-    with_v = row_space_basis(list(basis) + [tuple(vector)], modulus)
-    return len(with_v) == len(row_space_basis(basis, modulus))
+    check_prime(modulus)
+    if any(len(b) != len(vector) for b in basis):
+        raise ValueError("ragged rows")
+    return not any(_Echelon(modulus, basis).reduce(vector))
 
 
 def spans_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int) -> bool:

@@ -231,8 +231,9 @@ class Element:
     __slots__ = ("context", "terms")
 
     def __init__(self, context: AlgebraContext, terms: dict[Monomial, int]):
+        p = context.prime
         self.context = context
-        self.terms = {m: c for m, c in terms.items() if c % context.prime}
+        self.terms = {m: r for m, c in terms.items() if (r := c % p)}
 
     @classmethod
     def _trusted(cls, context: AlgebraContext, terms: dict[Monomial, int]) -> "Element":

@@ -4,12 +4,20 @@ A page is stored per bidegree as a pair of subspaces of the fixed ambient
 basis: ``cycles`` (representatives surviving to this page) and ``boundaries``
 (the part already killed); the page dimension is the difference.  Turning a
 page takes degreewise homology of the induced differential on chosen
-representatives, reducing mod boundaries, exactly once per bidegree.
+representatives, reducing mod boundaries, exactly once per bidegree.  The
+linear algebra keeps one echelon basis per subspace and reduces each vector
+against it once; a component whose subspaces the turn leaves alone carries
+over to the next page unchanged.
 
 Differentials are given on page generators.  A page generator is a power of
 an ambient generator (power 1 except for the characteristic-2 scenario where
 the page-3 class is the square of the fiber generator); the signed Leibniz
 extension is applied per monomial.
+
+The checks of one ``(ss, prime)`` job share a ``JobScenarios``: each scenario
+that several checks read is solved once for that job, and a scenario that
+one check reads is solved by that check.  Nothing is shared across jobs or
+runs; the CLI makes a fresh ``JobScenarios`` per job and drops it after.
 """
 
 from __future__ import annotations
@@ -201,16 +209,11 @@ def verify_dd_zero(ctx: AlgebraContext, dspec: DifferentialSpec) -> None:
 def _complement(
     boundaries: Sequence[Sequence[int]], cycles: Sequence[Sequence[int]], prime: int
 ) -> list[tuple[int, ...]]:
-    """Deterministic cycle representatives spanning cycles modulo boundaries."""
-    chosen: list[tuple[int, ...]] = []
-    base = [tuple(v) for v in boundaries]
-    current_rank = len(ffla.row_space_basis(base, prime)) if base else 0
-    for vec in cycles:
-        trial = base + [tuple(v) for v in chosen] + [tuple(vec)]
-        rank = len(ffla.row_space_basis(trial, prime))
-        if rank > current_rank + len(chosen):
-            chosen.append(tuple(vec))
-    return chosen
+    """Deterministic cycle representatives spanning cycles modulo boundaries:
+    each cycle, in order, that the boundaries and the cycles chosen before it
+    do not span."""
+    span = ffla._Echelon(prime, boundaries)
+    return [tuple(vec) for vec in cycles if span.insert(vec)]
 
 
 def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
@@ -223,9 +226,9 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
     r = page.r
     shift = (r, 1 - r)
 
-    new_boundaries: dict[tuple[int, int], list[tuple[int, ...]]] = {
-        key: [tuple(v) for v in comp.boundaries] for key, comp in page.components.items()
-    }
+    # rows of the components whose span changes on this turn; every other
+    # component carries over as it is
+    new_boundaries: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     new_cycles: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     ranks: dict[int, int] = {}
 
@@ -233,7 +236,6 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
         comp = page.components[key]
         reps = _complement(comp.boundaries, comp.cycles, p)
         if not reps:
-            new_cycles[key] = [tuple(v) for v in comp.boundaries]
             continue
         target_key = (key[0] + shift[0], key[1] + shift[1])
         target = page.components.get(target_key)
@@ -247,9 +249,9 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
                     raise DifferentialError(
                         f"differential image escapes the tracked range at {target_key}"
                     )
-            new_cycles[key] = [tuple(v) for v in comp.boundaries] + reps
             continue
 
+        target_cycles = ffla._Echelon(p, target.cycles)
         image_vectors: list[tuple[int, ...]] = []
         for vec in reps:
             el = Element(ctx, {m: c for m, c in zip(comp.basis, vec) if c})
@@ -259,47 +261,42 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
                     f"differential image at {target_key} leaves the component basis"
                 )
             ivec = image.coordinates(target.basis)
-            if any(ivec) and not ffla.in_span(ivec, target.cycles, p):
+            if any(ivec) and any(target_cycles.reduce(ivec)):
                 raise DifferentialError(
                     f"differential image at {target_key} is not a cycle representative"
                 )
             image_vectors.append(ivec)
 
-        nonzero_images = [v for v in image_vectors if any(v)]
-        if nonzero_images:
-            new_boundaries[target_key].extend(nonzero_images)
-        # rank of the induced map, for the per-degree bookkeeping
-        old_b = [tuple(v) for v in target.boundaries]
-        rank = len(ffla.row_space_basis(old_b + image_vectors, p)) - len(
-            ffla.row_space_basis(old_b, p)
-        )
-        if rank:
-            ranks[key[0] + key[1]] = ranks.get(key[0] + key[1], 0) + rank
+        # rank of the induced map: how many images are independent modulo the
+        # (linearly independent) old boundaries at the target
+        killed = ffla._Echelon(p, target.boundaries)
+        rank = sum(killed.insert(v) for v in image_vectors)
+        if not rank:
+            # every image is an old boundary: all representatives stay cycles
+            continue
+        ranks[key[0] + key[1]] = ranks.get(key[0] + key[1], 0) + rank
+        new_boundaries[target_key] = [*target.boundaries, *(v for v in image_vectors if any(v))]
 
         # kernel of the induced map: coefficients x with sum x_i D(rep_i) in
         # the old boundaries at the target
-        boundary_rows = [tuple(v) for v in target.boundaries]
-        all_rows = image_vectors + boundary_rows
-        if not any(any(row) for row in all_rows):
-            kernel_coeffs = [
-                tuple(1 if i == j else 0 for j in range(len(reps)))
-                for i in range(len(reps))
-            ]
-        else:
-            columns = FieldMatrix(list(zip(*all_rows)), p)
-            kernel_coeffs = [vec[: len(reps)] for vec in ffla.nullspace(columns)]
+        columns = FieldMatrix(list(zip(*image_vectors, *target.boundaries)), p)
+        kernel_coeffs = [vec[: len(reps)] for vec in ffla.nullspace(columns)]
         kept = [
             tuple(sum(k * v for k, v in zip(kvec, col)) % p for col in zip(*reps))
             for kvec in kernel_coeffs
         ]
-        new_cycles[key] = [tuple(v) for v in comp.boundaries] + [v for v in kept if any(v)]
+        new_cycles[key] = [*comp.boundaries, *(v for v in kept if any(v))]
 
     components: dict[tuple[int, int], PageComponent] = {}
     for key, comp in page.components.items():
-        cyc = ffla.row_space_basis(new_cycles.get(key, [tuple(v) for v in comp.boundaries]), p)
-        bnd = ffla.row_space_basis(new_boundaries.get(key, []), p)
+        if key not in new_cycles and key not in new_boundaries:
+            components[key] = comp
+            continue
+        cyc = ffla.row_space_basis(new_cycles.get(key, comp.cycles), p)
+        bnd = ffla.row_space_basis(new_boundaries.get(key, comp.boundaries), p)
+        cycles = ffla._Echelon(p, cyc)
         for b in bnd:
-            if not ffla.in_span(b, cyc, p):
+            if any(cycles.reduce(b)):
                 raise DifferentialError(
                     f"boundary at {key} is not a cycle; differential is ill-posed"
                 )
@@ -408,11 +405,11 @@ def _permanent_spans_component(sc: Scenario, page: SSPage, key: tuple[int, int])
     if not vectors:
         return False
     p = sc.context.prime
-    reps = _complement(comp.boundaries, comp.cycles, p)
-    # permanent classes must span the page component modulo boundaries
-    joint = ffla.row_space_basis(list(comp.boundaries) + vectors, p)
-    full = ffla.row_space_basis(list(comp.boundaries) + reps, p)
-    return len(joint) == len(full) and all(ffla.in_span(v, full, p) for v in joint)
+    # permanent classes must span the page component modulo boundaries: the
+    # boundaries with them span the same space as the boundaries with the cycles
+    full = ffla._Echelon(p, [*comp.boundaries, *comp.cycles])
+    joint = ffla._Echelon(p, [*comp.boundaries, *vectors])
+    return len(joint) == len(full) and not any(any(full.reduce(v)) for v in vectors)
 
 
 def scenario_bg1(
@@ -559,6 +556,32 @@ def rational_degree4_dimension(prime: int) -> int:
 # check suites
 
 
+class JobScenarios:
+    """The scenarios that several checks of one ``(ss, prime)`` job share.
+
+    ``bg1()`` solves ``scenario_bg1(prime)`` and ``bpu()`` solves
+    ``scenario_bpu(prime)`` on first use, and the object keeps each result for
+    as long as it lives: one job.  A solve that raises is not kept, so every
+    check that needs it solves again and records its own failure.  A scenario
+    that only one check uses is solved by that check and not kept.
+    """
+
+    def __init__(self, prime: int):
+        self.prime = prime
+        self._solved: dict[str, ScenarioResult] = {}
+
+    def bg1(self) -> ScenarioResult:
+        return self._solve("bg1", scenario_bg1)
+
+    def bpu(self) -> ScenarioResult:
+        return self._solve("bpu", scenario_bpu)
+
+    def _solve(self, key: str, build) -> ScenarioResult:
+        if key not in self._solved:
+            self._solved[key] = run_scenario(build(self.prime))
+        return self._solved[key]
+
+
 def page_table(result: ScenarioResult) -> str:
     """Per-page, per-total-degree dimension table (part of the report contract)."""
     upto = result.scenario.context.top_degree
@@ -569,14 +592,16 @@ def page_table(result: ScenarioResult) -> str:
     return "; ".join(rows)
 
 
-def check_bg1(prime: int, sweep_scalars: bool = False) -> list[CheckReport]:
+def check_bg1(
+    prime: int, sweep_scalars: bool = False, scenarios: JobScenarios | None = None
+) -> list[CheckReport]:
     """Total-degree dimensions of the quotient-group scenario, both parities."""
     reports: list[CheckReport] = []
+    scenarios = scenarios or JobScenarios(prime)
     expected = [1, 0, 1, 1, 2]
 
     def dims() -> tuple[str, str]:
-        sc = scenario_bg1(prime)
-        result = run_scenario(sc)
+        result = scenarios.bg1()
         if result.dims != expected:
             return FAIL, f"H^i dims {result.dims}, expected {expected}"
         if not result.collapse_certified:
@@ -586,14 +611,13 @@ def check_bg1(prime: int, sweep_scalars: bool = False) -> list[CheckReport]:
     reports.append(run_check("ss.bg1.dims", prime, dims))
 
     def pages() -> tuple[str, str]:
-        sc = scenario_bg1(prime)
-        return PASS, page_table(run_scenario(sc))
+        return PASS, page_table(scenarios.bg1())
 
     reports.append(run_check("ss.bg1.pages", prime, pages))
 
     def classes() -> tuple[str, str]:
-        sc = scenario_bg1(prime)
-        result = run_scenario(sc)
+        result = scenarios.bg1()
+        sc = result.scenario
         b2 = sc.named["b2"]
         if prime == 2:
             checks = [
@@ -616,9 +640,8 @@ def check_bg1(prime: int, sweep_scalars: bool = False) -> list[CheckReport]:
     if prime != 2:
 
         def e3_structure() -> tuple[str, str]:
-            sc = scenario_bg1(prime)
-            page = initial_page(sc.context)
-            page3 = turn_page(page, sc.differentials[0])
+            result = scenarios.bg1()
+            sc, page3 = result.scenario, result.pages[1]  # pages E_2, E_3, E_4
             got = page3.dims_by_total_degree(5)
             # free module over the degree-2 fiber polynomial class on
             # {1, b2, b2^2, a3, b3}: dims 1,0,2,2,3,2 in degrees 0..5
@@ -639,8 +662,8 @@ def check_bg1(prime: int, sweep_scalars: bool = False) -> list[CheckReport]:
     if prime == 2:
 
         def page3_step() -> tuple[str, str]:
-            sc = scenario_bg1_two()
-            page3 = turn_page(initial_page(sc.context), sc.differentials[0])
+            result = scenarios.bg1()
+            sc, page3 = result.scenario, result.pages[1]  # pages E_2, E_3, E_4
             z1sq = sc.context.monomial_element({"z1": 2})
             if not page3.class_is_nonzero(z1sq):
                 return FAIL, "z1^2 does not survive to page 3"
@@ -669,7 +692,10 @@ def check_bg1(prime: int, sweep_scalars: bool = False) -> list[CheckReport]:
             def sweep() -> tuple[str, str]:
                 for a1 in range(1, sweep_prime):
                     for a2 in range(1, sweep_prime):
-                        result = run_scenario(scenario_bg1(sweep_prime, a1, a2))
+                        if (a1, a2) == (1, 1):  # the scenario the other checks solve
+                            result = scenarios.bg1()
+                        else:
+                            result = run_scenario(scenario_bg1(sweep_prime, a1, a2))
                         if result.dims != expected:
                             return FAIL, (
                                 f"dims {result.dims} at scalars ({a1},{a2})"
@@ -682,13 +708,14 @@ def check_bg1(prime: int, sweep_scalars: bool = False) -> list[CheckReport]:
     return reports
 
 
-def check_bpu(prime: int) -> list[CheckReport]:
+def check_bpu(prime: int, scenarios: JobScenarios | None = None) -> list[CheckReport]:
     """Page-4 content of the degree-3-base scenario, both scalar branches."""
     reports: list[CheckReport] = []
+    scenarios = scenarios or JobScenarios(prime)
 
     def branch_nonzero() -> tuple[str, str]:
-        sc = scenario_bpu(prime, beta_prime_zero=False)
-        result = run_scenario(sc)
+        result = scenarios.bpu()
+        sc = result.scenario
         want = [1, 0, 1, 1, 1, 0, 1]
         if result.dims != want:
             return FAIL, f"page-4 dims {result.dims}, expected {want}"
@@ -724,7 +751,7 @@ def check_bpu(prime: int) -> list[CheckReport]:
     reports.append(run_check("ss.bpu.e4_dims_bz", prime, branch_zero))
 
     def pages() -> tuple[str, str]:
-        return PASS, page_table(run_scenario(scenario_bpu(prime, False)))
+        return PASS, page_table(scenarios.bpu())
 
     reports.append(run_check("ss.bpu.pages", prime, pages))
     reports.append(
@@ -754,14 +781,16 @@ def check_bpu(prime: int) -> list[CheckReport]:
     return reports
 
 
-def check_engine_invariants(prime: int) -> list[CheckReport]:
+def check_engine_invariants(
+    prime: int, scenarios: JobScenarios | None = None
+) -> list[CheckReport]:
     """Per-scenario engine health: d o d, monotone dims, rank bookkeeping, stability."""
     reports: list[CheckReport] = []
+    scenarios = scenarios or JobScenarios(prime)
 
     def monotone_and_euler() -> tuple[str, str]:
-        sc = scenario_bg1(prime)
-        result = run_scenario(sc)
-        upto = sc.context.top_degree - 1
+        result = scenarios.bg1()
+        upto = result.scenario.context.top_degree - 1
         for older, newer in zip(result.pages, result.pages[1:]):
             old_dims = older.dims_by_total_degree(upto)
             new_dims = newer.dims_by_total_degree(upto)
@@ -772,7 +801,7 @@ def check_engine_invariants(prime: int) -> list[CheckReport]:
         return PASS, "dims non-increasing and rank bookkeeping exact on every turn"
 
     def stability() -> tuple[str, str]:
-        narrow = run_scenario(scenario_bg1(prime)).dims
+        narrow = scenarios.bg1().dims
         wide_dims = run_scenario(scenario_bg1(prime, slack=2)).dims
         if narrow != wide_dims:
             return FAIL, f"dims changed under wider truncation: {narrow} vs {wide_dims}"
@@ -783,7 +812,7 @@ def check_engine_invariants(prime: int) -> list[CheckReport]:
     return reports
 
 
-def iota_image_check(prime: int) -> list[CheckReport]:
+def iota_image_check(prime: int, scenarios: JobScenarios | None = None) -> list[CheckReport]:
     """The end-to-end chain: scenario rank, restriction leading term, nonvanishing.
 
     Ties together (a) the degree-4 dimension of the scenario equalling the
@@ -794,10 +823,10 @@ def iota_image_check(prime: int) -> list[CheckReport]:
     from .invariants import element_span_contains, invariant_subspace, weyl_generators
 
     reports: list[CheckReport] = []
+    scenarios = scenarios or JobScenarios(prime)
 
     def h4_rank() -> tuple[str, str]:
-        sc = scenario_bg1(prime)
-        result = run_scenario(sc)
+        result = scenarios.bg1()
         rational = rational_degree4_dimension(prime)
         if result.dims[4] != 2 or rational != 2:
             return FAIL, f"H^4 dim {result.dims[4]}, rational dim {rational}"

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from milnor_forge import cli, invariants
+from milnor_forge import cli, invariants, specseq
 from milnor_forge.cli import RunConfig, main, parse_config, report_json, report_text, run
 from milnor_forge.report import CheckReport
 
@@ -169,6 +169,94 @@ class TestRunLoop:
             (r["check_id"], r["status"])
             for r in records if not r["check_id"].startswith("invariants.")
         ] == [(r.check_id, r.status) for r in others]
+
+
+def scenario_key(sc):
+    """What makes two scenarios the same computation."""
+    return (
+        sc.name,
+        sc.prime,
+        sc.context.top_degree,
+        tuple(
+            (d.page, tuple((n, power, img.render()) for n, (power, img) in sorted(d.images.items())))
+            for d in sc.differentials
+        ),
+    )
+
+
+class TestScenarioMemo:
+    # at l=3 the ss job needs bg1 at the four scalar pairs, bg1 with a wider
+    # truncation, and bpu in both branches
+    DISTINCT_AT_THREE = 7
+    NEEDS_A_SOLVE = {
+        "ss.bg1.dims",
+        "ss.bg1.pages",
+        "ss.bg1.classes",
+        "ss.bg1.e3_structure",
+        "ss.bg1.scalar_sweep",
+        "ss.engine.monotone_euler",
+        "ss.engine.stability",
+        "ss.bpu.e4_dims_bnz",
+        "ss.bpu.e4_dims_bz",
+        "ss.bpu.pages",
+        "ss.iota.h4_rank",
+    }
+
+    def test_each_distinct_scenario_solved_once_per_job(self, monkeypatch):
+        solved = []
+        solve = specseq.run_scenario
+
+        def recorder(sc):
+            solved.append(scenario_key(sc))
+            return solve(sc)
+
+        monkeypatch.setattr(specseq, "run_scenario", recorder)
+        reports = run(RunConfig(primes=(3,), suites=("ss",)))
+        assert reports and not any(r.failed for r in reports)
+        assert len(solved) == len(set(solved)) == self.DISTINCT_AT_THREE
+
+    def test_failed_solve_fails_each_dependent_check(self, monkeypatch):
+        attempts = []
+
+        def broken(sc):
+            attempts.append(sc.name)
+            raise RuntimeError("solver down")
+
+        monkeypatch.setattr(specseq, "run_scenario", broken)
+        reports = run(RunConfig(primes=(3,), suites=("ss",)))
+        failed = [r for r in reports if r.failed]
+        assert {r.check_id for r in failed} == self.NEEDS_A_SOLVE
+        assert {r.details for r in failed} == {"RuntimeError: solver down"}
+        # a failure is not kept: every dependent check tried the solve itself
+        assert len(attempts) == len(self.NEEDS_A_SOLVE)
+        assert {(r.check_id, r.status) for r in reports if not r.failed} == {
+            ("ss.bpu.e4_span_note", "note"),
+            ("ss.bpu.u7_bookkeeping", "pass"),
+            ("ss.iota.leading_term", "pass"),
+            ("ss.iota.q1_nonzero", "pass"),
+        }
+
+    def test_nothing_shared_between_runs(self, monkeypatch):
+        solves = []
+        solve = specseq.run_scenario
+
+        def counter(sc):
+            solves.append(sc.name)
+            return solve(sc)
+
+        monkeypatch.setattr(specseq, "run_scenario", counter)
+        config = RunConfig(primes=(2, 3), suites=("ss",))
+        first = run(config)
+        first_solves = len(solves)
+        second = run(config)
+        # two distinct scenarios at l=2, seven at l=3, solved again by the second run
+        assert first_solves == 2 + self.DISTINCT_AT_THREE
+        assert len(solves) == 2 * first_solves
+
+        def records(reports):
+            return [(r.check_id, r.prime, r.status, r.details) for r in reports]
+
+        assert records(first) == records(second)
 
 
 class TestReports:

@@ -175,6 +175,17 @@ class TestElement:
         assert el.is_zero()
         assert el.terms == {}
 
+    def test_coefficients_reduced_on_construction(self):
+        ctx = CONTEXTS[(5, 3)]
+        y1 = ctx.monomial_element({"y1": 1})
+        (mono,) = y1.terms
+        seven, two = Element(ctx, {mono: 7}), Element(ctx, {mono: 2})
+        assert seven.render() == "2*y1"
+        assert seven == two
+        assert (seven - two).is_zero()
+        assert Element(ctx, {mono: -1}).render() == "4*y1"
+        assert Element(ctx, {mono: 10}).is_zero()
+
     def test_render_golden(self):
         ctx = CONTEXTS[(5, 3)]
         el = multiply(
