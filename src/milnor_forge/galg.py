@@ -55,16 +55,20 @@ class GeneratorSpec:
 class AlgebraContext:
     """Immutable generator data plus the working truncation degree.
 
-    Three memos fill lazily and are bounded by the finite set of monomials of
+    Four memos fill lazily and are bounded by the finite set of monomials of
     degree at most ``top_degree``: the basis per degree, the degree of each
-    such monomial, and ``_merge_monomials`` of each pair whose product degree
-    is within the truncation (``multiply`` keys it by left, then right).
+    such monomial, ``_merge_monomials`` of each pair whose product degree is
+    within the truncation (``multiply`` keys it by left, then right), and the
+    terms of each generator's unit element by name (``induced_action`` fills
+    it from ``generator`` and keeps no failure, so a generator above the
+    truncation raises on every request).  ``_odd_units`` holds the unit
+    monomial of every odd generator.
     """
 
     __slots__ = (
         "prime", "generators", "top_degree", "annihilator_pairs",
-        "_index", "_degrees", "_odd_positions", "_basis_cache",
-        "_degree_memo", "_merge_memo",
+        "_index", "_degrees", "_odd_positions", "_odd_units", "_basis_cache",
+        "_degree_memo", "_merge_memo", "_unit_memo",
     )
 
     def __init__(
@@ -102,6 +106,10 @@ class AlgebraContext:
         self._odd_positions = tuple(
             i for i, g in enumerate(self.generators) if g.parity == "odd"
         )
+        n = len(self.generators)
+        self._odd_units = frozenset(
+            (0,) * i + (1,) + (0,) * (n - i - 1) for i in self._odd_positions
+        )
         pairs = set()
         for a, b in annihilator_pairs:
             ia, ib = self._index[a], self._index[b]
@@ -110,6 +118,7 @@ class AlgebraContext:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._degree_memo: dict[Monomial, int] = {}
         self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
+        self._unit_memo: dict[str, dict[Monomial, int]] = {}
 
     # -- structure queries ---------------------------------------------------
 
@@ -470,6 +479,15 @@ class AlgebraMap:
         self._cache: dict[Monomial, Element] = {}
 
     def __call__(self, element: Element) -> Element:
+        """Apply the map: each monomial goes to the product of its factors' images.
+
+        A monomial's product starts from the image of its first generator
+        factor (the constant monomial maps to ``one``), so a single generator
+        maps to its image as given and each further factor costs one exact
+        ``multiply``, which raises ``TruncationOverflowError`` past the
+        truncation.  Monomial images are cached on this map, not on the
+        context.
+        """
         if element.context is not self.context:
             raise ValueError("element belongs to a different context")
         ctx = self.context
@@ -477,10 +495,12 @@ class AlgebraMap:
         for mono, coeff in element.terms.items():
             img = self._cache.get(mono)
             if img is None:
-                img = ctx.one()
                 for e, g in zip(mono, ctx.generators):
                     for _ in range(e):
-                        img = multiply(img, self.images[g.name])
+                        factor = self.images[g.name]
+                        img = factor if img is None else multiply(img, factor)
+                if img is None:
+                    img = ctx.one()
                 self._cache[mono] = img
             _accumulate(terms, img, coeff, ctx.prime)
         return Element._trusted(ctx, terms)
@@ -493,6 +513,7 @@ def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> A
     generators must be linear combinations of odd generators (so exterior
     squares stay zero).  Unlisted generators map to themselves.
     """
+    odd_units = ctx._odd_units
     for name, img in images.items():
         spec = ctx.spec(name)
         if img.context is not ctx:
@@ -506,10 +527,8 @@ def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> A
             )
         if spec.parity == "odd":
             for mono in img.terms:
-                nonzero = [i for i, e in enumerate(mono) if e]
-                if len(nonzero) != 1 or mono[nonzero[0]] != 1 or (
-                    ctx.generators[nonzero[0]].parity != "odd"
-                ):
+                # exactly one nonzero exponent, equal to 1, at an odd generator
+                if mono not in odd_units:
                     raise ValueError(
                         f"image of odd generator {name} must be a combination "
                         f"of odd generators"

@@ -111,16 +111,19 @@ def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> A
     if m.modulus != ctx.prime:
         raise ValueError("modulus mismatch")
 
-    units: dict[str, dict] = {}
+    units = ctx._unit_memo
 
     def combination(row: tuple[int, ...], names: list[str]) -> Element:
         # sum_i row[i] * names[i]: distinct generators, reduced coefficients
         terms = {}
         for c, name in zip(row, names):
             if c:
-                if name not in units:
-                    units[name] = ctx.generator(name).terms
-                terms.update(dict.fromkeys(units[name], c))
+                unit = units.get(name)
+                if unit is None:
+                    # ``generator`` raises above the truncation; nothing is kept
+                    unit = units[name] = ctx.generator(name).terms
+                for mono in unit:
+                    terms[mono] = c
         return Element._trusted(ctx, terms)
 
     targets = [g.name for g in degree_one]
@@ -368,9 +371,14 @@ def group_closure_oracle(prime: int) -> list[CheckReport]:
     shape-predicate count, and recompute the invariants from the full list.
 
     The recomputation intersects the degree-4 space with the kernel of
-    1 - g* for every enumerated element g in turn.  An element that fixes
-    every vector of the current subspace leaves it unchanged, so the kernel
-    and row-reduction steps are skipped for it.
+    1 - g* for every enumerated element g in turn, in enumeration order; each
+    g is applied through its own validated ``induced_action``, never composed
+    from others.  The ``Element``s of the current subspace's basis are kept
+    and rebuilt only when the subspace changes.  An element g fixes them all
+    when ``f(el) == el`` for each (both sides are reduced, so this is
+    ``el - f(el)`` being zero); g then leaves the subspace unchanged, and the
+    coordinate rows, kernel and row reduction are formed only for an element
+    that moves a vector.
     """
     check_prime(prime)
     if prime > 5:
@@ -397,19 +405,21 @@ def group_closure_oracle(prime: int) -> list[CheckReport]:
         ctx = _rank3_context(prime)
         from_generators = invariant_subspace(ctx, 4, w)
         basis = ctx.basis_of_degree(4)
-        vectors = [ffla.FieldMatrix.identity(len(basis), prime).entries[i]
-                   for i in range(len(basis))]
-        current = list(vectors)
+        current = list(FieldMatrix.identity(len(basis), prime).entries)
+
+        def as_elements(vectors):
+            return [Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
+                    for vec in vectors]
+
+        kept = as_elements(current)
         for mat in elements:
             f = induced_action(mat, ctx)
-            rows = []
-            for vec in current:
-                el = Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
-                rows.append((el - f(el)).coordinates(basis))
-            if not any(any(row) for row in rows):
+            images = [f(el) for el in kept]
+            if all(img == el for img, el in zip(images, kept)):
                 # every current vector is fixed by this element: the kernel is
                 # the whole coefficient space, so ``current`` stays as it is
                 continue
+            rows = [(el - img).coordinates(basis) for el, img in zip(kept, images)]
             coeff_kernel = ffla.nullspace(FieldMatrix(list(zip(*rows)), prime))
             p = prime
             current = ffla.row_space_basis(
@@ -424,6 +434,7 @@ def group_closure_oracle(prime: int) -> list[CheckReport]:
             )
             if not current:
                 break
+            kept = as_elements(current)
         gen_vectors = [el.coordinates(basis) for el in from_generators]
         if ffla.spans_equal(gen_vectors, current, prime):
             return PASS, (

@@ -3,7 +3,12 @@ from hypothesis import given, strategies as st
 
 from milnor_forge import invariants
 from milnor_forge.ffla import FieldMatrix, spans_equal
-from milnor_forge.galg import Element, elementary_abelian_context
+from milnor_forge.galg import (
+    Element,
+    TruncationOverflowError,
+    elementary_abelian_context,
+    linear_substitution,
+)
 from milnor_forge.invariants import (
     ActionMatrix,
     dickson_invariance,
@@ -18,7 +23,7 @@ from milnor_forge.invariants import (
     weyl_generators,
 )
 from milnor_forge.milnor import milnor_q
-from milnor_forge.report import FAIL
+from milnor_forge.report import FAIL, PASS
 
 
 def assert_all_pass(reports):
@@ -80,6 +85,27 @@ class TestInducedAction:
         ctx = elementary_abelian_context(3, 2, 6)
         with pytest.raises(ValueError):
             induced_action(FieldMatrix.identity(3, 3), ctx)
+
+    def test_partner_above_truncation_raises_on_every_call(self):
+        # the degree-2 partners lie above truncation 1; no failure is kept, so
+        # a call after all three partners have failed once still raises
+        ctx = elementary_abelian_context(5, 3, 1)
+        for _ in range(4):
+            with pytest.raises(TruncationOverflowError):
+                induced_action(FieldMatrix.identity(3, 5), ctx)
+
+    def test_contexts_at_one_prime_keep_separate_unit_memos(self):
+        wide = elementary_abelian_context(5, 3, 8)
+        narrow = elementary_abelian_context(5, 3, 1)
+        plane = elementary_abelian_context(5, 2, 4)
+        induced_action(FieldMatrix.identity(3, 5), wide)
+        with pytest.raises(TruncationOverflowError):
+            induced_action(FieldMatrix.identity(3, 5), narrow)
+        # the rank-2 context puts y2 at another position than the rank-3 one
+        f = induced_action(sl2_generators(5)[0], plane)
+        assert f(plane.generator("x2")) == plane.generator("x2") + plane.generator("y2")
+        g = induced_action(weyl_generators(5).generators[0], wide)
+        assert g(wide.generator("x2")) == wide.generator("x2") + wide.generator("y2")
 
 
 class TestInvariantDimensions:
@@ -187,6 +213,35 @@ class TestClosureOracle:
         )
         reports = {r.check_id: r for r in group_closure_oracle(3)}
         assert reports["invariants.closure.subspace"].status == FAIL
+
+    def test_late_non_generator_element_is_checked(self, monkeypatch):
+        # the last enumerated element that is neither a generator nor a
+        # generator's inverse is given a validated map that moves Q0(x1 y1 z1);
+        # the generator-based answer never sees it, so only an oracle that
+        # applies every enumerated element can notice
+        w = weyl_generators(3)
+        near_generators = {a.matrix.entries for a in w.generators}
+        near_generators |= {a.inverse().matrix.entries for a in w.generators}
+        late = [m for m in group_closure(w) if m.entries not in near_generators][-1]
+        real = invariants.induced_action
+
+        def induced(action, ctx):
+            m = action.matrix if isinstance(action, ActionMatrix) else action
+            if m.entries != late.entries:
+                return real(action, ctx)
+            return linear_substitution(ctx, {
+                "z1": ctx.generator("z1").scale(2),
+                "z2": ctx.generator("z2").scale(2),
+            })
+
+        ctx = elementary_abelian_context(3, 3, 8)
+        q0_xyz = milnor_q(0, ctx)(ctx.monomial_element({"x1": 1, "y1": 1, "z1": 1}))
+        assert induced(late, ctx)(q0_xyz) != q0_xyz
+        monkeypatch.setattr(invariants, "induced_action", induced)
+        reports = {r.check_id: r for r in group_closure_oracle(3)}
+        assert reports["invariants.closure.subspace"].status == FAIL
+        assert reports["invariants.closure.order"].status == PASS
+        assert reports["invariants.closure.shape"].status == PASS
 
     def test_induced_images_match_generator_sums(self):
         # the images as sums of scaled generators, built with public arithmetic

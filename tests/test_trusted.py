@@ -5,6 +5,8 @@
 still have reduced, nonzero coefficients and no killed monomial, must equal
 its revalidated copy, and must not depend on the context's merge and degree
 memos: the same product on a fresh context gives the same terms.
+``AlgebraMap.__call__``, which starts each monomial from its first factor's
+image, must also equal a product over every factor starting from ``one``.
 """
 
 import pytest
@@ -12,9 +14,11 @@ from hypothesis import assume, given, strategies as st
 
 from milnor_forge.ffla import FieldMatrix, rref
 from milnor_forge.galg import (
+    AlgebraMap,
     Element,
     TruncationOverflowError,
     elementary_abelian_context,
+    linear_substitution,
     multiply,
 )
 from milnor_forge.invariants import induced_action
@@ -94,6 +98,71 @@ def test_induced_action_results_are_well_formed(data):
     assert_well_formed(image)
     (cold_el,) = on_fresh_context(el)
     assert induced_action(m, cold_el.context)(cold_el).terms == image.terms
+
+
+def generator_images(ctx, m):
+    """e_j -> sum_i m[j][i] e_i on degree-1 generators and on their partners,
+    as sums of scaled generators built with public arithmetic."""
+    degree_one = [g for g in ctx.generators if g.degree == 1]
+    images = {}
+    for j, gen in enumerate(degree_one):
+        for name, targets in (
+            (gen.name, [t.name for t in degree_one]),
+            (gen.bockstein_partner, [t.bockstein_partner for t in degree_one]),
+        ):
+            image = ctx.zero()
+            for i, target in enumerate(targets):
+                image = image + ctx.generator(target).scale(m[j, i])
+            images[name] = image
+    return images
+
+
+def evaluate(images, el):
+    """Sum over monomials of coeff * (one times each factor's image)."""
+    ctx = el.context
+    total = ctx.zero()
+    for mono, coeff in el.terms.items():
+        product = ctx.one()
+        for e, g in zip(mono, ctx.generators):
+            for _ in range(e):
+                product = multiply(product, images[g.name])
+        total = total + product.scale(coeff)
+    return total
+
+
+@given(st.data())
+def test_algebra_map_matches_an_independent_evaluation(data):
+    prime, (el,) = data.draw(prime_and_elements(1, max_degree=8))
+    m = data.draw(invertible_matrices(prime))
+    images = generator_images(el.context, m)
+    assert induced_action(m, el.context)(el) == evaluate(images, el)
+
+
+class TestAlgebraMapCall:
+    def test_scalar_maps_to_itself(self):
+        ctx = CTXS[3]
+        f = induced_action(FieldMatrix([[0, 1, 0], [1, 1, 0], [2, 0, 1]], 3), ctx)
+        assert f(ctx.scalar(2)) == ctx.scalar(2)
+        assert f(ctx.zero()) == ctx.zero()
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    def test_single_generator_maps_to_its_image(self, prime):
+        ctx = CTXS[prime]
+        m = FieldMatrix([[1, 1, 0], [0, 1, 0], [1, 0, 1]], prime)
+        f = induced_action(m, ctx)
+        images = generator_images(ctx, m)
+        for g in ctx.generators:
+            assert f(ctx.generator(g.name)) == f.images[g.name] == images[g.name]
+
+    def test_exact_product_past_the_truncation_raises(self):
+        ctx = elementary_abelian_context(3, 1, 4)
+        x2 = ctx.generator("x2")
+        # x2^3 lies above the truncation; its second product overflows
+        with pytest.raises(TruncationOverflowError):
+            linear_substitution(ctx, {})(Element(ctx, {(0, 3): 1}))
+        # x2^2 lies within it, but its image under x2 -> x2 + x2^2 does not
+        with pytest.raises(TruncationOverflowError):
+            AlgebraMap(ctx, {"x2": x2 + multiply(x2, x2)})(multiply(x2, x2))
 
 
 @given(st.data())
