@@ -26,18 +26,8 @@ from .cyclo import (
     lemma22_holds,
     root_power_sum,
     triangular,
-    verify_g1_relations,
-    verify_l2_generators,
-    verify_su_generators,
-    verify_weyl_conjugation,
 )
-from .milnor import (
-    Derivation,
-    dickson_mui_check,
-    milnor_q,
-    verify_q_expansion_odd,
-    verify_q_expansion_two,
-)
+from .milnor import Derivation, milnor_q
 from .invariants import (
     ActionMatrix,
     WeylPresentation,

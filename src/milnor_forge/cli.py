@@ -4,33 +4,32 @@ Usage: ``verify <suite> [--primes P1,P2,...] [--scenario NAME]
 [--sweep-scalars] [--dickson-cap N] [--format json|text] [--seed N]``.
 
 Exit codes: 0 when every check passes (notes allowed), 1 when any check
-fails, 2 on usage errors.  The (suite, prime) jobs run one after another in
-the calling thread, so each record's ``elapsed_ms`` is its own check's time;
-an exception raised by a suite outside its checks becomes one ``fail``
-record ``<suite>.setup`` at that prime and the run carries on.  Records are
-emitted in canonical (check_id, prime) order.  ``MILNOR_FORGE_THREADS``, if
-set, must be an integer; it is reserved as the worker cap.
+fails, 2 on usage errors.  ``REGISTRY`` holds every check of every suite as
+a ``report.Check`` entry, kept by the module the check belongs to; an
+entry's predicate alone decides at which primes, and under which options,
+its check runs.  A run plans one job per (suite, prime) pair with the
+entries whose predicate holds, and runs the jobs one after another in the
+calling thread.  Each check runs inside ``run_check``, so its ``elapsed_ms``
+includes everything it builds, and an exception becomes that check's own
+``fail`` record.  What several checks of one job use is built by the first
+of them and kept in the job's memo (``Job.shared``) until the job ends.
+Records are emitted in canonical (check_id, prime) order.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
-import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import cyclo, invariants, milnor, specseq
 from .ffla import FieldMatrix, is_prime, nullspace, rref
-from .galg import elementary_abelian_context, random_element
-from .milnor import milnor_q
-from .report import FAIL, PASS, CheckReport, run_check
+from .report import FAIL, PASS, Check, CheckReport, Job, always, run_check
 
 SUITES = ("matrices", "milnor", "invariants", "ss")
 DEFAULT_PRIMES = (2, 3, 5, 7)
 DEFAULT_SEED = 20259
-MATRIX_PRIME_CAP = 13
 DICKSON_DEFAULT_CAP = 7
 
 
@@ -45,153 +44,52 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
 
-# ---------------------------------------------------------------------------
-# suite runners
+def rank_nullity(job: Job) -> tuple[str, str]:
+    prime = job.prime
+    rng = job.rng(1000003)
+    for _ in range(20):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = FieldMatrix(
+            [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)],
+            prime,
+        )
+        rank, reduced = rref(m)
+        kernel = nullspace(m)
+        if rank + len(kernel) != cols:
+            return FAIL, f"rank {rank} + nullity {len(kernel)} != {cols}"
+        if reduced.rank() != rank:
+            return FAIL, "rref changed the rank"
+        for v in kernel:
+            if any(m.apply(v)):
+                return FAIL, "nullspace vector not annihilated"
+    return PASS, "rank-nullity and exact kernels on 20 seeded random matrices"
 
 
-def _matrices_suite(prime: int, config: RunConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    if prime == 2:
-        reports.extend(cyclo.verify_l2_generators())
-    elif prime <= MATRIX_PRIME_CAP:
-        reports.extend(cyclo.verify_su_generators(prime))
-        reports.extend(cyclo.verify_weyl_conjugation(prime))
-        reports.extend(cyclo.verify_g1_relations(prime))
-    if prime <= MATRIX_PRIME_CAP:
-        reports.extend(cyclo.lemma_checks(prime))
-
-    rng = random.Random(config.seed * 1000003 + prime)
-
-    def rank_nullity() -> tuple[str, str]:
-        for _ in range(20):
-            rows = rng.randint(1, 6)
-            cols = rng.randint(1, 6)
-            m = FieldMatrix(
-                [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)],
-                prime,
-            )
-            rank, reduced = rref(m)
-            kernel = nullspace(m)
-            if rank + len(kernel) != cols:
-                return FAIL, f"rank {rank} + nullity {len(kernel)} != {cols}"
-            if reduced.rank() != rank:
-                return FAIL, "rref changed the rank"
-            for v in kernel:
-                if any(m.apply(v)):
-                    return FAIL, "nullspace vector not annihilated"
-        return PASS, "rank-nullity and exact kernels on 20 seeded random matrices"
-
-    reports.append(run_check("matrices.ffla.rank_nullity", prime, rank_nullity))
-    return reports
-
-
-def _milnor_suite(prime: int, config: RunConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    if prime == 2:
-        reports.extend(milnor.verify_q_expansion_two())
-    else:
-        reports.extend(milnor.verify_q_expansion_odd(prime))
-        if prime <= config.dickson_cap:
-            reports.extend(milnor.dickson_mui_check(prime))
-
-    rng = random.Random(config.seed * 7919 + prime)
-    ctx = elementary_abelian_context(prime, 3, 2 * prime + 6)
-    q0, q1 = milnor_q(0, ctx), milnor_q(1, ctx)
-
-    def squares() -> tuple[str, str]:
-        for _ in range(25):
-            el = random_element(ctx, rng, 4)
-            if not q0(q0(el)).is_zero():
-                return FAIL, f"Q0 Q0 != 0 on {el.render()}"
-            if not q1(q1(el), truncate=True).is_zero():
-                return FAIL, f"Q1 Q1 != 0 on {el.render()}"
-        return PASS, "Q_j o Q_j = 0 on 25 seeded random elements, j in {0, 1}"
-
-    def anticommute() -> tuple[str, str]:
-        for _ in range(25):
-            el = random_element(ctx, rng, 4)
-            lhs = q0(q1(el, truncate=True), truncate=True)
-            rhs = q1(q0(el), truncate=True)
-            combined = lhs + rhs if prime != 2 else lhs - rhs
-            if not combined.is_zero():
-                return FAIL, f"Q0 Q1 + Q1 Q0 != 0 on {el.render()}"
-        return PASS, "Q0 Q1 + Q1 Q0 = 0 on 25 seeded random elements"
-
-    reports.append(run_check("milnor.q.squares", prime, squares))
-    reports.append(run_check("milnor.q.anticommute", prime, anticommute))
-    return reports
-
-
-def _invariants_suite(prime: int, config: RunConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    if prime == 2:
-        reports.extend(invariants.verify_degree4_invariants_two())
-    else:
-        reports.extend(invariants.verify_degree4_invariants(prime))
-    reports.extend(invariants.dickson_invariance(prime))
-    if prime <= 5:
-        reports.extend(invariants.group_closure_oracle(prime))
-
-    rng = random.Random(config.seed * 31337 + prime)
-
-    def q0_compat() -> tuple[str, str]:
-        ctx = elementary_abelian_context(prime, 3, 8)
-        q0 = milnor_q(0, ctx)
-        gens = invariants.weyl_generators(prime).generators
-        for _ in range(10):
-            action = rng.choice(gens)
-            f = invariants.induced_action(action, ctx)
-            el = random_element(ctx, rng, 6)
-            if f(q0(el)) != q0(f(el)):
-                return FAIL, f"action {action.label} does not commute with Q0"
-        return PASS, "induced actions commute with Q0 on 10 seeded random elements"
-
-    reports.append(run_check("invariants.action.q0_compat", prime, q0_compat))
-    return reports
-
-
-def _ss_suite(prime: int, config: RunConfig) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    scenarios = specseq.JobScenarios(prime)  # shared by this job's checks only
-    if config.scenario in ("all", "bg1"):
-        reports.extend(specseq.check_bg1(prime, config.sweep_scalars, scenarios))
-        reports.extend(specseq.check_engine_invariants(prime, scenarios))
-    if config.scenario in ("all", "bpu") and prime != 2:
-        reports.extend(specseq.check_bpu(prime, scenarios))
-    if config.scenario == "all":
-        reports.extend(specseq.iota_image_check(prime, scenarios))
-    return reports
-
-
-_SUITE_RUNNERS = {
-    "matrices": _matrices_suite,
-    "milnor": _milnor_suite,
-    "invariants": _invariants_suite,
-    "ss": _ss_suite,
+# suite -> its checks, in the order a job runs them
+REGISTRY: dict[str, tuple[Check, ...]] = {
+    "matrices": cyclo.CHECKS + (Check("matrices.ffla.rank_nullity", always, rank_nullity),),
+    "milnor": milnor.CHECKS,
+    "invariants": invariants.CHECKS,
+    "ss": specseq.CHECKS,
 }
 
 
-# ---------------------------------------------------------------------------
-# orchestration
+def plan(config: RunConfig) -> list[tuple[int, list[Check]]]:
+    """Every (suite, prime) job of a run, as its prime and the checks it runs."""
+    return [
+        (prime, [c for c in REGISTRY[suite] if c.runs_at(prime, config)])
+        for suite in config.suites
+        for prime in config.primes
+    ]
 
 
 def run(config: RunConfig) -> list[CheckReport]:
-    env_cap = os.environ.get("MILNOR_FORGE_THREADS")
-    if env_cap:
-        try:
-            int(env_cap)
-        except ValueError:
-            raise SystemExit(f"MILNOR_FORGE_THREADS is not an integer: {env_cap!r}")
     reports: list[CheckReport] = []
-    for suite in config.suites:
-        for prime in config.primes:
-            start = time.perf_counter()
-            try:
-                reports.extend(_SUITE_RUNNERS[suite](prime, config))
-            except Exception as exc:  # one job's setup error must not lose the others
-                elapsed = int((time.perf_counter() - start) * 1000)
-                details = f"{type(exc).__name__}: {exc}"
-                reports.append(CheckReport(f"{suite}.setup", prime, FAIL, details, elapsed))
+    for prime, checks in plan(config):
+        job = Job(prime, config)  # shared by this job's checks only
+        for check in checks:
+            reports.append(run_check(check.check_id, prime, partial(check.body, job)))
     reports.sort(key=lambda r: (r.check_id, r.prime))
     return reports
 
@@ -227,11 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Default primes: {','.join(str(p) for p in DEFAULT_PRIMES)}. "
-            f"Matrix suites accept primes up to {MATRIX_PRIME_CAP}; the rank-2 "
-            f"modular-generator product check is capped at {DICKSON_DEFAULT_CAP} "
-            "by default (raise with --dickson-cap). Suites run one after "
-            "another in one thread; MILNOR_FORGE_THREADS, if set, must be an "
-            "integer."
+            f"The matrix identities run for primes up to {cyclo.MATRIX_PRIME_CAP}; "
+            f"the rank-2 modular-generator product check is capped at "
+            f"{DICKSON_DEFAULT_CAP} by default (raise with --dickson-cap). "
+            "Suites run one after another in one thread."
         ),
     )
     parser.add_argument("suite", choices=SUITES + ("all",), help="check suite to run")

@@ -14,11 +14,11 @@ under conjugation, so e.g. ``tau^-1 alpha tau`` is verified in the form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .ffla import check_prime
-from .report import NOTE, PASS, FAIL, CheckReport, run_check
+from .report import FAIL, NOTE, PASS, Check, Job, at_two, note
 
 
 class CycInt:
@@ -335,7 +335,7 @@ class GeneratorSet:
 
     ``l = 2``: the Gaussian-integer matrices ``alpha = diag(i, -i)``,
     ``beta = ((0,i),(i,0))``, ``xi = -I``, ``t = ((1,i),(i,1))`` and the
-    derived candidate ``s = diag(1, i)`` (see ``verify_l2_generators``).
+    derived candidate ``s = diag(1, i)`` (see the ``matrices.l2`` checks).
     """
 
     prime: int
@@ -346,7 +346,6 @@ class GeneratorSet:
     t: CycMatrix
 
     @classmethod
-    @lru_cache(maxsize=None)
     def build(cls, prime: int) -> "GeneratorSet":
         check_prime(prime)
         if prime == 2:
@@ -395,14 +394,68 @@ def lemma22_holds(prime: int, i: int, j: int, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # identity checks
+#
+# The odd-prime identities on alpha, beta, xi, S and T run for l up to
+# MATRIX_PRIME_CAP.  The Weyl conjugations are verified with the unit scalars
+# normalizing S and T cancelled: S^-1 alpha S = alpha, S^-1 beta S =
+# alpha^-1 beta, conj_transpose(T) alpha T = l (alpha^-1 beta) and
+# conj_transpose(T) beta T = l beta^-1 as exact matrix equations over Z[xi].
+#
+# The 2l x 2l block relations among Delta(Y) = diag(Y, Y) and
+# Gamma(Y) = diag(I, Y) are checked inverse-free: g^h = c is asserted as
+# g h = h c, and [g, h] = c as g h = h g c.
+#
+# At l = 2 the identities live in Z[i] with sqrt(2) denominators cleared.  The
+# diagonal Weyl representative is never defined for l = 2 in the source
+# construction (the general formula degenerates to a scalar), so the
+# conjugation claims attributed to it are checked against the derived
+# candidate S2 = diag(1, i) and flagged as a note rather than a plain pass.
+
+MATRIX_PRIME_CAP = 13
 
 
-def _identity_check(
-    check_id: str, prime: int, lhs: Callable[[], CycMatrix], rhs: Callable[[], CycMatrix],
+def _upto_cap(prime: int, config) -> bool:
+    return prime <= MATRIX_PRIME_CAP
+
+
+def _odd_upto_cap(prime: int, config) -> bool:
+    return prime != 2 and prime <= MATRIX_PRIME_CAP
+
+
+def _matrices(job: Job) -> SimpleNamespace:
+    """The job's generator matrices, their conjugate transposes (suffix
+    ``_h``), the identity ``ident``, the scalar ``ell`` = l, and the block
+    images ``d_Y`` = Delta(Y) and ``g_Y`` = Gamma(Y) with their identity
+    ``ident2``."""
+
+    def build() -> SimpleNamespace:
+        g = GeneratorSet.build(job.prime)
+        ident = CycMatrix.identity(g.prime, g.alpha.size)
+        return SimpleNamespace(
+            prime=g.prime, alpha=g.alpha, beta=g.beta, xi=g.xi, s=g.s, t=g.t,
+            alpha_h=g.alpha.conj_transpose(), beta_h=g.beta.conj_transpose(),
+            s_h=g.s.conj_transpose(), t_h=g.t.conj_transpose(),
+            ident=ident, ell=CycInt.from_int(g.prime, g.prime),
+            d_alpha=CycMatrix.block_diag(g.alpha, g.alpha),
+            d_beta=CycMatrix.block_diag(g.beta, g.beta),
+            d_xi=CycMatrix.block_diag(g.xi, g.xi),
+            g_xi=CycMatrix.block_diag(ident, g.xi),
+            g_beta=CycMatrix.block_diag(ident, g.beta),
+            ident2=CycMatrix.identity(g.prime, 2 * g.alpha.size),
+        )
+
+    return job.shared("matrices", build)
+
+
+def _identity(
+    lhs: Callable[[SimpleNamespace], CycMatrix], rhs: Callable[[SimpleNamespace], CycMatrix],
     description: str, status_on_pass: str = PASS,
-) -> CheckReport:
-    def body() -> tuple[str, str]:
-        left, right = lhs(), rhs()
+) -> Callable[[Job], tuple[str, str]]:
+    """The body of the check ``lhs(m) == rhs(m)`` on ``m = _matrices(job)``."""
+
+    def body(job: Job) -> tuple[str, str]:
+        m = _matrices(job)
+        left, right = lhs(m), rhs(m)
         bad = left.first_mismatch(right)
         if bad is None:
             return status_on_pass, description
@@ -413,241 +466,141 @@ def _identity_check(
             f"{left.rows[i][j]!r} != {right.rows[i][j]!r}",
         )
 
-    return run_check(check_id, prime, body)
+    return body
 
 
-def verify_su_generators(prime: int) -> list[CheckReport]:
-    """Exact checks on alpha, beta, xi, S, T for an odd prime."""
-    check_prime(prime)
-    if prime == 2:
-        raise ValueError("use verify_l2_generators for the prime 2")
-    g = GeneratorSet.build(prime)
-    n = prime
-    ident = CycMatrix.identity(prime, n)
-    checks = [
-        _identity_check(
-            "matrices.su.alpha_unitary", prime,
-            lambda: g.alpha.conj_transpose() * g.alpha, lambda: ident,
-            "conj_transpose(alpha) * alpha = I",
-        ),
-        _identity_check(
-            "matrices.su.beta_unitary", prime,
-            lambda: g.beta.conj_transpose() * g.beta, lambda: ident,
-            "conj_transpose(beta) * beta = I",
-        ),
-        # [alpha, beta] = xi, checked inverse-free as alpha*beta = beta*alpha*xi
-        _identity_check(
-            "matrices.su.commutator", prime,
-            lambda: g.alpha * g.beta, lambda: g.beta * g.alpha * g.xi,
-            "alpha * beta = beta * alpha * xi",
-        ),
-        _identity_check(
-            "matrices.su.s_unitary", prime,
-            lambda: g.s.conj_transpose() * g.s, lambda: ident,
-            "conj_transpose(S) * S = I",
-        ),
-        _identity_check(
-            "matrices.su.t_gram", prime,
-            lambda: g.t.conj_transpose() * g.t,
-            lambda: CycMatrix.scalar(prime, CycInt.from_int(prime, prime), n),
-            "conj_transpose(T) * T = l * I",
-        ),
-    ]
-
-    def dets() -> tuple[str, str]:
-        da = g.alpha.det_monomial()
-        db = g.beta.det_monomial()
-        if da == 1 and db == 1:
-            return PASS, "det(alpha) = det(beta) = 1"
-        return FAIL, f"det(alpha) = {da!r}, det(beta) = {db!r}"
-
-    checks.append(run_check("matrices.su.determinants", prime, dets))
-    return checks
+def _su_determinants(job: Job) -> tuple[str, str]:
+    m = _matrices(job)
+    da = m.alpha.det_monomial()
+    db = m.beta.det_monomial()
+    if da == 1 and db == 1:
+        return PASS, "det(alpha) = det(beta) = 1"
+    return FAIL, f"det(alpha) = {da!r}, det(beta) = {db!r}"
 
 
-def verify_weyl_conjugation(prime: int) -> list[CheckReport]:
-    """Conjugation identities for the Weyl representatives, denominators cleared.
-
-    The unit scalars normalizing S and T cancel under conjugation, so the four
-    identities are verified as exact matrix equations over Z[xi]:
-    S^-1 alpha S = alpha, S^-1 beta S = alpha^-1 beta,
-    conj_transpose(T) alpha T = l (alpha^-1 beta),
-    conj_transpose(T) beta T = l beta^-1.
-    """
-    check_prime(prime)
-    if prime == 2:
-        raise ValueError("use verify_l2_generators for the prime 2")
-    g = GeneratorSet.build(prime)
-    n = prime
-    alpha_inv = g.alpha.conj_transpose()
-    beta_inv = g.beta.conj_transpose()
-    s_inv = g.s.conj_transpose()
-    ell = CycInt.from_int(prime, prime)
-    return [
-        _identity_check(
-            "matrices.weyl.alpha_by_s", prime,
-            lambda: s_inv * g.alpha * g.s, lambda: g.alpha,
-            "S^-1 alpha S = alpha",
-        ),
-        _identity_check(
-            "matrices.weyl.beta_by_s", prime,
-            lambda: s_inv * g.beta * g.s, lambda: alpha_inv * g.beta,
-            "S^-1 beta S = alpha^-1 beta",
-        ),
-        _identity_check(
-            "matrices.weyl.alpha_by_t", prime,
-            lambda: g.t.conj_transpose() * g.alpha * g.t,
-            lambda: (alpha_inv * g.beta).scale(ell),
-            "conj_transpose(T) alpha T = l (alpha^-1 beta)",
-        ),
-        _identity_check(
-            "matrices.weyl.beta_by_t", prime,
-            lambda: g.t.conj_transpose() * g.beta * g.t,
-            lambda: beta_inv.scale(ell),
-            "conj_transpose(T) beta T = l beta^-1",
-        ),
-    ]
+def _l2_determinants(job: Job) -> tuple[str, str]:
+    m = _matrices(job)
+    vals = {name: x.det_monomial() for name, x in
+            [("alpha", m.alpha), ("beta", m.beta), ("xi", m.xi)]}
+    if all(v == 1 for v in vals.values()):
+        return PASS, "det(alpha) = det(beta) = det(xi) = 1"
+    return FAIL, ", ".join(f"det({k}) = {v!r}" for k, v in vals.items())
 
 
-def verify_g1_relations(prime: int) -> list[CheckReport]:
-    """The 2l x 2l block-matrix relations among Delta/Gamma images.
-
-    Delta(Y) = diag(Y, Y), Gamma(Y) = diag(I, Y).  Conjugations are checked
-    inverse-free: g^h = c is asserted as g h = h c, and [g, h] = c as
-    g h = h g c.
-    """
-    g = GeneratorSet.build(prime)
-    n = g.alpha.size
-    ident_n = CycMatrix.identity(prime, n)
-    d_alpha = CycMatrix.block_diag(g.alpha, g.alpha)
-    d_beta = CycMatrix.block_diag(g.beta, g.beta)
-    d_xi = CycMatrix.block_diag(g.xi, g.xi)
-    g_xi = CycMatrix.block_diag(ident_n, g.xi)
-    g_beta = CycMatrix.block_diag(ident_n, g.beta)
-    ident = CycMatrix.identity(prime, 2 * n)
-    return [
-        _identity_check(
-            "matrices.g1.commutator", prime,
-            lambda: d_alpha * d_beta, lambda: d_beta * d_alpha * d_xi,
-            "Delta(alpha) Delta(beta) = Delta(beta) Delta(alpha) Delta(xi)",
-        ),
-        _identity_check(
-            "matrices.g1.central_alpha", prime,
-            lambda: g_xi * d_alpha, lambda: d_alpha * g_xi * ident,
-            "[Gamma(xi), Delta(alpha)] = I",
-        ),
-        _identity_check(
-            "matrices.g1.central_beta", prime,
-            lambda: g_xi * d_beta, lambda: d_beta * g_xi * ident,
-            "[Gamma(xi), Delta(beta)] = I",
-        ),
-        _identity_check(
-            "matrices.g1.alpha_by_gamma_beta", prime,
-            lambda: d_alpha * g_beta, lambda: g_beta * (g_xi * d_alpha),
-            "Delta(alpha)^Gamma(beta) = Gamma(xi) Delta(alpha)",
-        ),
-        _identity_check(
-            "matrices.g1.beta_by_gamma_beta", prime,
-            lambda: d_beta * g_beta, lambda: g_beta * d_beta,
-            "Delta(beta)^Gamma(beta) = Delta(beta)",
-        ),
-        _identity_check(
-            "matrices.g1.xi_by_gamma_beta", prime,
-            lambda: g_xi * g_beta, lambda: g_beta * g_xi,
-            "Gamma(xi)^Gamma(beta) = Gamma(xi)",
-        ),
-    ]
+def _root_sum(job: Job) -> tuple[str, str]:
+    prime = job.prime
+    for m in range(prime):
+        got = root_power_sum(prime, m)
+        want = prime if m % prime == 0 else 0
+        if got != want:
+            return FAIL, f"sum_k xi^(k*{m}) = {got}, expected {want}"
+    return PASS, f"sum_(k=1..{prime}) xi^(km) = l*[m=0 mod l] for all m in [0,{prime})"
 
 
-def verify_l2_generators() -> list[CheckReport]:
-    """The l = 2 identities in Z[i], with sqrt(2) denominators cleared.
-
-    The diagonal Weyl representative is never defined for l = 2 in the source
-    construction (the general formula degenerates to a scalar), so the
-    conjugation claims attributed to it are checked against the derived
-    candidate S2 = diag(1, i) and flagged as a note rather than a plain pass.
-    """
-    g = GeneratorSet.build(2)
-    two = CycInt.from_int(2, 2)
-    ident = CycMatrix.identity(2, 2)
-    beta_inv = g.beta.conj_transpose()
-    s_inv = g.s.conj_transpose()
-    checks = [
-        _identity_check(
-            "matrices.l2.beta_conj", 2,
-            lambda: beta_inv * g.alpha * g.beta, lambda: g.xi * g.alpha,
-            "beta^-1 alpha beta = xi alpha",
-        ),
-        _identity_check(
-            "matrices.l2.t_gram", 2,
-            lambda: g.t.conj_transpose() * g.t, lambda: ident.scale(two),
-            "conj_transpose(T) T = 2 I",
-        ),
-        _identity_check(
-            "matrices.l2.alpha_by_t", 2,
-            lambda: g.t.conj_transpose() * g.alpha * g.t,
-            lambda: (g.alpha * g.beta).scale(two),
-            "conj_transpose(T) alpha T = 2 (alpha beta)",
-        ),
-        _identity_check(
-            "matrices.l2.beta_by_t", 2,
-            lambda: g.t.conj_transpose() * g.beta * g.t, lambda: g.beta.scale(two),
-            "conj_transpose(T) beta T = 2 beta",
-        ),
-        _identity_check(
-            "matrices.l2.sigma_candidate", 2,
-            lambda: CycMatrix.block_diag(s_inv * g.alpha * g.s, s_inv * g.beta * g.s),
-            lambda: CycMatrix.block_diag(g.alpha, g.alpha * g.beta),
-            "derived candidate S2 = diag(1, i): S2^-1 alpha S2 = alpha and "
-            "S2^-1 beta S2 = alpha beta (the diagonal Weyl representative is "
-            "otherwise undefined at l = 2)",
-            status_on_pass=NOTE,
-        ),
-    ]
-
-    def dets() -> tuple[str, str]:
-        vals = {name: m.det_monomial() for name, m in
-                [("alpha", g.alpha), ("beta", g.beta), ("xi", g.xi)]}
-        if all(v == 1 for v in vals.values()):
-            return PASS, "det(alpha) = det(beta) = det(xi) = 1"
-        return FAIL, ", ".join(f"det({k}) = {v!r}" for k, v in vals.items())
-
-    checks.append(run_check("matrices.l2.determinants", 2, dets))
-    checks.extend(verify_g1_relations(2))
-    return checks
+def _congruence(job: Job) -> tuple[str, str]:
+    prime = job.prime
+    for i in range(prime):
+        for j in range(prime):
+            for k in range(prime):
+                if not lemma22_holds(prime, i, j, k):
+                    return FAIL, f"congruence fails at (i,j,k)=({i},{j},{k})"
+    return PASS, f"a_(j+k) - a_(i+k) = k(j-i) + (a_j - a_i) mod {prime} on [0,{prime})^3"
 
 
-def lemma_checks(prime: int) -> list[CheckReport]:
-    """Exhaustive sweeps of the two index lemmas behind the T computation."""
-    check_prime(prime)
-
-    def root_sum() -> tuple[str, str]:
-        for m in range(prime):
-            got = root_power_sum(prime, m)
-            want = prime if m % prime == 0 else 0
-            if got != want:
-                return FAIL, f"sum_k xi^(k*{m}) = {got}, expected {want}"
-        return PASS, f"sum_(k=1..{prime}) xi^(km) = l*[m=0 mod l] for all m in [0,{prime})"
-
-    def congruence() -> tuple[str, str]:
-        for i in range(prime):
-            for j in range(prime):
-                for k in range(prime):
-                    if not lemma22_holds(prime, i, j, k):
-                        return FAIL, f"congruence fails at (i,j,k)=({i},{j},{k})"
-        return PASS, f"a_(j+k) - a_(i+k) = k(j-i) + (a_j - a_i) mod {prime} on [0,{prime})^3"
-
-    reports = [
-        run_check("matrices.lemma.root_sum", prime, root_sum),
-        run_check("matrices.lemma.triangular_congruence", prime, congruence),
-        run_check(
-            "matrices.lemma.root_sum_index_note", prime,
-            lambda: (
-                NOTE,
-                "the root-power-sum statement is written with a Kronecker delta in "
-                "an index n while the summand exponent uses m; it is verified as "
-                "delta_(m mod l, 0) by direct summation",
-            ),
-        ),
-    ]
-    return reports
+CHECKS = (
+    Check("matrices.su.alpha_unitary", _odd_upto_cap, _identity(
+        lambda m: m.alpha_h * m.alpha, lambda m: m.ident,
+        "conj_transpose(alpha) * alpha = I",
+    )),
+    Check("matrices.su.beta_unitary", _odd_upto_cap, _identity(
+        lambda m: m.beta_h * m.beta, lambda m: m.ident,
+        "conj_transpose(beta) * beta = I",
+    )),
+    # [alpha, beta] = xi, checked inverse-free as alpha*beta = beta*alpha*xi
+    Check("matrices.su.commutator", _odd_upto_cap, _identity(
+        lambda m: m.alpha * m.beta, lambda m: m.beta * m.alpha * m.xi,
+        "alpha * beta = beta * alpha * xi",
+    )),
+    Check("matrices.su.s_unitary", _odd_upto_cap, _identity(
+        lambda m: m.s_h * m.s, lambda m: m.ident,
+        "conj_transpose(S) * S = I",
+    )),
+    Check("matrices.su.t_gram", _odd_upto_cap, _identity(
+        lambda m: m.t_h * m.t, lambda m: m.ident.scale(m.ell),
+        "conj_transpose(T) * T = l * I",
+    )),
+    Check("matrices.su.determinants", _odd_upto_cap, _su_determinants),
+    Check("matrices.weyl.alpha_by_s", _odd_upto_cap, _identity(
+        lambda m: m.s_h * m.alpha * m.s, lambda m: m.alpha,
+        "S^-1 alpha S = alpha",
+    )),
+    Check("matrices.weyl.beta_by_s", _odd_upto_cap, _identity(
+        lambda m: m.s_h * m.beta * m.s, lambda m: m.alpha_h * m.beta,
+        "S^-1 beta S = alpha^-1 beta",
+    )),
+    Check("matrices.weyl.alpha_by_t", _odd_upto_cap, _identity(
+        lambda m: m.t_h * m.alpha * m.t, lambda m: (m.alpha_h * m.beta).scale(m.ell),
+        "conj_transpose(T) alpha T = l (alpha^-1 beta)",
+    )),
+    Check("matrices.weyl.beta_by_t", _odd_upto_cap, _identity(
+        lambda m: m.t_h * m.beta * m.t, lambda m: m.beta_h.scale(m.ell),
+        "conj_transpose(T) beta T = l beta^-1",
+    )),
+    Check("matrices.l2.beta_conj", at_two, _identity(
+        lambda m: m.beta_h * m.alpha * m.beta, lambda m: m.xi * m.alpha,
+        "beta^-1 alpha beta = xi alpha",
+    )),
+    Check("matrices.l2.t_gram", at_two, _identity(
+        lambda m: m.t_h * m.t, lambda m: m.ident.scale(m.ell),
+        "conj_transpose(T) T = 2 I",
+    )),
+    Check("matrices.l2.alpha_by_t", at_two, _identity(
+        lambda m: m.t_h * m.alpha * m.t, lambda m: (m.alpha * m.beta).scale(m.ell),
+        "conj_transpose(T) alpha T = 2 (alpha beta)",
+    )),
+    Check("matrices.l2.beta_by_t", at_two, _identity(
+        lambda m: m.t_h * m.beta * m.t, lambda m: m.beta.scale(m.ell),
+        "conj_transpose(T) beta T = 2 beta",
+    )),
+    Check("matrices.l2.sigma_candidate", at_two, _identity(
+        lambda m: CycMatrix.block_diag(m.s_h * m.alpha * m.s, m.s_h * m.beta * m.s),
+        lambda m: CycMatrix.block_diag(m.alpha, m.alpha * m.beta),
+        "derived candidate S2 = diag(1, i): S2^-1 alpha S2 = alpha and "
+        "S2^-1 beta S2 = alpha beta (the diagonal Weyl representative is "
+        "otherwise undefined at l = 2)",
+        status_on_pass=NOTE,
+    )),
+    Check("matrices.l2.determinants", at_two, _l2_determinants),
+    Check("matrices.g1.commutator", _upto_cap, _identity(
+        lambda m: m.d_alpha * m.d_beta, lambda m: m.d_beta * m.d_alpha * m.d_xi,
+        "Delta(alpha) Delta(beta) = Delta(beta) Delta(alpha) Delta(xi)",
+    )),
+    Check("matrices.g1.central_alpha", _upto_cap, _identity(
+        lambda m: m.g_xi * m.d_alpha, lambda m: m.d_alpha * m.g_xi * m.ident2,
+        "[Gamma(xi), Delta(alpha)] = I",
+    )),
+    Check("matrices.g1.central_beta", _upto_cap, _identity(
+        lambda m: m.g_xi * m.d_beta, lambda m: m.d_beta * m.g_xi * m.ident2,
+        "[Gamma(xi), Delta(beta)] = I",
+    )),
+    Check("matrices.g1.alpha_by_gamma_beta", _upto_cap, _identity(
+        lambda m: m.d_alpha * m.g_beta, lambda m: m.g_beta * (m.g_xi * m.d_alpha),
+        "Delta(alpha)^Gamma(beta) = Gamma(xi) Delta(alpha)",
+    )),
+    Check("matrices.g1.beta_by_gamma_beta", _upto_cap, _identity(
+        lambda m: m.d_beta * m.g_beta, lambda m: m.g_beta * m.d_beta,
+        "Delta(beta)^Gamma(beta) = Delta(beta)",
+    )),
+    Check("matrices.g1.xi_by_gamma_beta", _upto_cap, _identity(
+        lambda m: m.g_xi * m.g_beta, lambda m: m.g_beta * m.g_xi,
+        "Gamma(xi)^Gamma(beta) = Gamma(xi)",
+    )),
+    # exhaustive sweeps of the two index lemmas behind the T computation
+    Check("matrices.lemma.root_sum", _upto_cap, _root_sum),
+    Check("matrices.lemma.triangular_congruence", _upto_cap, _congruence),
+    Check("matrices.lemma.root_sum_index_note", _upto_cap, note(
+        "the root-power-sum statement is written with a Kronecker delta in "
+        "an index n while the summand exponent uses m; it is verified as "
+        "delta_(m mod l, 0) by direct summation"
+    )),
+)

@@ -139,9 +139,6 @@ class FieldMatrix:
         )
         return FieldMatrix._trusted(out, p)
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(list(zip(*self.entries)), self.modulus)
-
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch")

@@ -10,14 +10,21 @@ against a full breadth-first enumeration of the generated group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from . import ffla
 from .ffla import FieldMatrix, check_prime
-from .galg import AlgebraContext, AlgebraMap, Element, elementary_abelian_context, linear_substitution, multiply
+from .galg import (
+    AlgebraContext,
+    AlgebraMap,
+    Element,
+    elementary_abelian_context,
+    linear_substitution,
+    multiply,
+    random_element,
+)
 from .milnor import milnor_q
-from .report import FAIL, NOTE, PASS, CheckReport, run_check
+from .report import FAIL, NOTE, PASS, Check, Job, always, at_two, odd
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,8 @@ def invariant_subspace(
     """Basis of the degree-d invariants under the generated group.
 
     Computed as the joint kernel of 1 - g* over all generators and their
-    inverses; the output is re-checked for invariance under every generator.
+    inverses; the output is re-checked for invariance under every generator,
+    with the generators' maps already built for the kernel.
     """
     gens = list(w.generators) if isinstance(w, WeylPresentation) else list(w)
     actions = gens + [g.inverse() for g in gens]
@@ -152,8 +160,9 @@ def invariant_subspace(
     if n == 0:
         return []
     p = ctx.prime
+    maps = [induced_action(a, ctx) for a in actions]
     stacked: list[tuple[int, ...]] = []
-    for f in (induced_action(a, ctx) for a in actions):
+    for f in maps:
         # columns of each block are indexed by the basis monomials, so the
         # stacked system acts on monomial-coefficient vectors
         block = []
@@ -170,9 +179,8 @@ def invariant_subspace(
     for vec in kernel:
         el = Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
         out.append(el)
-    gen_maps = [induced_action(a, ctx) for a in gens]
     for el in out:
-        for f in gen_maps:
+        for f in maps[: len(gens)]:
             if f(el) != el:
                 raise AssertionError("computed invariant moved by a generator")
     return out
@@ -187,132 +195,132 @@ def element_span_contains(
 
 
 # ---------------------------------------------------------------------------
-# check suites
+# checks
 
 
-@lru_cache(maxsize=None)
-def _rank3_context(prime: int) -> AlgebraContext:
-    return elementary_abelian_context(prime, 3, 8)
+def _rank3_context(job: Job) -> AlgebraContext:
+    return job.shared("rank3_context", lambda: elementary_abelian_context(job.prime, 3, 8))
 
 
-def verify_degree4_invariants(prime: int) -> list[CheckReport]:
-    """Degree-4 invariant dimensions for an odd prime: the full subgroup gives a
-    line spanned by Q0(x1 y1 z1); the block-diagonal subgroup gives dimension 3."""
-    check_prime(prime)
-    if prime == 2:
-        raise ValueError("use verify_degree4_invariants_two for the prime 2")
-    ctx = _rank3_context(prime)
-    w = weyl_generators(prime)
+def _weyl(job: Job) -> WeylPresentation:
+    """The acting subgroup's generators, shared by the degree-4 checks."""
+    return job.shared("weyl", lambda: weyl_generators(job.prime))
+
+
+def _h4_line(job: Job) -> tuple[str, str]:
+    """Odd prime: the full subgroup's degree-4 invariants are the line spanned
+    by Q0(x1 y1 z1)."""
+    ctx = _rank3_context(job)
+    spanning = milnor_q(0, ctx)(ctx.monomial_element({"x1": 1, "y1": 1, "z1": 1}))
+    inv = invariant_subspace(ctx, 4, _weyl(job))
+    if len(inv) != 1:
+        return FAIL, f"dim = {len(inv)}, expected 1: {[e.render() for e in inv]}"
+    if not element_span_contains(ctx, 4, inv, spanning):
+        return FAIL, f"Q0(x1 y1 z1) not in computed span {inv[0].render()}"
+    return PASS, f"dim 1, spanned by {spanning.render()}"
+
+
+def _xy_class_times_z1(ctx: AlgebraContext) -> Element:
     m = ctx.monomial_element
-    q0 = milnor_q(0, ctx)
-    spanning = q0(m({"x1": 1, "y1": 1, "z1": 1}))
-
-    def full() -> tuple[str, str]:
-        inv = invariant_subspace(ctx, 4, w)
-        if len(inv) != 1:
-            return FAIL, f"dim = {len(inv)}, expected 1: {[e.render() for e in inv]}"
-        if not element_span_contains(ctx, 4, inv, spanning):
-            return FAIL, f"Q0(x1 y1 z1) not in computed span {inv[0].render()}"
-        return PASS, f"dim 1, spanned by {spanning.render()}"
-
-    def subgroup() -> tuple[str, str]:
-        w0 = w.generators[:2]
-        inv = invariant_subspace(ctx, 4, w0)
-        expected = [
-            m({"z2": 2}),
-            m({"x1": 1, "y1": 1, "z2": 1}),
-            multiply(m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1}), m({"z1": 1})),
-        ]
-        if len(inv) != 3:
-            return FAIL, f"dim = {len(inv)}, expected 3"
-        for el in expected:
-            if not element_span_contains(ctx, 4, inv, el):
-                return FAIL, f"{el.render()} not in computed span"
-        return PASS, "dim 3: z2^2, x1*y1*z2, (x2*y1 - x1*y2)*z1"
-
-    def sign_note() -> tuple[str, str]:
-        # The displayed values of (1 - f*) on the three subgroup invariants are
-        # internally inconsistent: one matches z -> x + z, two match z -> z - x.
-        # Both conventions are computed and reported; the kernel intersection
-        # includes inverses, so the invariant result is convention-independent.
-        f_plus = induced_action(w.generators[2], ctx)
-        f_minus = induced_action(w.generators[2].inverse(), ctx)
-        targets = [
-            ("z2^2", m({"z2": 2})),
-            ("x1*y1*z2", m({"x1": 1, "y1": 1, "z2": 1})),
-            (
-                "(x2*y1 - x1*y2)*z1",
-                multiply(m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1}), m({"z1": 1})),
-            ),
-        ]
-        lines = []
-        for label, el in targets:
-            lines.append(
-                f"(1-f*)({label}): z->x+z gives {(el - f_plus(el)).render()}; "
-                f"z->z-x gives {(el - f_minus(el)).render()}"
-            )
-        return NOTE, "; ".join(lines)
-
-    return [
-        run_check("invariants.w.h4_dimension", prime, full),
-        run_check("invariants.w0.h4_dimension", prime, subgroup),
-        run_check("invariants.sign_convention_note", prime, sign_note),
-    ]
+    return multiply(m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1}), m({"z1": 1}))
 
 
-def verify_degree4_invariants_two() -> list[CheckReport]:
-    """The l = 2 degree-4 invariants: dimension 2 for the full subgroup with the
-    displayed basis, dimension 4 for the block-diagonal subgroup."""
-    ctx = _rank3_context(2)
-    w = weyl_generators(2)
+def _h4_block_diagonal(job: Job) -> tuple[str, str]:
+    """Odd prime: the block-diagonal subgroup's degree-4 invariants have dimension 3."""
+    ctx = _rank3_context(job)
     m = ctx.monomial_element
-    u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
-    u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
-    u2_sq = multiply(u2, u2)
-    mixed = (
-        multiply(u3, m({"z1": 1})) + multiply(u2, m({"z1": 2})) + m({"z1": 4})
-    )
+    inv = invariant_subspace(ctx, 4, _weyl(job).generators[:2])
+    expected = [m({"z2": 2}), m({"x1": 1, "y1": 1, "z2": 1}), _xy_class_times_z1(ctx)]
+    if len(inv) != 3:
+        return FAIL, f"dim = {len(inv)}, expected 3"
+    for el in expected:
+        if not element_span_contains(ctx, 4, inv, el):
+            return FAIL, f"{el.render()} not in computed span"
+    return PASS, "dim 3: z2^2, x1*y1*z2, (x2*y1 - x1*y2)*z1"
 
-    def full() -> tuple[str, str]:
-        inv = invariant_subspace(ctx, 4, w)
-        if len(inv) != 2:
-            return FAIL, f"dim = {len(inv)}, expected 2"
-        for label, el in (("u2^2", u2_sq), ("u3*z1 + u2*z1^2 + z1^4", mixed)):
-            if not element_span_contains(ctx, 4, inv, el):
-                return FAIL, f"{label} not in computed span"
-        return PASS, "dim 2: u2^2 and u3*z1 + u2*z1^2 + z1^4"
 
-    def subgroup() -> tuple[str, str]:
-        inv = invariant_subspace(ctx, 4, w.generators[:2])
-        expected = [
-            u2_sq,
-            multiply(u3, m({"z1": 1})),
-            multiply(u2, m({"z1": 2})),
-            m({"z1": 4}),
-        ]
-        if len(inv) != 4:
-            return FAIL, f"dim = {len(inv)}, expected 4"
-        for el in expected:
-            if not element_span_contains(ctx, 4, inv, el):
-                return FAIL, f"{el.render()} not in computed span"
-        return PASS, "dim 4: u2^2, u3*z1, u2*z1^2, z1^4"
-
-    def u2_invariant() -> tuple[str, str]:
-        inv2 = invariant_subspace(ctx, 2, w.generators[:2])
-        if element_span_contains(ctx, 2, inv2, u2):
-            return PASS, "u2 = x1^2 + x1*y1 + y1^2 is invariant in degree 2"
-        return FAIL, "u2 not invariant under the block-diagonal subgroup"
-
-    return [
-        run_check("invariants.w.h4_dimension", 2, full),
-        run_check("invariants.w0.h4_dimension", 2, subgroup),
-        run_check("invariants.w0.u2_invariant", 2, u2_invariant),
+def _sign_note(job: Job) -> tuple[str, str]:
+    # The displayed values of (1 - f*) on the three subgroup invariants are
+    # internally inconsistent: one matches z -> x + z, two match z -> z - x.
+    # Both conventions are computed and reported; the kernel intersection
+    # includes inverses, so the invariant result is convention-independent.
+    ctx = _rank3_context(job)
+    shear_zx = _weyl(job).generators[2]
+    f_plus = induced_action(shear_zx, ctx)
+    f_minus = induced_action(shear_zx.inverse(), ctx)
+    m = ctx.monomial_element
+    targets = [
+        ("z2^2", m({"z2": 2})),
+        ("x1*y1*z2", m({"x1": 1, "y1": 1, "z2": 1})),
+        ("(x2*y1 - x1*y2)*z1", _xy_class_times_z1(ctx)),
     ]
+    lines = []
+    for label, el in targets:
+        lines.append(
+            f"(1-f*)({label}): z->x+z gives {(el - f_plus(el)).render()}; "
+            f"z->z-x gives {(el - f_minus(el)).render()}"
+        )
+    return NOTE, "; ".join(lines)
 
 
-def dickson_invariance(prime: int) -> list[CheckReport]:
+def _two_classes(job: Job) -> tuple[Element, Element, Element, Element]:
+    """l = 2: u2, u3, u2^2 and the class u3*z1 + u2*z1^2 + z1^4."""
+
+    def build():
+        m = _rank3_context(job).monomial_element
+        u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
+        u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
+        mixed = multiply(u3, m({"z1": 1})) + multiply(u2, m({"z1": 2})) + m({"z1": 4})
+        return u2, u3, multiply(u2, u2), mixed
+
+    return job.shared("two_classes", build)
+
+
+def _h4_two(job: Job) -> tuple[str, str]:
+    """l = 2: dimension 2 for the full subgroup, with the displayed basis."""
+    ctx = _rank3_context(job)
+    _, _, u2_sq, mixed = _two_classes(job)
+    inv = invariant_subspace(ctx, 4, _weyl(job))
+    if len(inv) != 2:
+        return FAIL, f"dim = {len(inv)}, expected 2"
+    for label, el in (("u2^2", u2_sq), ("u3*z1 + u2*z1^2 + z1^4", mixed)):
+        if not element_span_contains(ctx, 4, inv, el):
+            return FAIL, f"{label} not in computed span"
+    return PASS, "dim 2: u2^2 and u3*z1 + u2*z1^2 + z1^4"
+
+
+def _h4_block_diagonal_two(job: Job) -> tuple[str, str]:
+    """l = 2: dimension 4 for the block-diagonal subgroup."""
+    ctx = _rank3_context(job)
+    m = ctx.monomial_element
+    u2, u3, u2_sq, _ = _two_classes(job)
+    inv = invariant_subspace(ctx, 4, _weyl(job).generators[:2])
+    expected = [
+        u2_sq,
+        multiply(u3, m({"z1": 1})),
+        multiply(u2, m({"z1": 2})),
+        m({"z1": 4}),
+    ]
+    if len(inv) != 4:
+        return FAIL, f"dim = {len(inv)}, expected 4"
+    for el in expected:
+        if not element_span_contains(ctx, 4, inv, el):
+            return FAIL, f"{el.render()} not in computed span"
+    return PASS, "dim 4: u2^2, u3*z1, u2*z1^2, z1^4"
+
+
+def _u2_invariant(job: Job) -> tuple[str, str]:
+    ctx = _rank3_context(job)
+    u2 = _two_classes(job)[0]
+    inv2 = invariant_subspace(ctx, 2, _weyl(job).generators[:2])
+    if element_span_contains(ctx, 2, inv2, u2):
+        return PASS, "u2 = x1^2 + x1*y1 + y1^2 is invariant in degree 2"
+    return FAIL, "u2 not invariant under the block-diagonal subgroup"
+
+
+def _dickson_fixed(job: Job) -> tuple[str, str]:
     """Fixedness of the rank-2 modular invariants under both shear generators."""
-    check_prime(prime)
+    prime = job.prime
     if prime == 2:
         ctx = elementary_abelian_context(2, 2, 4)
         m = ctx.monomial_element
@@ -332,17 +340,13 @@ def dickson_invariance(prime: int) -> list[CheckReport]:
                 m({"x2": 1, "y2": prime}) - m({"x2": prime, "y2": 1}),
             ),
         ]
-
-    def body() -> tuple[str, str]:
-        for gen in sl2_generators(prime):
-            f = induced_action(gen, ctx)
-            for label, el in targets:
-                if f(el) != el:
-                    return FAIL, f"{label} moved by {gen.label}"
-        names = ", ".join(label for label, _ in targets)
-        return PASS, f"{names} fixed by both shear generators"
-
-    return [run_check("invariants.dickson.fixed", prime, body)]
+    for gen in sl2_generators(prime):
+        f = induced_action(gen, ctx)
+        for label, el in targets:
+            if f(el) != el:
+                return FAIL, f"{label} moved by {gen.label}"
+    names = ", ".join(label for label, _ in targets)
+    return PASS, f"{names} fixed by both shear generators"
 
 
 def group_closure(w: WeylPresentation, cap: int = 10**6) -> list[FieldMatrix]:
@@ -366,9 +370,48 @@ def group_closure(w: WeylPresentation, cap: int = 10**6) -> list[FieldMatrix]:
     return list(seen.values())
 
 
-def group_closure_oracle(prime: int) -> list[CheckReport]:
-    """Small-prime cross-check: enumerate the group, compare order against the
+def group_closure_oracle(prime: int) -> tuple[WeylPresentation, list[FieldMatrix]]:
+    """The closure oracle's input: the acting subgroup's generators and the
+    full enumeration of the group they generate.
+
+    The oracle's checks compare the enumeration's order against the
     shape-predicate count, and recompute the invariants from the full list.
+    """
+    w = weyl_generators(prime)
+    return w, group_closure(w)
+
+
+def _enumerable(prime: int, config) -> bool:
+    # the group has l^2 (l^3 - l) elements: 3000 at l = 5, 2.4 million at l = 11
+    return prime <= 5
+
+
+def _closure(job: Job) -> tuple[WeylPresentation, list[FieldMatrix]]:
+    return job.shared("closure", lambda: group_closure_oracle(job.prime))
+
+
+def _closure_order(job: Job) -> tuple[str, str]:
+    prime = job.prime
+    _, elements = _closure(job)
+    expected_order = prime * prime * (prime**3 - prime)
+    if len(elements) == expected_order:
+        return PASS, f"|W| = {len(elements)} = l^2 (l^3 - l)"
+    return FAIL, f"|W| = {len(elements)}, expected {expected_order}"
+
+
+def _closure_shape(job: Job) -> tuple[str, str]:
+    w, elements = _closure(job)
+    bad = [m for m in elements if not w.shape_member(m)]
+    if bad:
+        return FAIL, f"{len(bad)} enumerated elements violate the shape predicate"
+    count = w.shape_count()
+    if count != len(elements):
+        return FAIL, f"shape-predicate count {count} != closure order {len(elements)}"
+    return PASS, f"all {len(elements)} elements match the shape predicate"
+
+
+def _closure_subspace(job: Job) -> tuple[str, str]:
+    """Recompute the degree-4 invariants from the full enumeration.
 
     The recomputation intersects the degree-4 space with the kernel of
     1 - g* for every enumerated element g in turn, in enumeration order; each
@@ -380,71 +423,74 @@ def group_closure_oracle(prime: int) -> list[CheckReport]:
     coordinate rows, kernel and row reduction are formed only for an element
     that moves a vector.
     """
-    check_prime(prime)
-    if prime > 5:
-        raise ValueError("closure oracle restricted to l <= 5")
-    w = weyl_generators(prime)
-    elements = group_closure(w)
-    expected_order = prime * prime * (prime**3 - prime)
+    prime = job.prime
+    w, elements = _closure(job)
+    ctx = _rank3_context(job)
+    from_generators = invariant_subspace(ctx, 4, w)
+    basis = ctx.basis_of_degree(4)
+    current = list(FieldMatrix.identity(len(basis), prime).entries)
 
-    def order() -> tuple[str, str]:
-        if len(elements) == expected_order:
-            return PASS, f"|W| = {len(elements)} = l^2 (l^3 - l)"
-        return FAIL, f"|W| = {len(elements)}, expected {expected_order}"
+    def as_elements(vectors):
+        return [Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
+                for vec in vectors]
 
-    def shape() -> tuple[str, str]:
-        bad = [m for m in elements if not w.shape_member(m)]
-        if bad:
-            return FAIL, f"{len(bad)} enumerated elements violate the shape predicate"
-        count = w.shape_count()
-        if count != len(elements):
-            return FAIL, f"shape-predicate count {count} != closure order {len(elements)}"
-        return PASS, f"all {len(elements)} elements match the shape predicate"
-
-    def subspace() -> tuple[str, str]:
-        ctx = _rank3_context(prime)
-        from_generators = invariant_subspace(ctx, 4, w)
-        basis = ctx.basis_of_degree(4)
-        current = list(FieldMatrix.identity(len(basis), prime).entries)
-
-        def as_elements(vectors):
-            return [Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
-                    for vec in vectors]
-
+    kept = as_elements(current)
+    for mat in elements:
+        f = induced_action(mat, ctx)
+        images = [f(el) for el in kept]
+        if all(img == el for img, el in zip(images, kept)):
+            # every current vector is fixed by this element: the kernel is
+            # the whole coefficient space, so ``current`` stays as it is
+            continue
+        rows = [(el - img).coordinates(basis) for el, img in zip(kept, images)]
+        coeff_kernel = ffla.nullspace(FieldMatrix(list(zip(*rows)), prime))
+        p = prime
+        current = ffla.row_space_basis(
+            [
+                tuple(
+                    sum(k * v for k, v in zip(kvec, col)) % p
+                    for col in zip(*current)
+                )
+                for kvec in coeff_kernel
+            ],
+            p,
+        )
+        if not current:
+            break
         kept = as_elements(current)
-        for mat in elements:
-            f = induced_action(mat, ctx)
-            images = [f(el) for el in kept]
-            if all(img == el for img, el in zip(images, kept)):
-                # every current vector is fixed by this element: the kernel is
-                # the whole coefficient space, so ``current`` stays as it is
-                continue
-            rows = [(el - img).coordinates(basis) for el, img in zip(kept, images)]
-            coeff_kernel = ffla.nullspace(FieldMatrix(list(zip(*rows)), prime))
-            p = prime
-            current = ffla.row_space_basis(
-                [
-                    tuple(
-                        sum(k * v for k, v in zip(kvec, col)) % p
-                        for col in zip(*current)
-                    )
-                    for kvec in coeff_kernel
-                ],
-                p,
-            )
-            if not current:
-                break
-            kept = as_elements(current)
-        gen_vectors = [el.coordinates(basis) for el in from_generators]
-        if ffla.spans_equal(gen_vectors, current, prime):
-            return PASS, (
-                f"generator-based invariants equal the full-enumeration "
-                f"invariants (dim {len(current)})"
-            )
-        return FAIL, "generator-based and enumerated invariant subspaces differ"
+    gen_vectors = [el.coordinates(basis) for el in from_generators]
+    if ffla.spans_equal(gen_vectors, current, prime):
+        return PASS, (
+            f"generator-based invariants equal the full-enumeration "
+            f"invariants (dim {len(current)})"
+        )
+    return FAIL, "generator-based and enumerated invariant subspaces differ"
 
-    return [
-        run_check("invariants.closure.order", prime, order),
-        run_check("invariants.closure.shape", prime, shape),
-        run_check("invariants.closure.subspace", prime, subspace),
-    ]
+
+def _q0_compat(job: Job) -> tuple[str, str]:
+    rng = job.rng(31337)
+    ctx = _rank3_context(job)
+    q0 = milnor_q(0, ctx)
+    gens = weyl_generators(job.prime).generators
+    for _ in range(10):
+        action = rng.choice(gens)
+        f = induced_action(action, ctx)
+        el = random_element(ctx, rng, 6)
+        if f(q0(el)) != q0(f(el)):
+            return FAIL, f"action {action.label} does not commute with Q0"
+    return PASS, "induced actions commute with Q0 on 10 seeded random elements"
+
+
+CHECKS = (
+    Check("invariants.w.h4_dimension", at_two, _h4_two),
+    Check("invariants.w.h4_dimension", odd, _h4_line),
+    Check("invariants.w0.h4_dimension", at_two, _h4_block_diagonal_two),
+    Check("invariants.w0.h4_dimension", odd, _h4_block_diagonal),
+    Check("invariants.w0.u2_invariant", at_two, _u2_invariant),
+    Check("invariants.sign_convention_note", odd, _sign_note),
+    Check("invariants.dickson.fixed", always, _dickson_fixed),
+    Check("invariants.closure.order", _enumerable, _closure_order),
+    Check("invariants.closure.shape", _enumerable, _closure_shape),
+    Check("invariants.closure.subspace", _enumerable, _closure_subspace),
+    Check("invariants.action.q0_compat", always, _q0_compat),
+)

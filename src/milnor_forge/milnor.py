@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .ffla import check_prime
 from .galg import (
     AlgebraContext,
     Element,
     TruncationOverflowError,
     elementary_abelian_context,
     multiply,
+    random_element,
     signed_leibniz,
 )
-from .report import FAIL, NOTE, PASS, CheckReport, run_check
+from .report import FAIL, PASS, Check, Job, always, at_two, note, odd
 
 
 class Derivation:
@@ -95,111 +95,6 @@ def milnor_q(j: int, ctx: AlgebraContext) -> Derivation:
     return Derivation(ctx, shift, images)
 
 
-# ---------------------------------------------------------------------------
-# displayed-expansion checks
-
-
-def _compare(check_id: str, prime: int, got: Element, want: Element,
-             label: str, require_nonzero: bool = True) -> CheckReport:
-    def body() -> tuple[str, str]:
-        if got != want:
-            return FAIL, f"{label}: computed {got.render()} but expected {want.render()}"
-        if require_nonzero and got.is_zero():
-            return FAIL, f"{label}: result is zero"
-        return PASS, f"{label} = {got.render()}"
-
-    return run_check(check_id, prime, body)
-
-
-def verify_q_expansion_odd(prime: int) -> list[CheckReport]:
-    """Q_0/Q_1 expansions on two and three exterior factors, odd prime."""
-    check_prime(prime)
-    if prime == 2:
-        raise ValueError("use verify_q_expansion_two for the prime 2")
-    ctx = elementary_abelian_context(prime, 3, 2 * prime + 6)
-    q0, q1 = milnor_q(0, ctx), milnor_q(1, ctx)
-    m = ctx.monomial_element
-
-    xy = m({"x1": 1, "y1": 1})
-    xyz = m({"x1": 1, "y1": 1, "z1": 1})
-
-    q0_xy = q0(xy)
-    want_q0_xy = m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1})
-    q1_xy = q1(xy)
-    want_q1_xy = m({"x2": prime, "y1": 1}) - m({"x1": 1, "y2": prime})
-    q1q0_xy = q1(q0_xy)
-    want_q1q0_xy = m({"x2": 1, "y2": prime}) - m({"x2": prime, "y2": 1})
-
-    q1q0_xyz = q1(q0(xyz))
-    want_q1q0_xyz = (
-        -m({"x2": prime, "y2": 1, "z1": 1})
-        + m({"x2": prime, "y1": 1, "z2": 1})
-        + m({"x2": 1, "y2": prime, "z1": 1})
-        - m({"x2": 1, "y1": 1, "z2": prime})
-        - m({"x1": 1, "y2": prime, "z2": 1})
-        + m({"x1": 1, "y2": 1, "z2": prime})
-    )
-
-    return [
-        _compare("milnor.q0.xy", prime, q0_xy, want_q0_xy, "Q0(x1 y1)"),
-        _compare("milnor.q1.xy", prime, q1_xy, want_q1_xy, "Q1(x1 y1)"),
-        _compare("milnor.q1q0.xy", prime, q1q0_xy, want_q1q0_xy, "Q1 Q0(x1 y1)"),
-        _compare("milnor.q1q0.xyz", prime, q1q0_xyz, want_q1q0_xyz, "Q1 Q0(x1 y1 z1)"),
-        run_check(
-            "milnor.q1q0.xyz_exponent_note", prime,
-            lambda: (
-                NOTE,
-                "the printed six-term expansion of Q1 Q0(x1 y1 z1) contains the "
-                "degree-7 term -x2*y1*z2 where the derivation rule forces the "
-                "homogeneous term -x2*y1*z2^l; the derived exponent is asserted",
-            ),
-        ),
-    ]
-
-
-def verify_q_expansion_two() -> list[CheckReport]:
-    """The l = 2 expansions: Q1 on the rank-3 product and the invariant class."""
-    ctx = elementary_abelian_context(2, 3, 8)
-    q0, q1 = milnor_q(0, ctx), milnor_q(1, ctx)
-    m = ctx.monomial_element
-
-    xyz = m({"x1": 1, "y1": 1, "z1": 1})
-    q1_xyz = q1(xyz)
-    want_q1_xyz = (
-        m({"x1": 4, "y1": 1, "z1": 1})
-        + m({"x1": 1, "y1": 4, "z1": 1})
-        + m({"x1": 1, "y1": 1, "z1": 4})
-    )
-
-    six_terms = (
-        m({"x1": 4, "y1": 2, "z1": 1})
-        + m({"x1": 4, "y1": 1, "z1": 2})
-        + m({"x1": 2, "y1": 4, "z1": 1})
-        + m({"x1": 2, "y1": 1, "z1": 4})
-        + m({"x1": 1, "y1": 4, "z1": 2})
-        + m({"x1": 1, "y1": 2, "z1": 4})
-    )
-    q0q1_xyz = q0(q1_xyz)
-
-    u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
-    u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
-    invariant = (
-        multiply(u3, m({"z1": 1}))
-        + multiply(u2, m({"z1": 2}))
-        + m({"z1": 4})
-    )
-    q1_invariant = q1(invariant)
-
-    return [
-        _compare("milnor.q1.xyz_two", 2, q1_xyz, want_q1_xyz, "Q1(x1 y1 z1)"),
-        _compare("milnor.q0q1.xyz_two", 2, q0q1_xyz, six_terms, "Q0 Q1(x1 y1 z1)"),
-        _compare(
-            "milnor.q1.invariant_two", 2, q1_invariant, six_terms,
-            "Q1(u3 z1 + u2 z1^2 + z1^4)",
-        ),
-    ]
-
-
 def dickson_mui_generators(prime: int, ctx: AlgebraContext) -> tuple[Element, Element]:
     """The two polynomial generators of the rank-2 modular invariant ring.
 
@@ -214,34 +109,195 @@ def dickson_mui_generators(prime: int, ctx: AlgebraContext) -> tuple[Element, El
     return d1, d2
 
 
-def dickson_mui_check(prime: int) -> list[CheckReport]:
-    """Division-free product identity Q2 Q0(x1 y1) = d1 * d2, plus degree bookkeeping."""
-    check_prime(prime)
-    if prime == 2:
-        raise ValueError("the rank-2 modular generators at l = 2 live in dickson_invariance")
-    ctx = elementary_abelian_context(prime, 2, 2 * prime * prime + 2)
-    q0, q2 = milnor_q(0, ctx), milnor_q(2, ctx)
-    m = ctx.monomial_element
-    xy = m({"x1": 1, "y1": 1})
-    lhs = q2(q0(xy))
-    d1, d2 = dickson_mui_generators(prime, ctx)
-    rhs = multiply(d1, d2)
+# ---------------------------------------------------------------------------
+# checks
 
-    reports = [
-        _compare(
-            "milnor.dickson_mui.product", prime, lhs, rhs,
-            "Q2 Q0(x1 y1) = Q1 Q0(x1 y1) * (telescoping sum)",
+
+def _q(job: Job, j: int) -> Derivation:
+    """Q_j on the job's rank-3 context, truncated at degree 2l + 6."""
+
+    def build() -> Derivation:
+        ctx = job.shared(
+            "context", lambda: elementary_abelian_context(job.prime, 3, 2 * job.prime + 6)
         )
-    ]
+        return milnor_q(j, ctx)
 
-    def degrees() -> tuple[str, str]:
-        deg1 = d1.homogeneous_degree()
-        deg2 = d2.homogeneous_degree()
-        deg_lhs = lhs.homogeneous_degree()
-        want = (2 * prime + 2, 2 * prime * prime - 2 * prime, 2 * prime * prime + 2)
-        if (deg1, deg2, deg_lhs) == want:
-            return PASS, f"degrees ({deg1}, {deg2}) sum to {deg_lhs}"
-        return FAIL, f"degrees ({deg1}, {deg2}, {deg_lhs}) != {want}"
+    return job.shared(("q", j), build)
 
-    reports.append(run_check("milnor.dickson_mui.degrees", prime, degrees))
-    return reports
+
+def _compare(got: Element, want: Element, label: str) -> tuple[str, str]:
+    if got != want:
+        return FAIL, f"{label}: computed {got.render()} but expected {want.render()}"
+    if got.is_zero():
+        return FAIL, f"{label}: result is zero"
+    return PASS, f"{label} = {got.render()}"
+
+
+def _displayed(expansions, check_id: str):
+    """The body comparing one computed expansion with its displayed value."""
+
+    def body(job: Job) -> tuple[str, str]:
+        label, got, want = expansions(job)[check_id]
+        return _compare(got, want, label)
+
+    return body
+
+
+def _odd_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
+    """Q_0/Q_1 expansions on two and three exterior factors, odd prime:
+    (label, computed, displayed) by check id."""
+
+    def build():
+        prime = job.prime
+        q0, q1 = _q(job, 0), _q(job, 1)
+        m = q0.context.monomial_element
+        xy = m({"x1": 1, "y1": 1})
+        xyz = m({"x1": 1, "y1": 1, "z1": 1})
+        q0_xy = q0(xy)
+        return {
+            "milnor.q0.xy": (
+                "Q0(x1 y1)", q0_xy, m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1}),
+            ),
+            "milnor.q1.xy": (
+                "Q1(x1 y1)", q1(xy), m({"x2": prime, "y1": 1}) - m({"x1": 1, "y2": prime}),
+            ),
+            "milnor.q1q0.xy": (
+                "Q1 Q0(x1 y1)", q1(q0_xy),
+                m({"x2": 1, "y2": prime}) - m({"x2": prime, "y2": 1}),
+            ),
+            "milnor.q1q0.xyz": (
+                "Q1 Q0(x1 y1 z1)", q1(q0(xyz)),
+                -m({"x2": prime, "y2": 1, "z1": 1})
+                + m({"x2": prime, "y1": 1, "z2": 1})
+                + m({"x2": 1, "y2": prime, "z1": 1})
+                - m({"x2": 1, "y1": 1, "z2": prime})
+                - m({"x1": 1, "y2": prime, "z2": 1})
+                + m({"x1": 1, "y2": 1, "z2": prime}),
+            ),
+        }
+
+    return job.shared("odd_expansions", build)
+
+
+def _two_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
+    """The l = 2 expansions: Q1 on the rank-3 product and the invariant class."""
+
+    def build():
+        ctx = elementary_abelian_context(2, 3, 8)
+        q0, q1 = milnor_q(0, ctx), milnor_q(1, ctx)
+        m = ctx.monomial_element
+        q1_xyz = q1(m({"x1": 1, "y1": 1, "z1": 1}))
+        six_terms = (
+            m({"x1": 4, "y1": 2, "z1": 1})
+            + m({"x1": 4, "y1": 1, "z1": 2})
+            + m({"x1": 2, "y1": 4, "z1": 1})
+            + m({"x1": 2, "y1": 1, "z1": 4})
+            + m({"x1": 1, "y1": 4, "z1": 2})
+            + m({"x1": 1, "y1": 2, "z1": 4})
+        )
+        u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
+        u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
+        invariant = (
+            multiply(u3, m({"z1": 1}))
+            + multiply(u2, m({"z1": 2}))
+            + m({"z1": 4})
+        )
+        return {
+            "milnor.q1.xyz_two": (
+                "Q1(x1 y1 z1)", q1_xyz,
+                m({"x1": 4, "y1": 1, "z1": 1})
+                + m({"x1": 1, "y1": 4, "z1": 1})
+                + m({"x1": 1, "y1": 1, "z1": 4}),
+            ),
+            "milnor.q0q1.xyz_two": ("Q0 Q1(x1 y1 z1)", q0(q1_xyz), six_terms),
+            "milnor.q1.invariant_two": (
+                "Q1(u3 z1 + u2 z1^2 + z1^4)", q1(invariant), six_terms,
+            ),
+        }
+
+    return job.shared("two_expansions", build)
+
+
+def _dickson_planned(prime: int, config) -> bool:
+    return prime != 2 and prime <= config.dickson_cap
+
+
+def _dickson(job: Job) -> tuple[Element, Element, Element]:
+    """Q2 Q0(x1 y1) and the rank-2 modular generators (d1, d2)."""
+
+    def build():
+        prime = job.prime
+        ctx = elementary_abelian_context(prime, 2, 2 * prime * prime + 2)
+        q0, q2 = milnor_q(0, ctx), milnor_q(2, ctx)
+        lhs = q2(q0(ctx.monomial_element({"x1": 1, "y1": 1})))
+        return (lhs, *dickson_mui_generators(prime, ctx))
+
+    return job.shared("dickson", build)
+
+
+def _dickson_product(job: Job) -> tuple[str, str]:
+    """Division-free product identity Q2 Q0(x1 y1) = d1 * d2."""
+    lhs, d1, d2 = _dickson(job)
+    return _compare(
+        lhs, multiply(d1, d2), "Q2 Q0(x1 y1) = Q1 Q0(x1 y1) * (telescoping sum)"
+    )
+
+
+def _dickson_degrees(job: Job) -> tuple[str, str]:
+    prime = job.prime
+    lhs, d1, d2 = _dickson(job)
+    deg1 = d1.homogeneous_degree()
+    deg2 = d2.homogeneous_degree()
+    deg_lhs = lhs.homogeneous_degree()
+    want = (2 * prime + 2, 2 * prime * prime - 2 * prime, 2 * prime * prime + 2)
+    if (deg1, deg2, deg_lhs) == want:
+        return PASS, f"degrees ({deg1}, {deg2}) sum to {deg_lhs}"
+    return FAIL, f"degrees ({deg1}, {deg2}, {deg_lhs}) != {want}"
+
+
+def _squares(job: Job) -> tuple[str, str]:
+    rng = job.rng(7919)
+    q0, q1 = _q(job, 0), _q(job, 1)
+    for _ in range(25):
+        el = random_element(q0.context, rng, 4)
+        if not q0(q0(el)).is_zero():
+            return FAIL, f"Q0 Q0 != 0 on {el.render()}"
+        if not q1(q1(el), truncate=True).is_zero():
+            return FAIL, f"Q1 Q1 != 0 on {el.render()}"
+    return PASS, "Q_j o Q_j = 0 on 25 seeded random elements, j in {0, 1}"
+
+
+def _anticommute(job: Job) -> tuple[str, str]:
+    rng = job.rng(7919)
+    q0, q1 = _q(job, 0), _q(job, 1)
+    for _ in range(25):
+        el = random_element(q0.context, rng, 4)
+        lhs = q0(q1(el, truncate=True), truncate=True)
+        rhs = q1(q0(el), truncate=True)
+        combined = lhs + rhs if job.prime != 2 else lhs - rhs
+        if not combined.is_zero():
+            return FAIL, f"Q0 Q1 + Q1 Q0 != 0 on {el.render()}"
+    return PASS, "Q0 Q1 + Q1 Q0 = 0 on 25 seeded random elements"
+
+
+CHECKS = (
+    Check("milnor.q0.xy", odd, _displayed(_odd_expansions, "milnor.q0.xy")),
+    Check("milnor.q1.xy", odd, _displayed(_odd_expansions, "milnor.q1.xy")),
+    Check("milnor.q1q0.xy", odd, _displayed(_odd_expansions, "milnor.q1q0.xy")),
+    Check("milnor.q1q0.xyz", odd, _displayed(_odd_expansions, "milnor.q1q0.xyz")),
+    Check("milnor.q1q0.xyz_exponent_note", odd, note(
+        "the printed six-term expansion of Q1 Q0(x1 y1 z1) contains the "
+        "degree-7 term -x2*y1*z2 where the derivation rule forces the "
+        "homogeneous term -x2*y1*z2^l; the derived exponent is asserted"
+    )),
+    Check("milnor.q1.xyz_two", at_two, _displayed(_two_expansions, "milnor.q1.xyz_two")),
+    Check("milnor.q0q1.xyz_two", at_two, _displayed(_two_expansions, "milnor.q0q1.xyz_two")),
+    Check(
+        "milnor.q1.invariant_two", at_two,
+        _displayed(_two_expansions, "milnor.q1.invariant_two"),
+    ),
+    Check("milnor.dickson_mui.product", _dickson_planned, _dickson_product),
+    Check("milnor.dickson_mui.degrees", _dickson_planned, _dickson_degrees),
+    Check("milnor.q.squares", always, _squares),
+    Check("milnor.q.anticommute", always, _anticommute),
+)

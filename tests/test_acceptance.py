@@ -9,7 +9,7 @@ import random
 import time
 
 
-from milnor_forge import cyclo, invariants, milnor, specseq
+from milnor_forge import cyclo, invariants, specseq
 from milnor_forge.ffla import FieldMatrix, nullspace, rref
 from milnor_forge.galg import (
     elementary_abelian_context,
@@ -43,19 +43,19 @@ def report(number, label, elapsed=None):
     print(f"ACCEPTANCE {number:02d} {label}: PASS{suffix}")
 
 
-def test_criterion_01_matrix_suite_odd_primes():
+def test_criterion_01_matrix_suite_odd_primes(job_records):
     with Stopwatch() as sw:
         for prime in (3, 5, 7, 11, 13):
-            assert_all_pass(cyclo.verify_su_generators(prime))
-            assert_all_pass(cyclo.verify_weyl_conjugation(prime))
-            assert_all_pass(cyclo.verify_g1_relations(prime))
+            assert_all_pass(
+                job_records("matrices", prime, ("matrices.su.", "matrices.weyl.", "matrices.g1."))
+            )
     assert sw.elapsed < 5.0
     report(1, "matrix suite exact for l in {3,5,7,11,13}", sw.elapsed)
 
 
-def test_criterion_02_matrix_suite_two():
+def test_criterion_02_matrix_suite_two(job_records):
     with Stopwatch() as sw:
-        reports = cyclo.verify_l2_generators()
+        reports = job_records("matrices", 2, ("matrices.l2.", "matrices.g1."))
     assert_all_pass(reports)
     flagged = [r for r in reports if r.check_id == "matrices.l2.sigma_candidate"]
     assert len(flagged) == 1 and flagged[0].status == "note"
@@ -78,22 +78,22 @@ def test_criterion_03_lemma_sweeps():
     report(3, "root-power-sum and index-congruence sweeps for l <= 13", sw.elapsed)
 
 
-def test_criterion_04_milnor_expansions():
+def test_criterion_04_milnor_expansions(job_records):
     with Stopwatch() as sw:
         for prime in (3, 5, 7):
-            reports = milnor.verify_q_expansion_odd(prime)
+            reports = job_records("milnor", prime, ("milnor.q0.", "milnor.q1.", "milnor.q1q0."))
             assert_all_pass(reports)
             notes = [r for r in reports if r.check_id == "milnor.q1q0.xyz_exponent_note"]
             assert notes and notes[0].status == "note"
-        assert_all_pass(milnor.verify_q_expansion_two())
+        assert_all_pass(job_records("milnor", 2, ("milnor.q1.", "milnor.q0q1.")))
     assert sw.elapsed < 2.0
     report(4, "Milnor expansions verbatim, corrected exponent noted", sw.elapsed)
 
 
-def test_criterion_05_dickson_mui_products():
+def test_criterion_05_dickson_mui_products(job_records):
     with Stopwatch() as sw:
         for prime in (3, 5, 7):
-            assert_all_pass(milnor.dickson_mui_check(prime))
+            assert_all_pass(job_records("milnor", prime, "milnor.dickson_mui."))
     assert sw.elapsed < 10.0
     report(5, "rank-2 modular generator product identity for l in {3,5,7}", sw.elapsed)
 
@@ -127,10 +127,10 @@ def test_criterion_06_invariant_dimensions():
     report(6, "degree-4 invariant dimensions and bases, all primes", sw.elapsed)
 
 
-def test_criterion_07_group_closure_oracle():
+def test_criterion_07_group_closure_oracle(job_records):
     with Stopwatch() as sw:
         for prime in (2, 3, 5):
-            assert_all_pass(invariants.group_closure_oracle(prime))
+            assert_all_pass(job_records("invariants", prime, "invariants.closure."))
     report(7, "closure enumeration matches generators and shape predicate", sw.elapsed)
 
 
@@ -160,10 +160,10 @@ def test_criterion_08_spectral_sequences():
     report(8, "page dimensions for both scenarios, scalars swept at 3", sw.elapsed)
 
 
-def test_criterion_09_end_to_end_chain():
+def test_criterion_09_end_to_end_chain(job_records):
     with Stopwatch() as sw:
         for prime in (2, 3, 5, 7, 11):
-            reports = specseq.iota_image_check(prime)
+            reports = job_records("ss", prime, "ss.iota.")
             assert_all_pass(reports)
             ids = {r.check_id for r in reports}
             assert {"ss.iota.h4_rank", "ss.iota.leading_term", "ss.iota.q1_nonzero"} <= ids

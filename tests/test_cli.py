@@ -1,11 +1,12 @@
 import json
 import threading
+import time
 
 import pytest
 
 from milnor_forge import cli, invariants, specseq
 from milnor_forge.cli import RunConfig, main, parse_config, report_json, report_text, run
-from milnor_forge.report import CheckReport
+from milnor_forge.report import Check, CheckReport, always
 
 # check ids that must exist under a full run: the ones named by the
 # verification contract, including the documented-discrepancy notes
@@ -97,10 +98,8 @@ class TestMain:
         assert err.value.code == 2
 
     def test_failure_exit_code(self, monkeypatch):
-        def failing_suite(prime, config):
-            return [CheckReport("test.fail", prime, "fail", "boom", 0)]
-
-        monkeypatch.setitem(cli._SUITE_RUNNERS, "matrices", failing_suite)
+        failing = Check("matrices.fail", always, lambda job: ("fail", "boom"))
+        monkeypatch.setitem(cli.REGISTRY, "matrices", (failing,))
         assert main(["matrices", "--primes", "3"]) == 1
 
     def test_json_format(self, capsys):
@@ -122,25 +121,16 @@ class TestMain:
         assert parse_config(["all", "--primes", "5,3,5"]).primes == (5, 3)
         assert records("3,3") == records("3")
 
-    def test_thread_cap_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("MILNOR_FORGE_THREADS", "1")
-        assert main(["matrices", "--primes", "3"]) == 0
-
-    def test_bad_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("MILNOR_FORGE_THREADS", "lots")
-        with pytest.raises(SystemExit):
-            main(["matrices", "--primes", "3"])
-
 
 class TestRunLoop:
     def test_runs_jobs_in_order_in_calling_thread(self, monkeypatch):
         calls = []
         for suite in cli.SUITES:
-            def recorder(prime, config, suite=suite):
-                calls.append((suite, prime, threading.get_ident()))
-                return []
+            def recorder(job, suite=suite):
+                calls.append((suite, job.prime, threading.get_ident()))
+                return "pass", ""
 
-            monkeypatch.setitem(cli._SUITE_RUNNERS, suite, recorder)
+            monkeypatch.setitem(cli.REGISTRY, suite, (Check(f"{suite}.probe", always, recorder),))
         run(RunConfig(primes=(5, 2, 3)))
         caller = threading.get_ident()
         assert calls == [(s, p, caller) for s in cli.SUITES for p in (5, 2, 3)]
@@ -149,26 +139,200 @@ class TestRunLoop:
         def broken_closure(*args, **kwargs):
             raise RuntimeError("closure unavailable")
 
+        expected = [
+            (r.check_id, r.status)
+            for r in run(RunConfig(primes=(3,), suites=("invariants",)))
+        ]
         monkeypatch.setattr(invariants, "group_closure", broken_closure)
         assert main(["all", "--primes", "3", "--format", "json"]) == 1
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        closure_ids = [f"invariants.closure.{name}" for name in ("order", "shape", "subspace")]
         failed = [r for r in records if r["status"] == "fail"]
-        assert failed == [
-            {
-                "check_id": "invariants.setup",
-                "prime": 3,
-                "status": "fail",
-                "details": "RuntimeError: closure unavailable",
-                "elapsed_ms": failed[0]["elapsed_ms"],
-            }
+        assert [(r["check_id"], r["prime"], r["details"]) for r in failed] == [
+            (check_id, 3, "RuntimeError: closure unavailable") for check_id in closure_ids
         ]
-        # every record of the other suites at l=3 is still there
+        assert not any(r["check_id"].endswith(".setup") for r in records)
+        # every other invariants record at l=3 is there with its usual status
+        assert [
+            (r["check_id"], r["status"])
+            for r in records
+            if r["check_id"].startswith("invariants.") and r["check_id"] not in closure_ids
+        ] == [(check_id, status) for check_id, status in expected if check_id not in closure_ids]
+        # and so is every record of the other suites at l=3
         others = run(RunConfig(primes=(3,), suites=("matrices", "milnor", "ss")))
         assert others
         assert [
             (r["check_id"], r["status"])
             for r in records if not r["check_id"].startswith("invariants.")
         ] == [(r.check_id, r.status) for r in others]
+
+    def test_shared_setup_is_timed_by_the_check_that_builds_it(self, monkeypatch):
+        closure = invariants.group_closure
+
+        def slow_closure(*args, **kwargs):
+            time.sleep(0.03)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "group_closure", slow_closure)
+        reports = run(RunConfig(primes=(2,), suites=("invariants",)))
+        timed = [r.elapsed_ms for r in reports if r.check_id.startswith("invariants.closure.")]
+        assert len(timed) == 3 and max(timed) >= 30
+        assert not any(r.failed for r in reports)
+
+
+class TestRegistry:
+    def test_ids_name_their_suite(self):
+        for suite, checks in cli.REGISTRY.items():
+            for check in checks:
+                assert check.check_id.startswith(suite + ".")
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"sweep_scalars": True, "dickson_cap": 31},
+        {"scenario": "bg1"},
+        {"scenario": "bpu", "dickson_cap": 0},
+    ])
+    def test_at_most_one_entry_per_id_runs_at_a_prime(self, options):
+        primes = tuple(p for p in range(2, 32) if all(p % q for q in range(2, p)))
+        config = RunConfig(primes=primes, **options)
+        for prime, checks in cli.plan(config):
+            ids = [c.check_id for c in checks]
+            assert len(ids) == len(set(ids)), (prime, ids)
+
+    def test_plans_of_configurations_outside_the_benchmark(self):
+        # (check id, prime, status) of each configuration, as the per-suite
+        # runners that the registry replaced reported them
+        for argv, pinned in PINNED_PLANS.items():
+            got = [(r.check_id, r.prime, r.status) for r in run(parse_config(argv.split()))]
+            want = [
+                (check_id, int(prime), status)
+                for check_id, prime, status in (line.split() for line in pinned.strip().splitlines())
+            ]
+            assert got == want, argv
+
+
+PINNED_PLANS = {
+    "all --primes 17": """
+        invariants.action.q0_compat 17 pass
+        invariants.dickson.fixed 17 pass
+        invariants.sign_convention_note 17 note
+        invariants.w.h4_dimension 17 pass
+        invariants.w0.h4_dimension 17 pass
+        matrices.ffla.rank_nullity 17 pass
+        milnor.q.anticommute 17 pass
+        milnor.q.squares 17 pass
+        milnor.q0.xy 17 pass
+        milnor.q1.xy 17 pass
+        milnor.q1q0.xy 17 pass
+        milnor.q1q0.xyz 17 pass
+        milnor.q1q0.xyz_exponent_note 17 note
+        ss.bg1.classes 17 pass
+        ss.bg1.dims 17 pass
+        ss.bg1.e3_structure 17 pass
+        ss.bg1.pages 17 pass
+        ss.bpu.e4_dims_bnz 17 pass
+        ss.bpu.e4_dims_bz 17 pass
+        ss.bpu.e4_span_note 17 note
+        ss.bpu.pages 17 pass
+        ss.engine.monotone_euler 17 pass
+        ss.engine.stability 17 pass
+        ss.iota.h4_rank 17 pass
+        ss.iota.leading_term 17 pass
+        ss.iota.q1_nonzero 17 pass
+    """,
+    "ss --scenario bg1 --primes 2,3": """
+        ss.bg1.classes 2 pass
+        ss.bg1.classes 3 pass
+        ss.bg1.d3_square 2 pass
+        ss.bg1.dims 2 pass
+        ss.bg1.dims 3 pass
+        ss.bg1.e3_structure 3 pass
+        ss.bg1.pages 2 pass
+        ss.bg1.pages 3 pass
+        ss.bg1.permanence_note 2 note
+        ss.bg1.scalar_sweep 3 pass
+        ss.engine.monotone_euler 2 pass
+        ss.engine.monotone_euler 3 pass
+        ss.engine.stability 2 pass
+        ss.engine.stability 3 pass
+    """,
+    "ss --scenario bpu --primes 3,5": """
+        ss.bpu.e4_dims_bnz 3 pass
+        ss.bpu.e4_dims_bnz 5 pass
+        ss.bpu.e4_dims_bz 3 pass
+        ss.bpu.e4_dims_bz 5 pass
+        ss.bpu.e4_span_note 3 note
+        ss.bpu.e4_span_note 5 note
+        ss.bpu.pages 3 pass
+        ss.bpu.pages 5 pass
+        ss.bpu.u7_bookkeeping 3 pass
+    """,
+    "milnor --primes 11 --dickson-cap 11": """
+        milnor.dickson_mui.degrees 11 pass
+        milnor.dickson_mui.product 11 pass
+        milnor.q.anticommute 11 pass
+        milnor.q.squares 11 pass
+        milnor.q0.xy 11 pass
+        milnor.q1.xy 11 pass
+        milnor.q1q0.xy 11 pass
+        milnor.q1q0.xyz 11 pass
+        milnor.q1q0.xyz_exponent_note 11 note
+    """,
+    "all --primes 3 --sweep-scalars": """
+        invariants.action.q0_compat 3 pass
+        invariants.closure.order 3 pass
+        invariants.closure.shape 3 pass
+        invariants.closure.subspace 3 pass
+        invariants.dickson.fixed 3 pass
+        invariants.sign_convention_note 3 note
+        invariants.w.h4_dimension 3 pass
+        invariants.w0.h4_dimension 3 pass
+        matrices.ffla.rank_nullity 3 pass
+        matrices.g1.alpha_by_gamma_beta 3 pass
+        matrices.g1.beta_by_gamma_beta 3 pass
+        matrices.g1.central_alpha 3 pass
+        matrices.g1.central_beta 3 pass
+        matrices.g1.commutator 3 pass
+        matrices.g1.xi_by_gamma_beta 3 pass
+        matrices.lemma.root_sum 3 pass
+        matrices.lemma.root_sum_index_note 3 note
+        matrices.lemma.triangular_congruence 3 pass
+        matrices.su.alpha_unitary 3 pass
+        matrices.su.beta_unitary 3 pass
+        matrices.su.commutator 3 pass
+        matrices.su.determinants 3 pass
+        matrices.su.s_unitary 3 pass
+        matrices.su.t_gram 3 pass
+        matrices.weyl.alpha_by_s 3 pass
+        matrices.weyl.alpha_by_t 3 pass
+        matrices.weyl.beta_by_s 3 pass
+        matrices.weyl.beta_by_t 3 pass
+        milnor.dickson_mui.degrees 3 pass
+        milnor.dickson_mui.product 3 pass
+        milnor.q.anticommute 3 pass
+        milnor.q.squares 3 pass
+        milnor.q0.xy 3 pass
+        milnor.q1.xy 3 pass
+        milnor.q1q0.xy 3 pass
+        milnor.q1q0.xyz 3 pass
+        milnor.q1q0.xyz_exponent_note 3 note
+        ss.bg1.classes 3 pass
+        ss.bg1.dims 3 pass
+        ss.bg1.e3_structure 3 pass
+        ss.bg1.pages 3 pass
+        ss.bg1.scalar_sweep 3 pass
+        ss.bpu.e4_dims_bnz 3 pass
+        ss.bpu.e4_dims_bz 3 pass
+        ss.bpu.e4_span_note 3 note
+        ss.bpu.pages 3 pass
+        ss.bpu.u7_bookkeeping 3 pass
+        ss.engine.monotone_euler 3 pass
+        ss.engine.stability 3 pass
+        ss.iota.h4_rank 3 pass
+        ss.iota.leading_term 3 pass
+        ss.iota.q1_nonzero 3 pass
+    """,
+}
 
 
 def scenario_key(sc):

@@ -6,13 +6,8 @@ from milnor_forge.cyclo import (
     CycMatrix,
     GeneratorSet,
     lemma22_holds,
-    lemma_checks,
     root_power_sum,
     triangular,
-    verify_g1_relations,
-    verify_l2_generators,
-    verify_su_generators,
-    verify_weyl_conjugation,
 )
 
 
@@ -212,30 +207,30 @@ class TestGramEntryOracle:
 
 class TestCheckSuites:
     @pytest.mark.parametrize("p", ODD_PRIMES)
-    def test_su_generators_pass(self, p):
-        assert_all_pass(verify_su_generators(p))
+    def test_su_generators_pass(self, p, job_records):
+        assert_all_pass(job_records("matrices", p, "matrices.su."))
 
     @pytest.mark.parametrize("p", ODD_PRIMES)
-    def test_weyl_conjugation_pass(self, p):
-        assert_all_pass(verify_weyl_conjugation(p))
+    def test_weyl_conjugation_pass(self, p, job_records):
+        assert_all_pass(job_records("matrices", p, "matrices.weyl."))
 
     @pytest.mark.parametrize("p", (2,) + ODD_PRIMES)
-    def test_block_relations_pass(self, p):
-        assert_all_pass(verify_g1_relations(p))
+    def test_block_relations_pass(self, p, job_records):
+        assert_all_pass(job_records("matrices", p, "matrices.g1."))
 
-    def test_l2_generators_pass(self):
-        reports = verify_l2_generators()
+    def test_l2_generators_pass(self, job_records):
+        reports = job_records("matrices", 2, ("matrices.l2.", "matrices.g1."))
         assert_all_pass(reports)
         flagged = [r for r in reports if r.check_id == "matrices.l2.sigma_candidate"]
         assert len(flagged) == 1 and flagged[0].status == "note"
 
     @pytest.mark.parametrize("p", (2,) + ODD_PRIMES)
-    def test_lemma_checks_pass(self, p):
-        assert_all_pass(lemma_checks(p))
+    def test_lemma_checks_pass(self, p, job_records):
+        assert_all_pass(job_records("matrices", p, "matrices.lemma."))
 
-    def test_su_rejects_two(self):
-        with pytest.raises(ValueError):
-            verify_su_generators(2)
+    def test_su_rejects_two(self, planned_ids):
+        ids = planned_ids("matrices", 2)
+        assert ids and not any(i.startswith("matrices.su.") for i in ids)
 
 
 class TestCycMatrix:

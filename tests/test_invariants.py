@@ -11,15 +11,11 @@ from milnor_forge.galg import (
 )
 from milnor_forge.invariants import (
     ActionMatrix,
-    dickson_invariance,
     element_span_contains,
     group_closure,
-    group_closure_oracle,
     induced_action,
     invariant_subspace,
     sl2_generators,
-    verify_degree4_invariants,
-    verify_degree4_invariants_two,
     weyl_generators,
 )
 from milnor_forge.milnor import milnor_q
@@ -134,6 +130,20 @@ class TestInvariantDimensions:
         inv = invariant_subspace(ctx, 4, [])
         assert len(inv) == 15
 
+    def test_one_induced_map_per_generator_and_inverse(self, monkeypatch):
+        # the closing invariance re-check reuses the generators' maps
+        calls = []
+        real = invariants.induced_action
+
+        def counted(action, ctx):
+            calls.append(action)
+            return real(action, ctx)
+
+        monkeypatch.setattr(invariants, "induced_action", counted)
+        ctx = elementary_abelian_context(5, 3, 8)
+        assert len(invariant_subspace(ctx, 4, weyl_generators(5))) == 1
+        assert len(calls) == 6
+
     @pytest.mark.parametrize("prime", (2, 3, 5))
     def test_inverse_generators_same_subspace(self, prime):
         ctx = elementary_abelian_context(prime, 3, 7)
@@ -159,18 +169,18 @@ class TestInvariantDimensions:
 
 class TestSuites:
     @pytest.mark.parametrize("prime", (3, 5, 7, 11))
-    def test_degree4_suite(self, prime):
-        reports = verify_degree4_invariants(prime)
+    def test_degree4_suite(self, prime, job_records):
+        reports = job_records("invariants", prime, ("invariants.w.", "invariants.w0.", "invariants.sign_convention_note"))
         assert_all_pass(reports)
         notes = [r for r in reports if r.check_id == "invariants.sign_convention_note"]
         assert notes and notes[0].status == "note"
 
-    def test_degree4_suite_two(self):
-        assert_all_pass(verify_degree4_invariants_two())
+    def test_degree4_suite_two(self, job_records):
+        assert_all_pass(job_records("invariants", 2, ("invariants.w.", "invariants.w0.", "invariants.sign_convention_note")))
 
     @pytest.mark.parametrize("prime", (2, 3, 5, 7))
-    def test_dickson_fixed(self, prime):
-        assert_all_pass(dickson_invariance(prime))
+    def test_dickson_fixed(self, prime, job_records):
+        assert_all_pass(job_records("invariants", prime, "invariants.dickson."))
 
 
 class TestClosureOracle:
@@ -191,19 +201,19 @@ class TestClosureOracle:
                 assert (a * b).entries in index
 
     @pytest.mark.parametrize("prime", (2, 3, 5))
-    def test_oracle_suite(self, prime):
-        assert_all_pass(group_closure_oracle(prime))
+    def test_oracle_suite(self, prime, job_records):
+        assert_all_pass(job_records("invariants", prime, "invariants.closure."))
 
-    def test_oracle_rejects_large_prime(self):
-        with pytest.raises(ValueError):
-            group_closure_oracle(7)
+    def test_oracle_rejects_large_prime(self, planned_ids):
+        ids = planned_ids("invariants", 7)
+        assert ids and not any(i.startswith("invariants.closure.") for i in ids)
 
     def test_shape_count_matches_formula(self):
         for prime in (2, 3):
             w = weyl_generators(prime)
             assert w.shape_count() == prime**2 * (prime**3 - prime)
 
-    def test_subspace_check_fails_on_a_wrong_generator_answer(self, monkeypatch):
+    def test_subspace_check_fails_on_a_wrong_generator_answer(self, monkeypatch, job_records):
         # the oracle is handed the 3-dimensional block-diagonal answer
         # instead of the line the full group fixes
         real = invariants.invariant_subspace
@@ -211,10 +221,10 @@ class TestClosureOracle:
             invariants, "invariant_subspace",
             lambda ctx, d, w: real(ctx, d, w.generators[:2]),
         )
-        reports = {r.check_id: r for r in group_closure_oracle(3)}
+        reports = {r.check_id: r for r in job_records("invariants", 3, "invariants.closure.")}
         assert reports["invariants.closure.subspace"].status == FAIL
 
-    def test_late_non_generator_element_is_checked(self, monkeypatch):
+    def test_late_non_generator_element_is_checked(self, monkeypatch, job_records):
         # the last enumerated element that is neither a generator nor a
         # generator's inverse is given a validated map that moves Q0(x1 y1 z1);
         # the generator-based answer never sees it, so only an oracle that
@@ -238,7 +248,7 @@ class TestClosureOracle:
         q0_xyz = milnor_q(0, ctx)(ctx.monomial_element({"x1": 1, "y1": 1, "z1": 1}))
         assert induced(late, ctx)(q0_xyz) != q0_xyz
         monkeypatch.setattr(invariants, "induced_action", induced)
-        reports = {r.check_id: r for r in group_closure_oracle(3)}
+        reports = {r.check_id: r for r in job_records("invariants", 3, "invariants.closure.")}
         assert reports["invariants.closure.subspace"].status == FAIL
         assert reports["invariants.closure.order"].status == PASS
         assert reports["invariants.closure.shape"].status == PASS

@@ -2,14 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from milnor_forge.galg import Element, elementary_abelian_context, multiply
-from milnor_forge.milnor import (
-    Derivation,
-    dickson_mui_check,
-    dickson_mui_generators,
-    milnor_q,
-    verify_q_expansion_odd,
-    verify_q_expansion_two,
-)
+from milnor_forge.milnor import Derivation, dickson_mui_generators, milnor_q
 from milnor_forge.report import FAIL
 
 
@@ -129,14 +122,14 @@ class TestDisplayedExpansions:
         assert value.render() == "1*x2*y1 + 2*x1*y2"
 
     @pytest.mark.parametrize("prime", (3, 5, 7))
-    def test_expansion_suite_passes(self, prime):
-        reports = verify_q_expansion_odd(prime)
+    def test_expansion_suite_passes(self, prime, job_records):
+        reports = job_records("milnor", prime, ("milnor.q0.", "milnor.q1.", "milnor.q1q0."))
         assert_all_pass(reports)
         by_id = {r.check_id: r for r in reports}
         assert by_id["milnor.q1q0.xyz_exponent_note"].status == "note"
 
-    def test_expansion_suite_two_passes(self):
-        assert_all_pass(verify_q_expansion_two())
+    def test_expansion_suite_two_passes(self, job_records):
+        assert_all_pass(job_records("milnor", 2, ("milnor.q1.", "milnor.q0q1.")))
 
     def test_q_of_unit_is_zero(self):
         ctx = elementary_abelian_context(5, 3, 12)
@@ -157,8 +150,8 @@ class TestDisplayedExpansions:
 
 class TestDicksonMui:
     @pytest.mark.parametrize("prime", (3, 5))
-    def test_product_identity_passes(self, prime):
-        assert_all_pass(dickson_mui_check(prime))
+    def test_product_identity_passes(self, prime, job_records):
+        assert_all_pass(job_records("milnor", prime, "milnor.dickson_mui."))
 
     def test_product_identity_by_dict_oracle(self):
         # expand (x y^3 - x^3 y) * sum_k x^(2k) y^(2(3-k)) with a plain
@@ -187,9 +180,9 @@ class TestDicksonMui:
         for prime in (3, 5, 7):
             assert (2 * prime + 2) + (2 * prime * prime - 2 * prime) == 2 * prime * prime + 2
 
-    def test_rejects_two(self):
-        with pytest.raises(ValueError):
-            dickson_mui_check(2)
+    def test_rejects_two(self, planned_ids):
+        ids = planned_ids("milnor", 2, dickson_cap=31)
+        assert ids and not any(i.startswith("milnor.dickson_mui.") for i in ids)
 
 
 class TestDerivationValidation:

@@ -9,12 +9,8 @@ from milnor_forge.specseq import (
     DifferentialError,
     DifferentialSpec,
     Scenario,
-    check_bg1,
-    check_bpu,
-    check_engine_invariants,
     euler_bookkeeping_holds,
     initial_page,
-    iota_image_check,
     rational_degree4_dimension,
     run_scenario,
     scenario_bg1,
@@ -117,7 +113,8 @@ class TestPageMechanics:
         sc = scenario_bg1(3)
         page3 = turn_page(initial_page(sc.context), sc.differentials[0])
         b2, z2 = sc.named["b2"], sc.named["z2"]
-        prod = page3.product_class(b2, z2)
+        assert page3.class_is_defined(b2) and page3.class_is_defined(z2)
+        prod = multiply(b2, z2, truncate=True)
         assert page3.class_is_nonzero(prod)
         # b2 * a3 is a boundary on page 3 even though it is nonzero ambiently
         a3b2 = multiply(sc.named["a3"], b2)
@@ -243,9 +240,9 @@ class TestFirstScenarioOdd:
         with pytest.raises(ValueError):
             scenario_bg1(3, 3, 1)
 
-    def test_checks_pass(self):
+    def test_checks_pass(self, job_records):
         for prime in (3, 5):
-            assert_all_pass(check_bg1(prime))
+            assert_all_pass(job_records("ss", prime, "ss.bg1.", scenario="bg1"))
 
 
 class TestScenarioBuilders:
@@ -300,8 +297,8 @@ class TestFirstScenarioTwo:
         with pytest.raises(DifferentialError):
             run_scenario(strict)
 
-    def test_checks_pass(self):
-        assert_all_pass(check_bg1(2))
+    def test_checks_pass(self, job_records):
+        assert_all_pass(job_records("ss", 2, "ss.bg1.", scenario="bg1"))
 
 
 class TestSecondScenario:
@@ -334,9 +331,9 @@ class TestSecondScenario:
         assert any(g.name == "u7" for g in scenario_bpu(3).context.generators)
         assert not any(g.name == "u7" for g in scenario_bpu(5).context.generators)
 
-    def test_checks_pass(self):
+    def test_checks_pass(self, job_records):
         for prime in (3, 5):
-            assert_all_pass(check_bpu(prime))
+            assert_all_pass(job_records("ss", prime, "ss.bpu.", scenario="bpu"))
 
     def test_rejects_two(self):
         with pytest.raises(ValueError):
@@ -363,12 +360,12 @@ class TestRationalInput:
 
 class TestChainCheck:
     @pytest.mark.parametrize("prime", (2, 3, 5))
-    def test_iota_suite(self, prime):
-        assert_all_pass(iota_image_check(prime))
+    def test_iota_suite(self, prime, job_records):
+        assert_all_pass(job_records("ss", prime, "ss.iota."))
 
     @pytest.mark.parametrize("prime", (2, 3, 5, 7))
-    def test_engine_invariants(self, prime):
-        assert_all_pass(check_engine_invariants(prime))
+    def test_engine_invariants(self, prime, job_records):
+        assert_all_pass(job_records("ss", prime, "ss.engine.", scenario="bg1"))
 
 
 @given(st.sampled_from((3, 5)), st.data())
