@@ -306,3 +306,12 @@ def test_criterion_10h_rank_nullity():
         for v in kernel:
             assert not any(m.apply(v))
     report(10, f"(h) rank-nullity and exact kernels, {CASES} cases")
+
+
+def test_criterion_11_matrix_suite_at_31(job_records):
+    with Stopwatch() as sw:
+        reports = job_records("matrices", 31, "matrices.")
+    assert_all_pass(reports)
+    assert {r.check_id.split(".")[1] for r in reports} >= {"su", "weyl", "g1", "lemma"}
+    assert sw.elapsed < 2.0
+    report(11, "matrix suite exact at l = 31, the matrix cap", sw.elapsed)

@@ -201,7 +201,8 @@ class TestRegistry:
 
     def test_plans_of_configurations_outside_the_benchmark(self):
         # (check id, prime, status) of each configuration, as the per-suite
-        # runners that the registry replaced reported them
+        # runners that the registry replaced reported them, plus the matrix
+        # identities at l = 17 since the matrix cap is 31
         for argv, pinned in PINNED_PLANS.items():
             got = [(r.check_id, r.prime, r.status) for r in run(parse_config(argv.split()))]
             want = [
@@ -219,6 +220,25 @@ PINNED_PLANS = {
         invariants.w.h4_dimension 17 pass
         invariants.w0.h4_dimension 17 pass
         matrices.ffla.rank_nullity 17 pass
+        matrices.g1.alpha_by_gamma_beta 17 pass
+        matrices.g1.beta_by_gamma_beta 17 pass
+        matrices.g1.central_alpha 17 pass
+        matrices.g1.central_beta 17 pass
+        matrices.g1.commutator 17 pass
+        matrices.g1.xi_by_gamma_beta 17 pass
+        matrices.lemma.root_sum 17 pass
+        matrices.lemma.root_sum_index_note 17 note
+        matrices.lemma.triangular_congruence 17 pass
+        matrices.su.alpha_unitary 17 pass
+        matrices.su.beta_unitary 17 pass
+        matrices.su.commutator 17 pass
+        matrices.su.determinants 17 pass
+        matrices.su.s_unitary 17 pass
+        matrices.su.t_gram 17 pass
+        matrices.weyl.alpha_by_s 17 pass
+        matrices.weyl.alpha_by_t 17 pass
+        matrices.weyl.beta_by_s 17 pass
+        matrices.weyl.beta_by_t 17 pass
         milnor.q.anticommute 17 pass
         milnor.q.squares 17 pass
         milnor.q0.xy 17 pass

@@ -1,3 +1,6 @@
+import dataclasses
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +30,8 @@ def cyc_matrices(draw, primes=(2, 3, 5)):
 from milnor_forge.report import FAIL
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
+PAST_OLD_CAP = (17, 19, 23, 29, 31)
+KERNEL_PRIMES = (2, 3, 5, 7, 11)
 
 
 def assert_all_pass(reports):
@@ -167,6 +172,123 @@ class TestCycInt:
             CycInt.root_power(5, 1).as_int()
 
 
+def schoolbook(x, y):
+    """Reference product: a dense convolution of the canonical coefficients
+    with t^l = 1, then t^(l-1) rewritten; the Gaussian formula at l = 2."""
+    p = x.prime
+    if p == 2:
+        a, b = x.coeffs
+        c, d = y.coeffs
+        return CycInt(2, (a * c - b * d, a * d + b * c))
+    dense = [0] * p
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            dense[(i + j) % p] += a * b
+    top = dense[p - 1]
+    return CycInt(p, [dense[k] - top for k in range(p - 1)])
+
+
+def schoolbook_matrix(a, b):
+    n, p = a.size, a.prime
+    entry = lambda i, j: reduce(
+        lambda s, k: s + schoolbook(a.rows[i][k], b.rows[k][j]), range(n), CycInt.zero(p)
+    )
+    return CycMatrix.from_fn(p, n, entry)
+
+
+def sympy_product(pairs):
+    """sum of x*y over the pairs, as sympy polynomials reduced modulo the
+    cyclotomic polynomial of xi (Phi_l, or Phi_4 = t^2 + 1 at l = 2)."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    p = pairs[0][0].prime
+    rank = 2 if p == 2 else p - 1
+    poly = lambda x: sympy.Poly(list(reversed(x.coeffs)), t, domain="ZZ")
+    total = sum((poly(x) * poly(y) for x, y in pairs), sympy.Poly(0, t, domain="ZZ"))
+    rem = total.rem(sympy.Poly(sympy.cyclotomic_poly(4 if p == 2 else p, t), t, domain="ZZ"))
+    coeffs = [int(c) for c in reversed(rem.all_coeffs())]
+    return CycInt(p, coeffs + [0] * (rank - len(coeffs)))
+
+
+@st.composite
+def kernel_entries(draw, p):
+    """Zero, a (scaled) root of unity, xi^(l-1), a dense element, or one
+    whose most frequent coefficient (the implicit 0 at t^(l-1) counted) is
+    tied between two values."""
+    rank = 2 if p == 2 else p - 1
+    kind = draw(st.sampled_from(("zero", "root", "top", "dense", "tied")))
+    if kind == "zero":
+        return CycInt.zero(p)
+    if kind == "root":
+        scale = draw(st.sampled_from((1, -1, 3)))
+        return CycInt.root_power(p, draw(st.integers(0, 2 * p))) * scale
+    if kind == "top":
+        return CycInt.root_power(p, p - 1)
+    if kind == "dense":
+        return CycInt(p, [draw(st.integers(-9, 9)) for _ in range(rank)])
+    a = draw(st.integers(-5, 5).filter(bool))
+    b = draw(st.integers(-5, 5).filter(lambda b: b not in (0, a)))
+    return CycInt(p, draw(st.permutations([a] * (rank // 2) + [b] * (rank - rank // 2))))
+
+
+@st.composite
+def kernel_pairs(draw):
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    return draw(kernel_entries(p)), draw(kernel_entries(p))
+
+
+@st.composite
+def kernel_matrix_pairs(draw):
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    n = draw(st.integers(1, 3))
+    square = lambda: CycMatrix.from_fn(p, n, lambda i, j: draw(kernel_entries(p)))
+    return square(), square()
+
+
+class TestProductKernel:
+    """The group-ring kernel against the schoolbook product it replaced and
+    against sympy, on the entry kinds it treats differently."""
+
+    @given(kernel_pairs())
+    def test_entry_product(self, pair):
+        x, y = pair
+        assert x * y == schoolbook(x, y)
+        assert x * y == sympy_product([(x, y)])
+
+    @given(kernel_matrix_pairs())
+    def test_matrix_product(self, pair):
+        a, b = pair
+        product = a * b
+        assert product == schoolbook_matrix(a, b)
+        n = a.size
+        for i in range(n):
+            for j in range(n):
+                terms = [(a.rows[i][k], b.rows[k][j]) for k in range(n)]
+                assert product.rows[i][j] == sympy_product(terms)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_products_of_roots_add_exponents(self, p):
+        root = lambda k: CycInt.root_power(p, k)
+        for j in range(p):
+            for k in range(p):
+                assert root(j) * root(k) == root(j + k)
+
+    def test_product_entries_are_canonical(self):
+        # a zero-sum product entry compares, hashes and renders as zero
+        g = GeneratorSet.build(5)
+        entry = (g.t.conj_transpose() * g.t).rows[0][1]
+        assert entry == CycInt.zero(5) and entry.is_zero
+        assert hash(entry) == hash(CycInt.zero(5)) and repr(entry) == "0"
+        assert isinstance(entry.coeffs, tuple) and entry.coeffs == (0, 0, 0, 0)
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            CycInt(9, (0,) * 8)
+        with pytest.raises(ValueError):
+            CycInt(5, (1, 2, 3))
+        assert CycInt(5, (True, 2.0, 0, 0)).coeffs == (1, 2, 0, 0)
+
+
 class TestDetMonomial:
     def test_cycle_sign(self):
         # a 3-cycle is even
@@ -186,9 +308,15 @@ class TestDetMonomial:
 
 class TestGramEntryOracle:
     def test_t_gram_entries_by_summation(self):
+        self.assert_gram_entries_by_summation(7)
+
+    def test_t_gram_entries_by_summation_at_the_cap(self):
+        self.assert_gram_entries_by_summation(31)
+
+    @staticmethod
+    def assert_gram_entries_by_summation(p):
         # entry (i, j) of conj_transpose(T) T is sum_k xi^(a_(j+k) - a_(i+k)),
         # computed here term by term, independently of the matrix product
-        p = 7
         g = GeneratorSet.build(p)
         product = g.t.conj_transpose() * g.t
         for i in range(1, p + 1):
@@ -227,6 +355,31 @@ class TestCheckSuites:
     @pytest.mark.parametrize("p", (2,) + ODD_PRIMES)
     def test_lemma_checks_pass(self, p, job_records):
         assert_all_pass(job_records("matrices", p, "matrices.lemma."))
+
+    @pytest.mark.parametrize("p", PAST_OLD_CAP)
+    def test_every_matrix_identity_passes_past_13(self, p, job_records):
+        families = ("matrices.su.", "matrices.weyl.", "matrices.g1.", "matrices.lemma.")
+        reports = job_records("matrices", p, families)
+        assert_all_pass(reports)
+        assert {r.check_id.split(".")[1] for r in reports} == {"su", "weyl", "g1", "lemma"}
+
+    def test_t_gram_failure_details(self, monkeypatch, job_records):
+        # a wrong entry of T: the mismatch renders through CycInt.__repr__
+        build = GeneratorSet.build.__func__
+
+        def wrong_t(cls, prime):
+            g = build(cls, prime)
+            rows = [list(row) for row in g.t.rows]
+            rows[1][2] = CycInt(prime, (2, 0, -1, 3))
+            return dataclasses.replace(g, t=CycMatrix(prime, rows))
+
+        monkeypatch.setattr(GeneratorSet, "build", classmethod(wrong_t))
+        [record] = job_records("matrices", 5, "matrices.su.t_gram")
+        assert record.status == FAIL
+        assert record.details == (
+            "conj_transpose(T) * T = l * I: entry (0,2) differs: "
+            "-1 + -2*t + 2*t^2 + -1*t^3 != 0"
+        )
 
     def test_su_rejects_two(self, planned_ids):
         ids = planned_ids("matrices", 2)
