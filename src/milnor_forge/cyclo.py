@@ -99,16 +99,9 @@ class CycInt:
         """xi^k, where xi = exp(2 pi i / l) abstractly (xi = -1 for l = 2)."""
         if prime == 2:
             return cls.from_int(2, 1 if k % 2 == 0 else -1)
-        return cls._from_exponent_vector(check_prime(prime), {k: 1})
-
-    @classmethod
-    def _from_exponent_vector(cls, prime: int, powers: dict[int, int]) -> "CycInt":
-        # powers: exponent -> integer coefficient, for an odd prime already checked
-        dense = [0] * prime
-        for e, c in powers.items():
-            dense[e % prime] += c
-        top = dense[prime - 1]
-        return cls._trusted(prime, tuple([dense[k] - top for k in range(prime - 1)]))
+        acc = _accumulator(check_prime(prime))
+        acc[k % prime] = 1
+        return _canonical(prime, acc)
 
     # -- ring operations ---------------------------------------------------
 
@@ -154,12 +147,17 @@ class CycInt:
     __rmul__ = __mul__
 
     def conj(self) -> "CycInt":
-        """Complex conjugation: t^k -> t^(-k mod l), re-canonicalized."""
+        """Complex conjugation: t^k -> t^(l-k), re-canonicalized.
+
+        The coefficient of t^k moves to t^(l-k) and the constant stays, so
+        t^(l-1) receives c_1 and t^1 receives the implicit zero of t^(l-1).
+        """
+        c = self.coeffs
         if self.prime == 2:
-            return CycInt._trusted(2, (self.coeffs[0], -self.coeffs[1]))
-        return CycInt._from_exponent_vector(
-            self.prime, {(-k) % self.prime: c for k, c in enumerate(self.coeffs)}
-        )
+            return CycInt._trusted(2, (c[0], -c[1]))
+        # an accumulator of t^0 .. t^(2l-2) with nothing above t^(l-1)
+        acc = [c[0], 0, *reversed(c[1:])] + [0] * (self.prime - 1)
+        return _canonical(self.prime, acc)
 
     # -- queries -----------------------------------------------------------
 

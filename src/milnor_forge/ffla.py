@@ -80,9 +80,6 @@ class FieldMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
@@ -97,38 +94,9 @@ class FieldMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"FieldMatrix[{body}] mod {self.modulus}"
 
-    def _check_same(self, other: "FieldMatrix") -> None:
+    def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        p = self.modulus
-        return FieldMatrix(
-            [
-                [(a + b) % p for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            p,
-        )
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        p = self.modulus
-        return FieldMatrix(
-            [
-                [(a - b) % p for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            p,
-        )
-
-    def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         p = self.modulus

@@ -308,14 +308,6 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)
 
-    def __pow__(self, e: int) -> "Element":
-        if e < 0:
-            raise ValueError("negative power")
-        out = self.context.one()
-        for _ in range(e):
-            out = multiply(out, self)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)

@@ -23,7 +23,7 @@ from .galg import (
     multiply,
     random_element,
 )
-from .milnor import milnor_q
+from .milnor import key_class, milnor_q, rank3_context, two_classes
 from .report import FAIL, NOTE, PASS, Check, Job, always, at_two, odd
 
 
@@ -199,7 +199,7 @@ def element_span_contains(
 
 
 def _rank3_context(job: Job) -> AlgebraContext:
-    return job.shared("rank3_context", lambda: elementary_abelian_context(job.prime, 3, 8))
+    return job.shared("rank3_context", lambda: rank3_context(job.prime))
 
 
 def _weyl(job: Job) -> WeylPresentation:
@@ -211,7 +211,7 @@ def _h4_line(job: Job) -> tuple[str, str]:
     """Odd prime: the full subgroup's degree-4 invariants are the line spanned
     by Q0(x1 y1 z1)."""
     ctx = _rank3_context(job)
-    spanning = milnor_q(0, ctx)(ctx.monomial_element({"x1": 1, "y1": 1, "z1": 1}))
+    spanning = key_class(ctx)
     inv = invariant_subspace(ctx, 4, _weyl(job))
     if len(inv) != 1:
         return FAIL, f"dim = {len(inv)}, expected 1: {[e.render() for e in inv]}"
@@ -263,27 +263,15 @@ def _sign_note(job: Job) -> tuple[str, str]:
     return NOTE, "; ".join(lines)
 
 
-def _two_classes(job: Job) -> tuple[Element, Element, Element, Element]:
-    """l = 2: u2, u3, u2^2 and the class u3*z1 + u2*z1^2 + z1^4."""
-
-    def build():
-        m = _rank3_context(job).monomial_element
-        u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
-        u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
-        mixed = multiply(u3, m({"z1": 1})) + multiply(u2, m({"z1": 2})) + m({"z1": 4})
-        return u2, u3, multiply(u2, u2), mixed
-
-    return job.shared("two_classes", build)
-
-
 def _h4_two(job: Job) -> tuple[str, str]:
     """l = 2: dimension 2 for the full subgroup, with the displayed basis."""
     ctx = _rank3_context(job)
-    _, _, u2_sq, mixed = _two_classes(job)
+    u2, _ = two_classes(ctx)
     inv = invariant_subspace(ctx, 4, _weyl(job))
     if len(inv) != 2:
         return FAIL, f"dim = {len(inv)}, expected 2"
-    for label, el in (("u2^2", u2_sq), ("u3*z1 + u2*z1^2 + z1^4", mixed)):
+    targets = (("u2^2", multiply(u2, u2)), ("u3*z1 + u2*z1^2 + z1^4", key_class(ctx)))
+    for label, el in targets:
         if not element_span_contains(ctx, 4, inv, el):
             return FAIL, f"{label} not in computed span"
     return PASS, "dim 2: u2^2 and u3*z1 + u2*z1^2 + z1^4"
@@ -293,10 +281,10 @@ def _h4_block_diagonal_two(job: Job) -> tuple[str, str]:
     """l = 2: dimension 4 for the block-diagonal subgroup."""
     ctx = _rank3_context(job)
     m = ctx.monomial_element
-    u2, u3, u2_sq, _ = _two_classes(job)
+    u2, u3 = two_classes(ctx)
     inv = invariant_subspace(ctx, 4, _weyl(job).generators[:2])
     expected = [
-        u2_sq,
+        multiply(u2, u2),
         multiply(u3, m({"z1": 1})),
         multiply(u2, m({"z1": 2})),
         m({"z1": 4}),
@@ -311,7 +299,7 @@ def _h4_block_diagonal_two(job: Job) -> tuple[str, str]:
 
 def _u2_invariant(job: Job) -> tuple[str, str]:
     ctx = _rank3_context(job)
-    u2 = _two_classes(job)[0]
+    u2, _ = two_classes(ctx)
     inv2 = invariant_subspace(ctx, 2, _weyl(job).generators[:2])
     if element_span_contains(ctx, 2, inv2, u2):
         return PASS, "u2 = x1^2 + x1*y1 + y1^2 is invariant in degree 2"
@@ -323,11 +311,8 @@ def _dickson_fixed(job: Job) -> tuple[str, str]:
     prime = job.prime
     if prime == 2:
         ctx = elementary_abelian_context(2, 2, 4)
-        m = ctx.monomial_element
-        targets = [
-            ("u2", m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})),
-            ("u3", m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})),
-        ]
+        u2, u3 = two_classes(ctx)
+        targets = [("u2", u2), ("u3", u3)]
     else:
         ctx = elementary_abelian_context(prime, 2, 2 * prime + 2)
         m = ctx.monomial_element

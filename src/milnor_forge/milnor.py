@@ -5,6 +5,11 @@ Bockstein partner Q_0 g, and Q_j = 0 on the degree-2 partners; at l = 2 the
 partner is g itself with squaring, so Q_j(g) = g^(2^(j+1)).  The rule is never
 special-cased per example: every displayed expansion below is reproduced from
 it by the Leibniz extension alone.
+
+The module also holds the one definition of the paper's degree-4 key class
+(``key_class``), of u2 and u3 at l = 2 (``two_classes``) and of the rank-3
+context that carries them (``rank3_context``); the invariants and
+spectral-sequence checks read these.
 """
 
 from __future__ import annotations
@@ -95,6 +100,33 @@ def milnor_q(j: int, ctx: AlgebraContext) -> Derivation:
     return Derivation(ctx, shift, images)
 
 
+def rank3_context(prime: int) -> AlgebraContext:
+    """The rank-3 context of x1, y1, z1 (and their partners at odd l) that
+    carries the key class, truncated at degree 2l + 6."""
+    return elementary_abelian_context(prime, 3, 2 * prime + 6)
+
+
+def two_classes(ctx: AlgebraContext) -> tuple[Element, Element]:
+    """The l = 2 invariants u2 = x1^2 + x1 y1 + y1^2 and u3 = x1 y1^2 + x1^2 y1,
+    on any context of characteristic 2 with generators x1 and y1."""
+    if ctx.prime != 2:
+        raise ValueError("u2 and u3 are defined at l = 2")
+    m = ctx.monomial_element
+    u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
+    u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
+    return u2, u3
+
+
+def key_class(ctx: AlgebraContext) -> Element:
+    """The degree-4 class that spans the invariant line and lifts to the total
+    space: u3 z1 + u2 z1^2 + z1^4 at l = 2, Q0(x1 y1 z1) at an odd prime."""
+    m = ctx.monomial_element
+    if ctx.prime == 2:
+        u2, u3 = two_classes(ctx)
+        return multiply(u3, m({"z1": 1})) + multiply(u2, m({"z1": 2})) + m({"z1": 4})
+    return milnor_q(0, ctx)(m({"x1": 1, "y1": 1, "z1": 1}))
+
+
 def dickson_mui_generators(prime: int, ctx: AlgebraContext) -> tuple[Element, Element]:
     """The two polynomial generators of the rank-2 modular invariant ring.
 
@@ -114,15 +146,9 @@ def dickson_mui_generators(prime: int, ctx: AlgebraContext) -> tuple[Element, El
 
 
 def _q(job: Job, j: int) -> Derivation:
-    """Q_j on the job's rank-3 context, truncated at degree 2l + 6."""
-
-    def build() -> Derivation:
-        ctx = job.shared(
-            "context", lambda: elementary_abelian_context(job.prime, 3, 2 * job.prime + 6)
-        )
-        return milnor_q(j, ctx)
-
-    return job.shared(("q", j), build)
+    """Q_j on the job's rank-3 context."""
+    ctx = job.shared("context", lambda: rank3_context(job.prime))
+    return job.shared(("q", j), lambda: milnor_q(j, ctx))
 
 
 def _compare(got: Element, want: Element, label: str) -> tuple[str, str]:
@@ -152,7 +178,6 @@ def _odd_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
         q0, q1 = _q(job, 0), _q(job, 1)
         m = q0.context.monomial_element
         xy = m({"x1": 1, "y1": 1})
-        xyz = m({"x1": 1, "y1": 1, "z1": 1})
         q0_xy = q0(xy)
         return {
             "milnor.q0.xy": (
@@ -166,7 +191,7 @@ def _odd_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
                 m({"x2": 1, "y2": prime}) - m({"x2": prime, "y2": 1}),
             ),
             "milnor.q1q0.xyz": (
-                "Q1 Q0(x1 y1 z1)", q1(q0(xyz)),
+                "Q1 Q0(x1 y1 z1)", q1(key_class(q0.context)),
                 -m({"x2": prime, "y2": 1, "z1": 1})
                 + m({"x2": prime, "y1": 1, "z2": 1})
                 + m({"x2": 1, "y2": prime, "z1": 1})
@@ -183,9 +208,8 @@ def _two_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
     """The l = 2 expansions: Q1 on the rank-3 product and the invariant class."""
 
     def build():
-        ctx = elementary_abelian_context(2, 3, 8)
-        q0, q1 = milnor_q(0, ctx), milnor_q(1, ctx)
-        m = ctx.monomial_element
+        q0, q1 = _q(job, 0), _q(job, 1)
+        m = q0.context.monomial_element
         q1_xyz = q1(m({"x1": 1, "y1": 1, "z1": 1}))
         six_terms = (
             m({"x1": 4, "y1": 2, "z1": 1})
@@ -194,13 +218,6 @@ def _two_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
             + m({"x1": 2, "y1": 1, "z1": 4})
             + m({"x1": 1, "y1": 4, "z1": 2})
             + m({"x1": 1, "y1": 2, "z1": 4})
-        )
-        u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
-        u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
-        invariant = (
-            multiply(u3, m({"z1": 1}))
-            + multiply(u2, m({"z1": 2}))
-            + m({"z1": 4})
         )
         return {
             "milnor.q1.xyz_two": (
@@ -211,7 +228,7 @@ def _two_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
             ),
             "milnor.q0q1.xyz_two": ("Q0 Q1(x1 y1 z1)", q0(q1_xyz), six_terms),
             "milnor.q1.invariant_two": (
-                "Q1(u3 z1 + u2 z1^2 + z1^4)", q1(invariant), six_terms,
+                "Q1(u3 z1 + u2 z1^2 + z1^4)", q1(key_class(q0.context)), six_terms,
             ),
         }
 

@@ -32,11 +32,10 @@ from .galg import (
     AlgebraContext,
     Element,
     GeneratorSpec,
-    elementary_abelian_context,
     multiply,
     signed_leibniz,
 )
-from .milnor import milnor_q
+from .milnor import key_class, milnor_q, rank3_context, two_classes
 from .report import FAIL, PASS, Check, Job, note
 
 
@@ -771,29 +770,15 @@ def _h4_rank(job: Job) -> tuple[str, str]:
 
 
 def _iota_class(job: Job) -> tuple[AlgebraContext, Element]:
-    """The invariant class carrying the restricted leading term, on its context:
-    u3*z1 + u2*z1^2 + z1^4 at l = 2, Q0(x1 y1 z1) at an odd prime."""
-
-    def build():
-        prime = job.prime
-        if prime == 2:
-            ctx = elementary_abelian_context(2, 3, 8)
-            m = ctx.monomial_element
-            u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
-            u3 = m({"x1": 1, "y1": 2}) + m({"x1": 2, "y1": 1})
-            return ctx, (
-                multiply(u3, m({"z1": 1})) + multiply(u2, m({"z1": 2})) + m({"z1": 4})
-            )
-        ctx = elementary_abelian_context(prime, 3, 2 * prime + 6)
-        return ctx, milnor_q(0, ctx)(ctx.monomial_element({"x1": 1, "y1": 1, "z1": 1}))
-
-    return job.shared("iota_class", build)
+    """The invariant class carrying the restricted leading term (the key class
+    ``milnor.key_class``), on the rank-3 context."""
+    ctx = job.shared("rank3_context", lambda: rank3_context(job.prime))
+    return ctx, job.shared("iota_class", lambda: key_class(ctx))
 
 
 def _leading_term_two(job: Job) -> tuple[str, str]:
     ctx, invariant_class = _iota_class(job)
-    m = ctx.monomial_element
-    u2 = m({"x1": 2}) + m({"x1": 1, "y1": 1}) + m({"y1": 2})
+    u2, _ = two_classes(ctx)
     inv = invariants.invariant_subspace(ctx, 4, invariants.weyl_generators(2))
     if len(inv) != 2:
         return FAIL, f"invariant dimension {len(inv)} != 2"

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from functools import reduce
 
 import pytest
@@ -8,6 +9,7 @@ from milnor_forge.cyclo import (
     CycInt,
     CycMatrix,
     GeneratorSet,
+    _canonical,
     lemma22_holds,
     root_power_sum,
     triangular,
@@ -32,6 +34,7 @@ from milnor_forge.report import FAIL
 ODD_PRIMES = (3, 5, 7, 11, 13)
 PAST_OLD_CAP = (17, 19, 23, 29, 31)
 KERNEL_PRIMES = (2, 3, 5, 7, 11)
+CONJ_PRIMES = (3, 5, 7, 11, 13, 31)
 
 
 def assert_all_pass(reports):
@@ -45,6 +48,12 @@ def cyc_ints(draw, primes=(2, 3, 5, 7)):
     rank = 2 if p == 2 else p - 1
     coeffs = [draw(st.integers(-9, 9)) for _ in range(rank)]
     return CycInt(p, coeffs)
+
+
+def dense_canonical(p, dense):
+    """Canonical coefficients of sum_k dense[k] t^k over k < l, by the
+    relation t^(l-1) = -(1 + t + ... + t^(l-2))."""
+    return tuple(dense[k] - dense[p - 1] for k in range(p - 1))
 
 
 class TestTriangular:
@@ -139,14 +148,31 @@ class TestCycInt:
 
     @given(cyc_ints())
     def test_canonicalization_idempotent(self, x):
-        # re-canonicalizing a canonical coefficient vector is the identity
-        if x.prime == 2:
-            assert CycInt(2, x.coeffs) == x
-        else:
-            again = CycInt._from_exponent_vector(
-                x.prime, dict(enumerate(x.coeffs))
-            )
-            assert again == x
+        # folding a canonical coefficient vector is the identity
+        p = x.prime
+        acc = list(x.coeffs) + [0] * (1 if p == 2 else p)
+        assert _canonical(p, acc) == x
+
+    @pytest.mark.parametrize("p", CONJ_PRIMES)
+    def test_root_power_matches_dense_reference(self, p):
+        for k in range(-3 * p, 3 * p):
+            dense = [0] * p
+            dense[k % p] = 1
+            assert CycInt.root_power(p, k).coeffs == dense_canonical(p, dense)
+
+    @pytest.mark.parametrize("p", CONJ_PRIMES)
+    def test_conj_matches_dense_reference(self, p):
+        for k in range(-3 * p, 3 * p):
+            dense = [0] * p
+            dense[-k % p] = 1
+            assert CycInt.root_power(p, k).conj().coeffs == dense_canonical(p, dense)
+        rng = random.Random(p)
+        for _ in range(50):
+            coeffs = [rng.randint(-9, 9) for _ in range(p - 1)]
+            dense = [0] * p
+            for k, c in enumerate(coeffs):
+                dense[-k % p] += c
+            assert CycInt(p, coeffs).conj().coeffs == dense_canonical(p, dense)
 
     @given(cyc_ints())
     def test_conj_involution(self, x):
