@@ -23,7 +23,7 @@ from .galg import (
     multiply,
     random_element,
 )
-from .milnor import key_class, milnor_q, rank3_context, two_classes
+from .milnor import key_class, milnor_q, rank2_formulas, rank3_context, two_classes
 from .report import FAIL, NOTE, PASS, Check, Job, always, at_two, odd
 
 
@@ -315,15 +315,9 @@ def _dickson_fixed(job: Job) -> tuple[str, str]:
         targets = [("u2", u2), ("u3", u3)]
     else:
         ctx = elementary_abelian_context(prime, 2, 2 * prime + 2)
-        m = ctx.monomial_element
         targets = [
-            ("x1*y1", m({"x1": 1, "y1": 1})),
-            ("Q0(x1 y1)", m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1})),
-            ("Q1(x1 y1)", m({"x2": prime, "y1": 1}) - m({"x1": 1, "y2": prime})),
-            (
-                "Q1 Q0(x1 y1)",
-                m({"x2": 1, "y2": prime}) - m({"x2": prime, "y2": 1}),
-            ),
+            ("x1*y1", ctx.monomial_element({"x1": 1, "y1": 1})),
+            *rank2_formulas(ctx).items(),
         ]
     for gen in sl2_generators(prime):
         f = induced_action(gen, ctx)

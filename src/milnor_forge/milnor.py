@@ -7,9 +7,10 @@ special-cased per example: every displayed expansion below is reproduced from
 it by the Leibniz extension alone.
 
 The module also holds the one definition of the paper's degree-4 key class
-(``key_class``), of u2 and u3 at l = 2 (``two_classes``) and of the rank-3
-context that carries them (``rank3_context``); the invariants and
-spectral-sequence checks read these.
+(``key_class``), of u2 and u3 at l = 2 (``two_classes``), of the rank-3
+context that carries them (``rank3_context``) and of the displayed rank-2
+values Q0(x1 y1), Q1(x1 y1) and Q1 Q0(x1 y1) (``rank2_formulas``); the
+invariants and spectral-sequence checks read these.
 """
 
 from __future__ import annotations
@@ -127,6 +128,22 @@ def key_class(ctx: AlgebraContext) -> Element:
     return milnor_q(0, ctx)(m({"x1": 1, "y1": 1, "z1": 1}))
 
 
+def rank2_formulas(ctx: AlgebraContext) -> dict[str, Element]:
+    """The displayed rank-2 values at an odd prime l, by label:
+    Q0(x1 y1) = x2 y1 - x1 y2, Q1(x1 y1) = x2^l y1 - x1 y2^l and
+    Q1 Q0(x1 y1) = x2 y2^l - x2^l y2, on any context with x1, y1 and their
+    partners x2, y2."""
+    if ctx.prime == 2:
+        raise ValueError("the rank-2 formulas are displayed at odd primes")
+    p = ctx.prime
+    m = ctx.monomial_element
+    return {
+        "Q0(x1 y1)": m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1}),
+        "Q1(x1 y1)": m({"x2": p, "y1": 1}) - m({"x1": 1, "y2": p}),
+        "Q1 Q0(x1 y1)": m({"x2": 1, "y2": p}) - m({"x2": p, "y2": 1}),
+    }
+
+
 def dickson_mui_generators(prime: int, ctx: AlgebraContext) -> tuple[Element, Element]:
     """The two polynomial generators of the rank-2 modular invariant ring.
 
@@ -134,7 +151,7 @@ def dickson_mui_generators(prime: int, ctx: AlgebraContext) -> tuple[Element, El
     closed telescoping sum whose product with d1 is Q2 Q0(x1 y1).
     """
     m = ctx.monomial_element
-    d1 = m({"x2": 1, "y2": prime}) - m({"x2": prime, "y2": 1})
+    d1 = rank2_formulas(ctx)["Q1 Q0(x1 y1)"]
     d2 = ctx.zero()
     for k in range(prime + 1):
         d2 = d2 + m({"x2": k * (prime - 1), "y2": (prime - k) * (prime - 1)})
@@ -179,17 +196,11 @@ def _odd_expansions(job: Job) -> dict[str, tuple[str, Element, Element]]:
         m = q0.context.monomial_element
         xy = m({"x1": 1, "y1": 1})
         q0_xy = q0(xy)
+        shown = rank2_formulas(q0.context)
         return {
-            "milnor.q0.xy": (
-                "Q0(x1 y1)", q0_xy, m({"x2": 1, "y1": 1}) - m({"x1": 1, "y2": 1}),
-            ),
-            "milnor.q1.xy": (
-                "Q1(x1 y1)", q1(xy), m({"x2": prime, "y1": 1}) - m({"x1": 1, "y2": prime}),
-            ),
-            "milnor.q1q0.xy": (
-                "Q1 Q0(x1 y1)", q1(q0_xy),
-                m({"x2": 1, "y2": prime}) - m({"x2": prime, "y2": 1}),
-            ),
+            "milnor.q0.xy": ("Q0(x1 y1)", q0_xy, shown["Q0(x1 y1)"]),
+            "milnor.q1.xy": ("Q1(x1 y1)", q1(xy), shown["Q1(x1 y1)"]),
+            "milnor.q1q0.xy": ("Q1 Q0(x1 y1)", q1(q0_xy), shown["Q1 Q0(x1 y1)"]),
             "milnor.q1q0.xyz": (
                 "Q1 Q0(x1 y1 z1)", q1(key_class(q0.context)),
                 -m({"x2": prime, "y2": 1, "z1": 1})

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from milnor_forge.galg import Element, elementary_abelian_context, multiply
-from milnor_forge.milnor import Derivation, dickson_mui_generators, milnor_q
+from milnor_forge.milnor import Derivation, dickson_mui_generators, milnor_q, rank2_formulas
 from milnor_forge.report import FAIL
 
 
@@ -264,3 +264,21 @@ def test_leibniz_rule(data):
             a, q(b, truncate=True), True
         ).scale(-1 if (ctx.prime != 2 and da % 2) else 1)
         assert q(multiply(a, b, True), truncate=True) == product_rule
+
+
+class TestRank2Formulas:
+    @pytest.mark.parametrize("prime", (3, 5, 7))
+    def test_values_are_the_derived_expansions(self, prime):
+        ctx = elementary_abelian_context(prime, 2, 2 * prime * prime + 2)
+        q0, q1 = milnor_q(0, ctx), milnor_q(1, ctx)
+        xy = ctx.monomial_element({"x1": 1, "y1": 1})
+        shown = rank2_formulas(ctx)
+        assert list(shown) == ["Q0(x1 y1)", "Q1(x1 y1)", "Q1 Q0(x1 y1)"]
+        assert shown["Q0(x1 y1)"] == q0(xy)
+        assert shown["Q1(x1 y1)"] == q1(xy)
+        assert shown["Q1 Q0(x1 y1)"] == q1(q0(xy))
+        assert dickson_mui_generators(prime, ctx)[0] == shown["Q1 Q0(x1 y1)"]
+
+    def test_rejects_two(self):
+        with pytest.raises(ValueError):
+            rank2_formulas(elementary_abelian_context(2, 2, 6))

@@ -1,14 +1,18 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from milnor_forge.galg import AlgebraContext, GeneratorSpec, multiply
+from milnor_forge import cli, specseq
+from milnor_forge.galg import AlgebraContext, Element, GeneratorSpec, multiply
 from milnor_forge.report import FAIL
 from milnor_forge.specseq import (
     DifferentialError,
     DifferentialSpec,
+    PageComponent,
     Scenario,
+    SSPage,
     euler_bookkeeping_holds,
     initial_page,
     rational_degree4_dimension,
@@ -94,7 +98,7 @@ class TestPageMechanics:
         )
         with pytest.raises(DifferentialError) as err:
             verify_dd_zero(ctx, bad)
-        assert "w2" in str(err.value)
+        assert str(err.value) == "d o d != 0 on w2: 1*a2^2"
 
     def test_bidegree_validation(self):
         sc = scenario_bg1(3)
@@ -396,3 +400,156 @@ def test_dd_zero_on_random_elements(prime, data):
             el = el + Element(ctx, {mono: coeff})
     for dspec in sc.differentials:
         assert dspec.apply(ctx, dspec.apply(ctx, el)).is_zero()
+
+
+class TestTurnPageErrors:
+    """Every error ``turn_page`` raises, message included.  The differentials
+    (and, for the last three, the pages) are built by hand where
+    ``DifferentialSpec.build`` or ``initial_page`` would not produce them."""
+
+    @staticmethod
+    def context(*gens, prime=3, top=2):
+        return AlgebraContext(prime, [GeneratorSpec(*g) for g in gens], top)
+
+    @staticmethod
+    def with_component(page, key, cycles, boundaries):
+        """``page`` with the component at ``key`` replaced by the given
+        subspaces, each a list of elements of that bidegree."""
+        basis = page.components[key].basis
+        comp = PageComponent(
+            basis,
+            tuple(el.coordinates(basis) for el in cycles),
+            tuple(el.coordinates(basis) for el in boundaries),
+        )
+        return SSPage(page.r, page.context, {**page.components, key: comp})
+
+    def test_dd_nonzero_through_turn(self):
+        # d(w2) = a2*w1 and d(w1) = a2, so d d(w2) = a2^2; the first failing
+        # monomial in degree order is w2, before a2*w2 and w1*w2
+        ctx = self.context(
+            ("a2", 2, "even", (2, 0)), ("w1", 1, "odd", (0, 1)),
+            ("w2", 2, "even", (0, 2)), top=6,
+        )
+        a2, w1 = ctx.generator("a2"), ctx.generator("w1")
+        bad = DifferentialSpec(2, {"w1": (1, a2), "w2": (1, multiply(a2, w1))})
+        with pytest.raises(DifferentialError) as err:
+            turn_page(initial_page(ctx), bad)
+        assert str(err.value) == "d o d != 0 on w2: 1*a2^2"
+
+    def test_image_escapes_tracked_range(self):
+        # d(y) = x lands at (4, -1), below the first quadrant
+        ctx = self.context(("y", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)))
+        bad = DifferentialSpec(2, {"y": (1, ctx.generator("x"))})
+        with pytest.raises(DifferentialError) as err:
+            turn_page(initial_page(ctx), bad)
+        assert str(err.value) == "differential image escapes the tracked range at (4, -1)"
+
+    def test_image_leaves_component_basis(self):
+        # d(x) = w sits at (0, 2), not at the target bidegree (2, 0)
+        ctx = self.context(
+            ("y", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)), ("w", 2, "even", (0, 2)),
+        )
+        bad = DifferentialSpec(2, {"x": (1, ctx.generator("w"))})
+        with pytest.raises(DifferentialError) as err:
+            turn_page(initial_page(ctx), bad)
+        assert str(err.value) == "differential image at (2, 0) leaves the component basis"
+
+    def test_image_not_a_cycle_representative(self):
+        ctx = self.context(("y", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)))
+        d2 = DifferentialSpec.build(2, ctx, {"x": ctx.generator("y")})
+        page = self.with_component(initial_page(ctx), (2, 0), [], [])
+        with pytest.raises(DifferentialError) as err:
+            turn_page(page, d2)
+        assert str(err.value) == "differential image at (2, 0) is not a cycle representative"
+
+    def test_boundary_not_a_cycle(self):
+        # y2 is listed as a boundary at (2, 0) but not as a cycle
+        ctx = self.context(
+            ("y1", 2, "even", (2, 0)), ("y2", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)),
+        )
+        y1, y2 = ctx.generator("y1"), ctx.generator("y2")
+        d2 = DifferentialSpec.build(2, ctx, {"x": y1})
+        page = self.with_component(initial_page(ctx), (2, 0), [y1], [y2])
+        with pytest.raises(DifferentialError) as err:
+            turn_page(page, d2)
+        assert str(err.value) == "boundary at (2, 0) is not a cycle; differential is ill-posed"
+
+    def test_page_dimension_grew(self):
+        # two zero boundary rows understate the old dimension at (2, 0)
+        ctx = self.context(
+            ("y1", 2, "even", (2, 0)), ("y2", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)),
+        )
+        y1, y2 = ctx.generator("y1"), ctx.generator("y2")
+        d2 = DifferentialSpec.build(2, ctx, {"x": y1})
+        page = self.with_component(initial_page(ctx), (2, 0), [y1, y2], [ctx.zero()] * 2)
+        assert page.dim(2, 0) == 0
+        with pytest.raises(DifferentialError) as err:
+            turn_page(page, d2)
+        assert str(err.value) == "page dimension grew at (2, 0)"
+
+
+def _all_differentials():
+    """(scenario, differential) for every differential a scenario turns."""
+    scenarios = [scenario_bg1_two(), scenario_bg1(3), scenario_bg1(5, 2, 3)]
+    scenarios += [scenario_bpu(prime, branch) for prime in (3, 5) for branch in (False, True)]
+    return [(sc, dspec) for sc in scenarios for dspec in sc.differentials]
+
+
+@given(st.data())
+def test_table_combination_is_apply(data):
+    # d is linear: the table row combination over an element's terms is d of it
+    sc, dspec = data.draw(st.sampled_from(_all_differentials()))
+    ctx = sc.context
+    table = verify_dd_zero(ctx, dspec)
+    monos = [m for d in range(ctx.top_degree + 1) for m in ctx.basis_of_degree(d)]
+    assert list(table) == monos
+    el = ctx.zero()
+    for mono in data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4)):
+        el = el + Element(ctx, {mono: data.draw(st.integers(1, ctx.prime - 1))})
+    combined = ctx.zero()
+    for mono, coeff in el.terms.items():
+        combined = combined + table[mono].scale(coeff)
+    assert combined == dspec.apply(ctx, el)
+
+
+def test_sweep_at_seven_checks_every_turn(monkeypatch):
+    # 36 scalar pairs, the widened bg1 and the two bpu branches are 39
+    # solves of two turns, and every turn checks d o d once (78 of each, as
+    # counted before the differential table).  Applying d once per ambient
+    # monomial per turn takes less than half the 12596 calls of applying it
+    # twice per monomial and once more per representative.
+    calls = {"turn_page": 0, "verify_dd_zero": 0, "apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(specseq, "turn_page", counted("turn_page", specseq.turn_page))
+    monkeypatch.setattr(
+        specseq, "verify_dd_zero", counted("verify_dd_zero", specseq.verify_dd_zero)
+    )
+    monkeypatch.setattr(
+        DifferentialSpec, "apply", counted("apply", DifferentialSpec.apply)
+    )
+    assert cli.main(["ss", "--sweep-scalars", "--primes", "7", "--format", "json"]) == 0
+    assert calls["turn_page"] == calls["verify_dd_zero"] == 78
+    assert calls["apply"] <= 12596 // 2
+
+
+def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_records):
+    # wrong dims for every pair with d2(z1) = -2 a2; the sweep meets (2, 1)
+    # first, after (1, 1) and (1, 2)
+    original = specseq.run_scenario
+
+    def wrong_when_alpha1_is_two(sc):
+        result = original(sc)
+        if sc.differentials[0].images["z1"][1] == sc.named["a2"].scale(-2):
+            return replace(result, dims=[1, 0, 1, 1, 3])
+        return result
+
+    monkeypatch.setattr(specseq, "run_scenario", wrong_when_alpha1_is_two)
+    [record] = job_records("ss", 3, "ss.bg1.scalar_sweep", scenario="bg1")
+    assert record.status == FAIL
+    assert record.details == "dims [1, 0, 1, 1, 3] at scalars (2,1)"
