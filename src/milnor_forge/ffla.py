@@ -57,8 +57,9 @@ class FieldMatrix:
     def _trusted(cls, entries: tuple[tuple[int, ...], ...], modulus: int) -> "FieldMatrix":
         """Wrap ``entries`` without checking or reducing them.
 
-        Only for results this module builds itself, never for outside input:
-        a nonempty, rectangular tuple of tuples with every entry already in
+        Only for results the package builds itself (products, ``rref`` and
+        the closure enumeration), never for outside input: a nonempty,
+        rectangular tuple of tuples with every entry already in
         ``[0, modulus)``, and a modulus already known to be prime.
         """
         m = cls.__new__(cls)

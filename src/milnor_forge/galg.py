@@ -501,22 +501,23 @@ class AlgebraMap:
 def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> AlgebraMap:
     """Validated construction of the endomorphism sending generators to images.
 
-    Every image must be homogeneous of its generator's degree; images of odd
+    Every image must be homogeneous of its generator's degree, checked in one
+    pass over its monomials (a zero image is accepted); images of odd
     generators must be linear combinations of odd generators (so exterior
     squares stay zero).  Unlisted generators map to themselves.
     """
     odd_units = ctx._odd_units
+    degree_of = ctx.monomial_degree
     for name, img in images.items():
         spec = ctx.spec(name)
         if img.context is not ctx:
             raise ValueError("image belongs to a different context")
-        if img.is_zero():
-            continue
-        deg = img.homogeneous_degree()
-        if deg is None or deg != spec.degree:
-            raise ValueError(
-                f"image of {name} must be homogeneous of degree {spec.degree}"
-            )
+        degree = spec.degree
+        for mono in img.terms:
+            if degree_of(mono) != degree:
+                raise ValueError(
+                    f"image of {name} must be homogeneous of degree {degree}"
+                )
         if spec.parity == "odd":
             for mono in img.terms:
                 # exactly one nonzero exponent, equal to 1, at an odd generator

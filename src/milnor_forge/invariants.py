@@ -329,24 +329,59 @@ def _dickson_fixed(job: Job) -> tuple[str, str]:
 
 
 def group_closure(w: WeylPresentation, cap: int = 10**6) -> list[FieldMatrix]:
-    """Breadth-first closure of the generated matrix group."""
-    gens = [a.matrix for a in w.generators]
-    seen = {m.entries: m for m in gens}
+    """Breadth-first closure of the generated matrix group.
+
+    Each round forms a * b for every generator a and every element b found
+    in the round before, and keeps the new ones in order of discovery; the
+    identity comes last unless a product reached it.  The search runs on
+    row tuples: row i of a * b is the combination of b's rows picked out by
+    the nonzero entries of row i of a.  A row of a that is a single 1 picks
+    one row of b as it is; every other combination is kept in a table that
+    lives for this call only.  Each element becomes a ``FieldMatrix`` once,
+    at the end.
+    """
+    p = w.prime
+    gens = [a.matrix.entries for a in w.generators]
+    # per generator, per row: the index of the one row it picks, or the
+    # (index, coefficient) pairs of its nonzero entries
+    plans = []
+    for a in gens:
+        plan = []
+        for row in a:
+            support = tuple((j, c) for j, c in enumerate(row) if c)
+            if len(support) == 1 and support[0][1] == 1:
+                plan.append(support[0][0])
+            else:
+                plan.append(support)
+        plans.append(plan)
+    n = len(gens[0][0])
+    combos: dict[tuple, tuple[int, ...]] = {}
+
+    def combine(support: tuple[tuple[int, int], ...], b: tuple) -> tuple[int, ...]:
+        picked = tuple([b[j] for j, _ in support])
+        key = (support, picked)
+        row = combos.get(key)
+        if row is None:
+            row = combos[key] = tuple(
+                [sum(c * r[k] for (_, c), r in zip(support, picked)) % p for k in range(n)]
+            )
+        return row
+
+    seen = dict.fromkeys(gens)
     frontier = list(gens)
     while frontier:
-        new: list[FieldMatrix] = []
-        for a in gens:
+        new = []
+        for plan in plans:
             for b in frontier:
-                c = a * b
-                if c.entries not in seen:
-                    seen[c.entries] = c
+                c = tuple([b[x] if isinstance(x, int) else combine(x, b) for x in plan])
+                if c not in seen:
+                    seen[c] = None
                     new.append(c)
                     if len(seen) > cap:
                         raise RuntimeError(f"closure exceeded cap {cap}")
         frontier = new
-    ident = FieldMatrix.identity(w.rank, w.prime)
-    seen.setdefault(ident.entries, ident)
-    return list(seen.values())
+    seen.setdefault(FieldMatrix.identity(w.rank, p).entries)
+    return [FieldMatrix._trusted(entries, p) for entries in seen]
 
 
 def group_closure_oracle(prime: int) -> tuple[WeylPresentation, list[FieldMatrix]]:

@@ -148,14 +148,6 @@ class SSPage:
             raise ValueError(f"no component at bidegree {key}")
         return key, comp
 
-    def class_is_defined(self, element: Element) -> bool:
-        """True when the element is a cycle representative on this page."""
-        if element.is_zero():
-            return True
-        _, comp = self._component_of(element)
-        vec = element.coordinates(comp.basis)
-        return ffla.in_span(vec, comp.cycles, self.context.prime)
-
     def class_is_nonzero(self, element: Element) -> bool:
         if element.is_zero():
             return False

@@ -248,12 +248,12 @@ class TestLinearSubstitution:
 
     def test_inhomogeneous_image_rejected(self):
         ctx = CONTEXTS[(3, 3)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^image of x2 must be homogeneous of degree 2$"):
             linear_substitution(ctx, {"x2": ctx.generator("x2") + ctx.one()})
 
     def test_degree_mismatch_rejected(self):
         ctx = CONTEXTS[(3, 3)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^image of x2 must be homogeneous of degree 2$"):
             linear_substitution(ctx, {"x2": ctx.generator("x1")})
 
     def test_odd_image_must_be_linear_in_odd(self):
@@ -263,10 +263,27 @@ class TestLinearSubstitution:
                 GeneratorSpec("v", 1, "odd"), GeneratorSpec("s", 2, "even")]
         ctx = AlgebraContext(3, gens, 8)
         bad = multiply(multiply(ctx.generator("v"), ctx.generator("s")), ctx.one())
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match=r"^image of odd generator w must be a combination of odd generators$",
+        ):
             linear_substitution(ctx, {"w": bad})
         ok = ctx.generator("u") - ctx.generator("w")
         linear_substitution(ctx, {"w": ok})
+
+    def test_image_from_another_context_rejected(self):
+        ctx = CONTEXTS[(3, 3)]
+        twin = elementary_abelian_context(3, 3, 10)
+        with pytest.raises(ValueError, match=r"^image belongs to a different context$"):
+            linear_substitution(ctx, {"x1": twin.generator("x1")})
+
+    def test_zero_image_accepted(self):
+        ctx = CONTEXTS[(3, 3)]
+        f = linear_substitution(ctx, {"z1": ctx.zero(), "z2": ctx.zero()})
+        m = ctx.monomial_element
+        assert f(m({"z1": 1})).is_zero()
+        assert f(m({"x1": 1, "z2": 1})).is_zero()
+        assert f(m({"x1": 1, "y2": 1})) == m({"x1": 1, "y2": 1})
 
 
 class TestSignedLeibniz:

@@ -183,6 +183,27 @@ class TestSuites:
         assert_all_pass(job_records("invariants", prime, "invariants.dickson."))
 
 
+def reference_closure(w):
+    """Independent breadth-first closure through ``FieldMatrix.__mul__``:
+    rounds of generator * frontier products in discovery order, the identity
+    appended last unless a product reached it."""
+    gens = [a.matrix for a in w.generators]
+    seen = {m.entries: m for m in gens}
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for a in gens:
+            for b in frontier:
+                c = a * b
+                if c.entries not in seen:
+                    seen[c.entries] = c
+                    new.append(c)
+        frontier = new
+    ident = FieldMatrix.identity(w.rank, w.prime)
+    seen.setdefault(ident.entries, ident)
+    return list(seen.values())
+
+
 class TestClosureOracle:
     @pytest.mark.parametrize("prime,order", [(2, 24), (3, 216), (5, 3000)])
     def test_group_order(self, prime, order):
@@ -190,6 +211,25 @@ class TestClosureOracle:
         elements = group_closure(w)
         assert len(elements) == order
         assert order == prime**2 * (prime**3 - prime)
+
+    @pytest.mark.parametrize("prime", (2, 3, 5))
+    def test_enumeration_matches_reference_order(self, prime):
+        w = weyl_generators(prime)
+        elements = group_closure(w)
+        assert elements == reference_closure(w)
+        assert all((m.rows, m.cols, m.modulus) == (3, 3, prime) for m in elements)
+
+    def test_enumeration_is_generic_in_the_generators(self):
+        # no shear, and rows with a single entry 2, with two entries and
+        # with a single 1: together they generate GL(2, F_3), of order 48
+        gens = (
+            ActionMatrix(FieldMatrix([[0, 2], [1, 2]], 3), "a"),
+            ActionMatrix(FieldMatrix([[2, 0], [0, 1]], 3), "scale"),
+        )
+        w = invariants.WeylPresentation(3, gens, 2)
+        elements = group_closure(w)
+        assert elements == reference_closure(w)
+        assert len(elements) == 48
 
     def test_closure_is_a_group(self):
         w = weyl_generators(3)
@@ -199,6 +239,29 @@ class TestClosureOracle:
         for a in sample:
             for b in sample:
                 assert (a * b).entries in index
+
+    def test_closed_under_each_generator(self):
+        w = weyl_generators(3)
+        elements = group_closure(w)
+        index = {m.entries for m in elements}
+        assert len(index) == len(elements)
+        for a in w.generators:
+            for m in elements:
+                assert (a.matrix * m).entries in index
+
+    def test_cap_is_enforced(self):
+        with pytest.raises(RuntimeError, match=r"^closure exceeded cap 10$"):
+            group_closure(weyl_generators(3), cap=10)
+
+    def test_enumeration_at_seven_matches_shape_predicate(self):
+        # the oracle's checks stay fenced to l <= 5; the enumeration itself
+        # is checked at l = 7 directly
+        prime = 7
+        w = weyl_generators(prime)
+        elements = group_closure(w)
+        assert len(elements) == 16464 == prime**2 * (prime**3 - prime)
+        assert all(w.shape_member(m) for m in elements)
+        assert w.shape_count() == len(elements)
 
     @pytest.mark.parametrize("prime", (2, 3, 5))
     def test_oracle_suite(self, prime, job_records):

@@ -117,7 +117,13 @@ class TestPageMechanics:
         sc = scenario_bg1(3)
         page3 = turn_page(initial_page(sc.context), sc.differentials[0])
         b2, z2 = sc.named["b2"], sc.named["z2"]
-        assert page3.class_is_defined(b2) and page3.class_is_defined(z2)
+        for el in (b2, z2):
+            # a single monomial whose coordinate vector is one of the page's
+            # cycle rows, and a nonzero class there
+            (mono,) = el.terms
+            comp = page3.components[sc.context.monomial_bidegree(mono)]
+            assert el.coordinates(comp.basis) in comp.cycles
+            assert page3.class_is_nonzero(el)
         prod = multiply(b2, z2, truncate=True)
         assert page3.class_is_nonzero(prod)
         # b2 * a3 is a boundary on page 3 even though it is nonzero ambiently
