@@ -73,10 +73,6 @@ class FieldMatrix:
     def identity(cls, n: int, modulus: int) -> "FieldMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], modulus)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: int) -> "FieldMatrix":
-        return cls([[0] * cols for _ in range(rows)], modulus)
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.entries[i][j]

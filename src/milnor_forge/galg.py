@@ -55,20 +55,21 @@ class GeneratorSpec:
 class AlgebraContext:
     """Immutable generator data plus the working truncation degree.
 
-    Four memos fill lazily and are bounded by the finite set of monomials of
+    Three memos fill lazily and are bounded by the finite set of monomials of
     degree at most ``top_degree``: the basis per degree, the degree of each
-    such monomial, ``_merge_monomials`` of each pair whose product degree is
-    within the truncation (``multiply`` keys it by left, then right), and the
-    terms of each generator's unit element by name (``induced_action`` fills
-    it from ``generator`` and keeps no failure, so a generator above the
-    truncation raises on every request).  ``_odd_units`` holds the unit
-    monomial of every odd generator.
+    such monomial, and ``_merge_monomials`` of each pair whose product degree
+    is within the truncation (``multiply`` keys it by left, then right).
+    ``_action_layout`` is the unit monomials of the degree-1 generators and
+    their Bockstein partners, set by ``invariants.induced_action`` on its
+    first successful call and never on a failed one, so a generator above the
+    truncation raises on every call.  ``_odd_units`` holds the unit monomial
+    of every odd generator.
     """
 
     __slots__ = (
         "prime", "generators", "top_degree", "annihilator_pairs",
         "_index", "_degrees", "_odd_positions", "_odd_units", "_basis_cache",
-        "_degree_memo", "_merge_memo", "_unit_memo",
+        "_degree_memo", "_merge_memo", "_action_layout",
     )
 
     def __init__(
@@ -118,7 +119,7 @@ class AlgebraContext:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._degree_memo: dict[Monomial, int] = {}
         self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
-        self._unit_memo: dict[str, dict[Monomial, int]] = {}
+        self._action_layout = None
 
     # -- structure queries ---------------------------------------------------
 
@@ -569,18 +570,6 @@ def random_element(ctx: AlgebraContext, rng, max_degree: int, max_terms: int = 4
         basis = ctx.basis_of_degree(d)
         if not basis:
             continue
-        mono = rng.choice(basis)
-        coeff = rng.randint(1, ctx.prime - 1) if ctx.prime > 2 else 1
-        out = out + Element(ctx, {mono: coeff})
-    return out
-
-
-def random_homogeneous(ctx: AlgebraContext, rng, degree: int, max_terms: int = 3) -> Element:
-    basis = ctx.basis_of_degree(degree)
-    out = ctx.zero()
-    if not basis:
-        return out
-    for _ in range(rng.randint(1, max_terms)):
         mono = rng.choice(basis)
         coeff = rng.randint(1, ctx.prime - 1) if ctx.prime > 2 else 1
         out = out + Element(ctx, {mono: coeff})

@@ -18,6 +18,7 @@ from .galg import (
     AlgebraContext,
     AlgebraMap,
     Element,
+    Monomial,
     elementary_abelian_context,
     linear_substitution,
     multiply,
@@ -103,44 +104,63 @@ def sl2_generators(prime: int) -> tuple[ActionMatrix, ActionMatrix]:
     )
 
 
+def _action_layout(ctx: AlgebraContext):
+    """``(names, partners, units, partner_units)`` over the degree-1
+    generators in order: each one's name, its Bockstein partner's name (None
+    when it has none or is its own partner, as at l = 2), and the unit
+    monomials of both.  ``generator`` raises for a generator above the
+    truncation, so this does too."""
+    degree_one = [g for g in ctx.generators if g.degree == 1]
+    names = tuple(g.name for g in degree_one)
+    partners = tuple(
+        g.bockstein_partner if g.bockstein_partner != g.name else None
+        for g in degree_one
+    )
+    if None in partners and any(partners):
+        raise ValueError("only some degree-1 generators have a Bockstein partner")
+    units = tuple(_unit_monomial(ctx, name) for name in names)
+    partner_units = tuple(
+        _unit_monomial(ctx, name) for name in partners if name is not None
+    )
+    return names, partners, units, partner_units
+
+
+def _unit_monomial(ctx: AlgebraContext, name: str) -> Monomial:
+    [mono] = ctx.generator(name).terms
+    return mono
+
+
 def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> AlgebraMap:
     """The algebra endomorphism induced by a matrix acting on degree-1 generators.
 
     Convention: with generator row (e_1 .. e_n), the map sends
     e_j -> sum_i M[j][i] e_i, and acts on Bockstein partners by the same
-    matrix, so that it commutes with Q_0.
+    matrix, so that it commutes with Q_0.  The unit monomials come from the
+    context's ``_action_layout``, built on the first call that gets past the
+    rank and modulus checks and kept only once it is complete.
     """
     m = action.matrix if isinstance(action, ActionMatrix) else action
-    degree_one = [g for g in ctx.generators if g.degree == 1]
-    n = len(degree_one)
+    layout = ctx._action_layout
+    if layout is None:
+        n = sum(1 for g in ctx.generators if g.degree == 1)
+    else:
+        n = len(layout[0])
     if m.rows != n or m.cols != n:
         raise ValueError(f"matrix rank {m.rows} != {n} degree-1 generators")
     if m.modulus != ctx.prime:
         raise ValueError("modulus mismatch")
+    if layout is None:
+        layout = ctx._action_layout = _action_layout(ctx)
+    names, partners, units, partner_units = layout
 
-    units = ctx._unit_memo
-
-    def combination(row: tuple[int, ...], names: list[str]) -> Element:
-        # sum_i row[i] * names[i]: distinct generators, reduced coefficients
-        terms = {}
-        for c, name in zip(row, names):
-            if c:
-                unit = units.get(name)
-                if unit is None:
-                    # ``generator`` raises above the truncation; nothing is kept
-                    unit = units[name] = ctx.generator(name).terms
-                for mono in unit:
-                    terms[mono] = c
-        return Element._trusted(ctx, terms)
-
-    targets = [g.name for g in degree_one]
-    partners = [g.bockstein_partner for g in degree_one]
+    # sum_i row[i] * e_i over distinct generators, with reduced coefficients
     images: dict[str, Element] = {}
-    for gen, row in zip(degree_one, m.entries):
-        images[gen.name] = combination(row, targets)
-        partner = gen.bockstein_partner
-        if partner is not None and partner != gen.name:
-            images[partner] = combination(row, partners)
+    for name, partner, row in zip(names, partners, m.entries):
+        images[name] = Element._trusted(ctx, {u: c for u, c in zip(units, row) if c})
+        if partner is not None:
+            images[partner] = Element._trusted(
+                ctx, {u: c for u, c in zip(partner_units, row) if c}
+            )
     return linear_substitution(ctx, images)
 
 

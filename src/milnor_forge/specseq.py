@@ -18,16 +18,27 @@ each representative's image off it as the same combination of rows.
 
 Each scenario that several checks of one ``(ss, prime)`` job read is solved
 once, by the first of them, and kept in the job's memo (``Job.shared``); a
-scenario that one check reads is solved by that check.  The scalar sweep turns
-each pair's own differentials on the context of the job's solved (1, 1)
-scenario.  Nothing is shared across jobs or runs: the CLI makes a fresh
-``Job`` per (suite, prime) pair and drops it after.
+scenario that one check reads is solved by that check.  Nothing is shared
+across jobs or runs: the CLI makes a fresh ``Job`` per (suite, prime) pair and
+drops it after.
+
+``run_scenario`` may start from the pages of an earlier result (``prefix``).
+It reuses the initial page when both work on the same ``AlgebraContext``
+object, and each later page for as long as the differential that turned it is
+the same as the scenario's own: the same page, generators and powers, and
+equal images on that context (``DifferentialSpec.same_as``).  Reuse stops at
+the first turn that differs; a prefix that matches nothing gives the
+from-scratch result.  The scalar sweep turns each pair's own differentials on
+the context of the job's solved (1, 1) scenario, as a tree: d2 depends only on
+alpha1, so the pairs that share alpha1 share one page-2 turn, and every pair
+other than (alpha1, 1) turns only page 3, with its own d3 (d o d = 0 checked)
+and its own collapse certification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import ffla, invariants
 from .ffla import FieldMatrix
@@ -93,6 +104,12 @@ class DifferentialSpec:
         """Signed Leibniz extension, truncating above the working degree."""
         rules = {ctx.position(name): rule for name, rule in self.images.items()}
         return signed_leibniz(element, rules, truncate=True)
+
+    def same_as(self, other: "DifferentialSpec") -> bool:
+        """The same differential: the same page, generators and powers, and
+        equal images on the same ``AlgebraContext`` object (``Element``
+        equality compares the context by identity)."""
+        return self.page == other.page and self.images == other.images
 
 
 @dataclass(frozen=True)
@@ -352,13 +369,15 @@ class ScenarioResult:
     annotations: list[str]
 
 
-def run_scenario(sc: Scenario) -> ScenarioResult:
-    page = initial_page(sc.context)
-    pages = [page]
-    for dspec in sorted(sc.differentials, key=lambda d: d.page):
-        while page.r < dspec.page:
-            page = turn_page(page, DifferentialSpec(page.r, {}))
-            pages.append(page)
+def run_scenario(sc: Scenario, prefix: ScenarioResult | None = None) -> ScenarioResult:
+    """Turn the scenario's pages, then certify and read off its dimensions.
+
+    ``prefix`` is an earlier result whose pages this run may start from
+    (``_reused_pages``); any other ``prefix`` gives the from-scratch result.
+    """
+    pages = _reused_pages(sc, prefix)
+    page = pages[-1]
+    for dspec in _turns(sc)[len(pages) - 1:]:
         page = turn_page(page, dspec)
         pages.append(page)
     annotations = list(sc.annotations)
@@ -367,6 +386,35 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         certified = _certify_collapse(sc, page, annotations)
     dims = page.dims_by_total_degree(sc.target_degree)
     return ScenarioResult(sc, pages, page, dims, certified, annotations)
+
+
+def _turns(sc: Scenario) -> list[DifferentialSpec]:
+    """The differential of each turn from page 2 on, in order: the
+    scenario's own, and a zero one on every page it gives none."""
+    turns: list[DifferentialSpec] = []
+    for dspec in sorted(sc.differentials, key=lambda d: d.page):
+        while len(turns) + 2 < dspec.page:
+            turns.append(DifferentialSpec(len(turns) + 2, {}))
+        turns.append(dspec)
+    return turns
+
+
+def _reused_pages(sc: Scenario, prefix: ScenarioResult | None) -> list[SSPage]:
+    """The leading pages of ``prefix`` that ``sc`` would turn itself.
+
+    The initial page is reused when ``prefix`` works on ``sc``'s context
+    object, and each later page for as long as the differential that turned
+    it is the same as ``sc``'s own (``DifferentialSpec.same_as``); reuse stops
+    at the first that differs.  Without ``prefix`` it is the initial page.
+    """
+    if prefix is None or prefix.scenario.context is not sc.context:
+        return [initial_page(sc.context)]
+    pages = [prefix.pages[0]]
+    for mine, theirs, page in zip(_turns(sc), _turns(prefix.scenario), prefix.pages[1:]):
+        if not mine.same_as(theirs):
+            break
+        pages.append(page)
+    return pages
 
 
 def _certify_collapse(sc: Scenario, page: SSPage, annotations: list[str]) -> bool:
@@ -687,19 +735,45 @@ def _d3_square(job: Job) -> tuple[str, str]:
     return PASS, "z1^2 survives to page 3 and d3(z1^2) = a3"
 
 
-def _scalar_sweep(job: Job) -> tuple[str, str]:
-    """Every nonzero scalar pair, each turned with its own differentials on
-    the ambient algebra of the (1, 1) scenario the other checks solve."""
-    prime = job.prime
-    solved = _bg1(job)
+def scalar_sweep_results(
+    solved: ScenarioResult,
+) -> Iterator[tuple[int, int, ScenarioResult]]:
+    """``(alpha1, alpha2, result)`` for every nonzero scalar pair of the odd
+    bg1 scenario, alpha1 outer and alpha2 inner, each pair solved when it is
+    reached.
+
+    ``solved`` is the (1, 1) result; every pair is turned with its own
+    differentials on that result's ambient algebra.  The sweep is a tree:
+    d2 depends only on alpha1, so each (alpha1, 1) is solved from the shared
+    initial page, and every other (alpha1, alpha2) resumes from its page 3
+    (``run_scenario``'s ``prefix``), turning only page 3 with its own d3.
+    """
     sc = solved.scenario
+    prime = sc.prime
     for a1 in range(1, prime):
+        head = solved
         for a2 in range(1, prime):
-            result = solved if (a1, a2) == (1, 1) else run_scenario(
-                replace(sc, differentials=_bg1_transgressions(sc.named, a1, a2))
-            )
-            if result.dims != BG1_DIMS:
-                return FAIL, f"dims {result.dims} at scalars ({a1},{a2})"
+            if (a1, a2) == (1, 1):
+                result = solved
+            else:
+                differentials = _bg1_transgressions(sc.named, a1, a2)
+                result = run_scenario(replace(sc, differentials=differentials), head)
+            if a2 == 1:
+                head = result
+            yield a1, a2, result
+
+
+def _scalar_sweep(job: Job) -> tuple[str, str]:
+    """Every nonzero scalar pair, solved as a tree by ``scalar_sweep_results``:
+    the pairs with one alpha1 share its page-2 turn, reused only where the
+    ``run_scenario`` guard finds the d2 the same, and each pair turns page 3
+    with its own d3 and certifies its own collapse.  The first pair, alpha1
+    outer and alpha2 inner, with dims other than ``BG1_DIMS`` fails the
+    check."""
+    prime = job.prime
+    for a1, a2, result in scalar_sweep_results(_bg1(job)):
+        if result.dims != BG1_DIMS:
+            return FAIL, f"dims {result.dims} at scalars ({a1},{a2})"
     return PASS, f"dims stable over all {(prime - 1) ** 2} nonzero scalar pairs"
 
 

@@ -12,15 +12,29 @@ import time
 from milnor_forge import cyclo, invariants, specseq
 from milnor_forge.ffla import FieldMatrix, nullspace, rref
 from milnor_forge.galg import (
+    Element,
     elementary_abelian_context,
     multiply,
     random_element,
-    random_homogeneous,
 )
 from milnor_forge.milnor import milnor_q
 from milnor_forge.report import FAIL
 
 SEED = 1729
+
+
+def random_homogeneous(ctx, rng, degree, max_terms=3):
+    """Seeded random element of one degree: up to ``max_terms`` draws of a
+    basis monomial and a nonzero coefficient."""
+    basis = ctx.basis_of_degree(degree)
+    out = ctx.zero()
+    if not basis:
+        return out
+    for _ in range(rng.randint(1, max_terms)):
+        mono = rng.choice(basis)
+        coeff = rng.randint(1, ctx.prime - 1) if ctx.prime > 2 else 1
+        out = out + Element(ctx, {mono: coeff})
+    return out
 
 
 def assert_all_pass(reports):

@@ -390,9 +390,9 @@ class TestScenarioMemo:
         solved = []
         solve = specseq.run_scenario
 
-        def recorder(sc):
+        def recorder(sc, *args, **kwargs):
             solved.append(scenario_key(sc))
-            return solve(sc)
+            return solve(sc, *args, **kwargs)
 
         monkeypatch.setattr(specseq, "run_scenario", recorder)
         reports = run(RunConfig(primes=(3,), suites=("ss",)))
@@ -424,9 +424,9 @@ class TestScenarioMemo:
         solves = []
         solve = specseq.run_scenario
 
-        def counter(sc):
+        def counter(sc, *args, **kwargs):
             solves.append(sc.name)
-            return solve(sc)
+            return solve(sc, *args, **kwargs)
 
         monkeypatch.setattr(specseq, "run_scenario", counter)
         config = RunConfig(primes=(2, 3), suites=("ss",))

@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 from milnor_forge import invariants
 from milnor_forge.ffla import FieldMatrix, spans_equal
 from milnor_forge.galg import (
+    AlgebraContext,
     Element,
+    GeneratorSpec,
     TruncationOverflowError,
     elementary_abelian_context,
     linear_substitution,
@@ -89,6 +91,17 @@ class TestInducedAction:
         for _ in range(4):
             with pytest.raises(TruncationOverflowError):
                 induced_action(FieldMatrix.identity(3, 5), ctx)
+
+    def test_partners_on_some_generators_only_are_rejected(self):
+        gens = [
+            GeneratorSpec("x1", 1, "odd", bockstein_partner="x2"),
+            GeneratorSpec("x2", 2, "even"),
+            GeneratorSpec("y1", 1, "odd"),
+        ]
+        ctx = AlgebraContext(3, gens, 4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Bockstein partner"):
+                induced_action(FieldMatrix.identity(2, 3), ctx)
 
     def test_contexts_at_one_prime_keep_separate_unit_memos(self):
         wide = elementary_abelian_context(5, 3, 8)

@@ -518,12 +518,9 @@ def test_table_combination_is_apply(data):
     assert combined == dspec.apply(ctx, el)
 
 
-def test_sweep_at_seven_checks_every_turn(monkeypatch):
-    # 36 scalar pairs, the widened bg1 and the two bpu branches are 39
-    # solves of two turns, and every turn checks d o d once (78 of each, as
-    # counted before the differential table).  Applying d once per ambient
-    # monomial per turn takes less than half the 12596 calls of applying it
-    # twice per monomial and once more per representative.
+def count_sweep_calls(monkeypatch, prime):
+    """``turn_page``, ``verify_dd_zero`` and ``DifferentialSpec.apply`` calls
+    of ``verify ss --sweep-scalars`` at one prime, which must exit 0."""
     calls = {"turn_page": 0, "verify_dd_zero": 0, "apply": 0}
 
     def counted(name, fn):
@@ -539,9 +536,26 @@ def test_sweep_at_seven_checks_every_turn(monkeypatch):
     monkeypatch.setattr(
         DifferentialSpec, "apply", counted("apply", DifferentialSpec.apply)
     )
-    assert cli.main(["ss", "--sweep-scalars", "--primes", "7", "--format", "json"]) == 0
-    assert calls["turn_page"] == calls["verify_dd_zero"] == 78
-    assert calls["apply"] <= 12596 // 2
+    argv = ["ss", "--sweep-scalars", "--primes", str(prime), "--format", "json"]
+    assert cli.main(argv) == 0
+    return calls
+
+
+def test_sweep_at_seven_checks_every_turn(monkeypatch):
+    # bg1 at (1, 1), the widened bg1 and the two bpu branches (a zero d2,
+    # then d3) are 8 turns; each of the 5 other (a1, 1) pairs turns pages 2
+    # and 3, and each of the 30 remaining pairs only page 3 (48 in all, 78
+    # when every pair turned both pages).  Every turn still checks d o d once.
+    calls = count_sweep_calls(monkeypatch, 7)
+    assert calls["turn_page"] == calls["verify_dd_zero"] == 48
+    assert calls["apply"] <= 2804
+
+
+def test_sweep_at_eleven(monkeypatch, capsys):
+    # 8 + (l - 2)(l + 1) turns at l = 11, each checking d o d once
+    calls = count_sweep_calls(monkeypatch, 11)
+    assert "all 100 nonzero scalar pairs" in capsys.readouterr().out
+    assert calls["turn_page"] == calls["verify_dd_zero"] == 116
 
 
 def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_records):
@@ -549,8 +563,8 @@ def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_rec
     # first, after (1, 1) and (1, 2)
     original = specseq.run_scenario
 
-    def wrong_when_alpha1_is_two(sc):
-        result = original(sc)
+    def wrong_when_alpha1_is_two(sc, *args, **kwargs):
+        result = original(sc, *args, **kwargs)
         if sc.differentials[0].images["z1"][1] == sc.named["a2"].scale(-2):
             return replace(result, dims=[1, 0, 1, 1, 3])
         return result
@@ -559,3 +573,84 @@ def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_rec
     [record] = job_records("ss", 3, "ss.bg1.scalar_sweep", scenario="bg1")
     assert record.status == FAIL
     assert record.details == "dims [1, 0, 1, 1, 3] at scalars (2,1)"
+
+
+def snapshot(result):
+    """What a result carries: dims, every page's components (basis, cycles,
+    boundaries) and turn ranks, certification and annotations."""
+    pages = [(page.r, sorted(page.components.items()), page.turn_ranks) for page in result.pages]
+    return result.dims, pages, result.collapse_certified, result.annotations
+
+
+def shared_pages(result, prefix):
+    """How many leading pages ``result`` took from ``prefix`` as they are."""
+    return sum(1 for _ in itertools.takewhile(
+        lambda pair: pair[0] is pair[1], zip(result.pages, prefix.pages)
+    ))
+
+
+@pytest.mark.parametrize("prime", (3, 5, 7))
+def test_sweep_tree_matches_each_pair_solved_from_scratch(prime):
+    solved = run_scenario(scenario_bg1(prime))
+    visited = []
+    for a1, a2, result in specseq.scalar_sweep_results(solved):
+        visited.append((a1, a2))
+        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(prime, a1, a2)))
+    assert visited == list(itertools.product(range(1, prime), repeat=2))
+
+
+class TestPrefixGuard:
+    """``run_scenario(sc, prefix)`` reuses the prefix's pages only while the
+    differential that turned each one is the same as ``sc``'s own, and gives
+    the from-scratch result for every scenario."""
+
+    PRIME = 5
+
+    @pytest.fixture
+    def prefix(self):
+        return run_scenario(scenario_bg1(self.PRIME))
+
+    def transgressions(self, sc, alpha1, alpha2):
+        a2, a3 = sc.named["a2"], sc.named["a3"]
+        return [
+            DifferentialSpec.build(2, sc.context, {"z1": a2.scale(-alpha1)}),
+            DifferentialSpec.build(3, sc.context, {"z2": a3.scale(-alpha2)}),
+        ]
+
+    def test_same_differentials_reuse_every_page(self, prefix):
+        result = run_scenario(prefix.scenario, prefix)
+        assert shared_pages(result, prefix) == 3
+        assert snapshot(result) == snapshot(prefix)
+
+    def test_same_d2_resumes_from_page_three(self, prefix):
+        sc = replace(prefix.scenario, differentials=self.transgressions(prefix.scenario, 1, 3))
+        result = run_scenario(sc, prefix)
+        assert shared_pages(result, prefix) == 2
+        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, 1, 3)))
+
+    def test_d2_with_another_scalar_reuses_only_the_initial_page(self, prefix):
+        sc = replace(prefix.scenario, differentials=self.transgressions(prefix.scenario, 2, 1))
+        result = run_scenario(sc, prefix)
+        assert shared_pages(result, prefix) == 1
+        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, 2, 1)))
+
+    def test_prefix_on_another_context_is_not_used(self, prefix):
+        wide = scenario_bg1(self.PRIME, slack=2)
+        result = run_scenario(wide, prefix)
+        assert shared_pages(result, prefix) == 0
+        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, slack=2)))
+
+    def test_extra_differential_before_the_prefix_turns(self, prefix):
+        # the prefix turns page 2 with a zero d2; the scenario's own d2 differs
+        sc = prefix.scenario
+        d3_only = run_scenario(replace(sc, differentials=sc.differentials[1:], certify=False))
+        result = run_scenario(sc, d3_only)
+        assert shared_pages(result, d3_only) == 1
+        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME)))
+
+    def test_extra_differential_after_the_prefix_turns(self, prefix):
+        sc = prefix.scenario
+        d2_only = run_scenario(replace(sc, differentials=sc.differentials[:1], certify=False))
+        result = run_scenario(sc, d2_only)
+        assert shared_pages(result, d2_only) == 2
+        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME)))
