@@ -28,9 +28,10 @@ under conjugation, so e.g. ``tau^-1 alpha tau`` is verified in the form
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .ffla import check_prime
 from .report import FAIL, NOTE, PASS, Check, Job, at_two, note
@@ -459,9 +460,19 @@ def root_power_sum(prime: int, m: int) -> int:
 def lemma22_holds(prime: int, i: int, j: int, k: int) -> bool:
     """Congruence a_(j+k) - a_(i+k) = k(j-i) + (a_j - a_i) mod l."""
     check_prime(prime)
-    lhs = triangular(j + k) - triangular(i + k)
-    rhs = k * (j - i) + (triangular(j) - triangular(i))
-    return (lhs - rhs) % prime == 0
+    a = {n: triangular(n) for n in (i, j, i + k, j + k)}
+    return _lemma22_failure(prime, a, [(i, j, k)]) is None
+
+
+def _lemma22_failure(
+    prime: int, a: Mapping[int, int] | Sequence[int], triples: Iterable[tuple[int, int, int]]
+) -> tuple[int, int, int] | None:
+    """The first triple (i, j, k) where the congruence of ``lemma22_holds``
+    fails, or None; ``a`` holds a_n at every index the triples use."""
+    for i, j, k in triples:
+        if (a[j + k] - a[i + k] - k * (j - i) - (a[j] - a[i])) % prime:
+            return i, j, k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +581,13 @@ def _root_sum(job: Job) -> tuple[str, str]:
 
 
 def _congruence(job: Job) -> tuple[str, str]:
-    """``lemma22_holds`` on every triple, with a_0 .. a_(2l-2) built once by
-    the recurrence of ``triangular``."""
+    """The congruence of ``lemma22_holds`` on every triple in [0, l)^3, with
+    a_0 .. a_(2l-2) built once by the recurrence of ``triangular``."""
     prime = check_prime(job.prime)
-    a = [0]
-    for k in range(1, 2 * prime - 1):
-        a.append(k + a[-1])
-    for i in range(prime):
-        for j in range(prime):
-            for k in range(prime):
-                if (a[j + k] - a[i + k] - k * (j - i) - (a[j] - a[i])) % prime:
-                    return FAIL, f"congruence fails at (i,j,k)=({i},{j},{k})"
+    a = list(itertools.accumulate(range(2 * prime - 1)))
+    failure = _lemma22_failure(prime, a, itertools.product(range(prime), repeat=3))
+    if failure:
+        return FAIL, "congruence fails at (i,j,k)=(%d,%d,%d)" % failure
     return PASS, f"a_(j+k) - a_(i+k) = k(j-i) + (a_j - a_i) mod {prime} on [0,{prime})^3"
 
 

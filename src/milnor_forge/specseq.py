@@ -22,23 +22,23 @@ scenario that one check reads is solved by that check.  Nothing is shared
 across jobs or runs: the CLI makes a fresh ``Job`` per (suite, prime) pair and
 drops it after.
 
-``run_scenario`` may start from the pages of an earlier result (``prefix``).
-It reuses the initial page when both work on the same ``AlgebraContext``
-object, and each later page for as long as the differential that turned it is
-the same as the scenario's own: the same page, generators and powers, and
-equal images on that context (``DifferentialSpec.same_as``).  Reuse stops at
-the first turn that differs; a prefix that matches nothing gives the
-from-scratch result.  The scalar sweep turns each pair's own differentials on
-the context of the job's solved (1, 1) scenario, as a tree: d2 depends only on
-alpha1, so the pairs that share alpha1 share one page-2 turn, and every pair
-other than (alpha1, 1) turns only page 3, with its own d3 (d o d = 0 checked)
-and its own collapse certification.
+``run_scenario`` may take a memo of pages (``turns``): the initial page by its
+context object, and each turned page by its input page by value (the context
+object, the page number and the components, ``SSPage.key``) and its
+differential by value (``DifferentialSpec.key``).  A miss calls ``turn_page``,
+so d o d = 0 is checked on every turn computed; a hit returns the page that
+turn made.  One ``(ss, prime)`` job keeps one memo in ``Job.shared``, for the
+bg1 scenario and the scalar sweep, which run on one context; the other
+scenarios build contexts of their own.  Each pair of the sweep runs its own
+differentials through it, so each distinct (page, differential) of the job
+turns once.  The memo only compares values; the hits come from the scenario:
+every alpha1 gives the same page 3, and d3 depends only on alpha2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import ffla, invariants
 from .ffla import FieldMatrix
@@ -105,11 +105,13 @@ class DifferentialSpec:
         rules = {ctx.position(name): rule for name, rule in self.images.items()}
         return signed_leibniz(element, rules, truncate=True)
 
-    def same_as(self, other: "DifferentialSpec") -> bool:
-        """The same differential: the same page, generators and powers, and
-        equal images on the same ``AlgebraContext`` object (``Element``
-        equality compares the context by identity)."""
-        return self.page == other.page and self.images == other.images
+    def key(self) -> tuple:
+        """The differential by value: its page and, per generator, the name,
+        the power and the image's context object and terms."""
+        return self.page, tuple(
+            (name, power, img.context, tuple(sorted(img.terms.items())))
+            for name, (power, img) in sorted(self.images.items())
+        )
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,11 @@ class SSPage:
         self.components = components
         # rank of the differential that produced this page, by source total degree
         self.turn_ranks = turn_ranks or {}
+
+    def key(self) -> tuple:
+        """What ``turn_page`` reads of the page, by value: the context object,
+        the page number and the components."""
+        return self.context, self.r, tuple(sorted(self.components.items()))
 
     def dim(self, p: int, q: int) -> int:
         comp = self.components.get((p, q))
@@ -369,16 +376,26 @@ class ScenarioResult:
     annotations: list[str]
 
 
-def run_scenario(sc: Scenario, prefix: ScenarioResult | None = None) -> ScenarioResult:
+def run_scenario(
+    sc: Scenario, turns: dict[Hashable, SSPage] | None = None
+) -> ScenarioResult:
     """Turn the scenario's pages, then certify and read off its dimensions.
 
-    ``prefix`` is an earlier result whose pages this run may start from
-    (``_reused_pages``); any other ``prefix`` gives the from-scratch result.
+    ``turns`` is a memo of pages: the initial page by its context, and each
+    turned page by its input page and differential (``SSPage.key``,
+    ``DifferentialSpec.key``).  A page found there is not made again, and
+    every page made is stored in it.  Without ``turns`` the run keeps its own.
     """
-    pages = _reused_pages(sc, prefix)
-    page = pages[-1]
-    for dspec in _turns(sc)[len(pages) - 1:]:
-        page = turn_page(page, dspec)
+    turns = {} if turns is None else turns
+    if sc.context not in turns:
+        turns[sc.context] = initial_page(sc.context)
+    page = turns[sc.context]
+    pages = [page]
+    for dspec in sorted(sc.differentials, key=lambda d: d.page):
+        while page.r < dspec.page:
+            page = _turn(page, DifferentialSpec(page.r, {}), turns)
+            pages.append(page)
+        page = _turn(page, dspec, turns)
         pages.append(page)
     annotations = list(sc.annotations)
     certified = False
@@ -388,33 +405,12 @@ def run_scenario(sc: Scenario, prefix: ScenarioResult | None = None) -> Scenario
     return ScenarioResult(sc, pages, page, dims, certified, annotations)
 
 
-def _turns(sc: Scenario) -> list[DifferentialSpec]:
-    """The differential of each turn from page 2 on, in order: the
-    scenario's own, and a zero one on every page it gives none."""
-    turns: list[DifferentialSpec] = []
-    for dspec in sorted(sc.differentials, key=lambda d: d.page):
-        while len(turns) + 2 < dspec.page:
-            turns.append(DifferentialSpec(len(turns) + 2, {}))
-        turns.append(dspec)
-    return turns
-
-
-def _reused_pages(sc: Scenario, prefix: ScenarioResult | None) -> list[SSPage]:
-    """The leading pages of ``prefix`` that ``sc`` would turn itself.
-
-    The initial page is reused when ``prefix`` works on ``sc``'s context
-    object, and each later page for as long as the differential that turned
-    it is the same as ``sc``'s own (``DifferentialSpec.same_as``); reuse stops
-    at the first that differs.  Without ``prefix`` it is the initial page.
-    """
-    if prefix is None or prefix.scenario.context is not sc.context:
-        return [initial_page(sc.context)]
-    pages = [prefix.pages[0]]
-    for mine, theirs, page in zip(_turns(sc), _turns(prefix.scenario), prefix.pages[1:]):
-        if not mine.same_as(theirs):
-            break
-        pages.append(page)
-    return pages
+def _turn(page: SSPage, dspec: DifferentialSpec, turns: dict[Hashable, SSPage]) -> SSPage:
+    key = page.key(), dspec.key()
+    turned = turns.get(key)
+    if turned is None:
+        turned = turns[key] = turn_page(page, dspec)
+    return turned
 
 
 def _certify_collapse(sc: Scenario, page: SSPage, annotations: list[str]) -> bool:
@@ -626,7 +622,8 @@ def page_table(result: ScenarioResult) -> str:
 
 
 def _bg1(job: Job) -> ScenarioResult:
-    return job.shared("bg1", lambda: run_scenario(scenario_bg1(job.prime)))
+    turns = job.shared("turns", dict)
+    return job.shared("bg1", lambda: run_scenario(scenario_bg1(job.prime), turns))
 
 
 def _bpu(job: Job) -> ScenarioResult:
@@ -736,42 +733,35 @@ def _d3_square(job: Job) -> tuple[str, str]:
 
 
 def scalar_sweep_results(
-    solved: ScenarioResult,
+    solved: ScenarioResult, turns: dict[Hashable, SSPage] | None = None
 ) -> Iterator[tuple[int, int, ScenarioResult]]:
     """``(alpha1, alpha2, result)`` for every nonzero scalar pair of the odd
     bg1 scenario, alpha1 outer and alpha2 inner, each pair solved when it is
     reached.
 
-    ``solved`` is the (1, 1) result; every pair is turned with its own
-    differentials on that result's ambient algebra.  The sweep is a tree:
-    d2 depends only on alpha1, so each (alpha1, 1) is solved from the shared
-    initial page, and every other (alpha1, alpha2) resumes from its page 3
-    (``run_scenario``'s ``prefix``), turning only page 3 with its own d3.
+    ``solved`` is the (1, 1) result; every other pair is turned with its own
+    differentials on that result's ambient algebra, through the memo of pages
+    ``turns`` (``run_scenario``).  Without ``turns`` the sweep keeps its own.
     """
+    turns = {} if turns is None else turns
     sc = solved.scenario
-    prime = sc.prime
-    for a1 in range(1, prime):
-        head = solved
-        for a2 in range(1, prime):
+    for a1 in range(1, sc.prime):
+        for a2 in range(1, sc.prime):
             if (a1, a2) == (1, 1):
-                result = solved
+                yield a1, a2, solved
             else:
                 differentials = _bg1_transgressions(sc.named, a1, a2)
-                result = run_scenario(replace(sc, differentials=differentials), head)
-            if a2 == 1:
-                head = result
-            yield a1, a2, result
+                yield a1, a2, run_scenario(replace(sc, differentials=differentials), turns)
 
 
 def _scalar_sweep(job: Job) -> tuple[str, str]:
-    """Every nonzero scalar pair, solved as a tree by ``scalar_sweep_results``:
-    the pairs with one alpha1 share its page-2 turn, reused only where the
-    ``run_scenario`` guard finds the d2 the same, and each pair turns page 3
-    with its own d3 and certifies its own collapse.  The first pair, alpha1
+    """Every nonzero scalar pair, solved by ``scalar_sweep_results`` through
+    the job's memo of pages: each distinct (page, differential) turns
+    once, and each pair certifies its own collapse.  The first pair, alpha1
     outer and alpha2 inner, with dims other than ``BG1_DIMS`` fails the
     check."""
     prime = job.prime
-    for a1, a2, result in scalar_sweep_results(_bg1(job)):
+    for a1, a2, result in scalar_sweep_results(_bg1(job), job.shared("turns", dict)):
         if result.dims != BG1_DIMS:
             return FAIL, f"dims {result.dims} at scalars ({a1},{a2})"
     return PASS, f"dims stable over all {(prime - 1) ** 2} nonzero scalar pairs"

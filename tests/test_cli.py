@@ -402,7 +402,7 @@ class TestScenarioMemo:
     def test_failed_solve_fails_each_dependent_check(self, monkeypatch):
         attempts = []
 
-        def broken(sc):
+        def broken(sc, *args, **kwargs):
             attempts.append(sc.name)
             raise RuntimeError("solver down")
 

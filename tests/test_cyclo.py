@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from functools import reduce
 
@@ -10,6 +11,7 @@ from milnor_forge.cyclo import (
     CycMatrix,
     GeneratorSet,
     _canonical,
+    _lemma22_failure,
     lemma22_holds,
     root_power_sum,
     triangular,
@@ -110,6 +112,13 @@ class TestLemma22:
         rhs = 6 * (5 - 2) + (triangular(5) - triangular(2))
         assert (lhs - rhs) % 7 == 0
         assert lemma22_holds(7, 2, 5, 6)
+
+    def test_first_failure_on_a_sequence_other_than_triangular(self):
+        # a_n = n: a_(j+k) - a_(i+k) = j - i, against k(j-i) + (j - i)
+        a = list(range(20))
+        triples = itertools.product(range(7), repeat=3)
+        assert _lemma22_failure(7, a, triples) == (0, 1, 1)
+        assert _lemma22_failure(7, a, [(3, 3, 5), (2, 2, 0)]) is None
 
     def test_exhaustive_sweep(self):
         for p in (2,) + ODD_PRIMES:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 
@@ -518,10 +519,12 @@ def test_table_combination_is_apply(data):
     assert combined == dspec.apply(ctx, el)
 
 
-def count_sweep_calls(monkeypatch, prime):
-    """``turn_page``, ``verify_dd_zero`` and ``DifferentialSpec.apply`` calls
-    of ``verify ss --sweep-scalars`` at one prime, which must exit 0."""
-    calls = {"turn_page": 0, "verify_dd_zero": 0, "apply": 0}
+def count_sweep_calls(monkeypatch, prime, runs=1):
+    """The ``turn_page``, ``verify_dd_zero`` and ``DifferentialSpec.apply``
+    calls of each of ``runs`` runs of ``verify ss --sweep-scalars`` at one prime in
+    this process; each run must exit 0."""
+    counts = []
+    calls = {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -537,25 +540,39 @@ def count_sweep_calls(monkeypatch, prime):
         DifferentialSpec, "apply", counted("apply", DifferentialSpec.apply)
     )
     argv = ["ss", "--sweep-scalars", "--primes", str(prime), "--format", "json"]
-    assert cli.main(argv) == 0
-    return calls
+    for _ in range(runs):
+        calls.update(turn_page=0, verify_dd_zero=0, apply=0)
+        assert cli.main(argv) == 0
+        counts.append(dict(calls))
+    return counts
 
 
 def test_sweep_at_seven_checks_every_turn(monkeypatch):
     # bg1 at (1, 1), the widened bg1 and the two bpu branches (a zero d2,
-    # then d3) are 8 turns; each of the 5 other (a1, 1) pairs turns pages 2
-    # and 3, and each of the 30 remaining pairs only page 3 (48 in all, 78
-    # when every pair turned both pages).  Every turn still checks d o d once.
-    calls = count_sweep_calls(monkeypatch, 7)
-    assert calls["turn_page"] == calls["verify_dd_zero"] == 48
+    # then d3) are 8 turns.  The sweep turns each distinct (page,
+    # differential) once: the page-2 turns of the 5 other alpha1 (their d2
+    # differs), and the page-3 turns of the 5 other alpha2 (every alpha1
+    # gives the same page 3, so d3 decides).  That is 8 + 2(l - 2) = 18
+    # turns, and every turn still checks d o d once.
+    [calls] = count_sweep_calls(monkeypatch, 7)
+    assert calls["turn_page"] == calls["verify_dd_zero"] == 18
     assert calls["apply"] <= 2804
 
 
 def test_sweep_at_eleven(monkeypatch, capsys):
-    # 8 + (l - 2)(l + 1) turns at l = 11, each checking d o d once
-    calls = count_sweep_calls(monkeypatch, 11)
+    # 8 + 2(l - 2) turns at l = 11, each checking d o d once
+    [calls] = count_sweep_calls(monkeypatch, 11)
     assert "all 100 nonzero scalar pairs" in capsys.readouterr().out
-    assert calls["turn_page"] == calls["verify_dd_zero"] == 116
+    assert calls["turn_page"] == calls["verify_dd_zero"] == 26
+
+
+def test_turn_memo_does_not_outlive_the_job(monkeypatch):
+    # both runs get their bg1 scenarios on the same context objects, so a
+    # memo kept past the first job would hold every bg1 turn of the second
+    monkeypatch.setattr(specseq, "scenario_bg1", functools.cache(specseq.scenario_bg1))
+    first, second = count_sweep_calls(monkeypatch, 7, runs=2)
+    assert first["turn_page"] == second["turn_page"] == 18
+    assert first["verify_dd_zero"] == second["verify_dd_zero"] == 18
 
 
 def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_records):
@@ -582,13 +599,6 @@ def snapshot(result):
     return result.dims, pages, result.collapse_certified, result.annotations
 
 
-def shared_pages(result, prefix):
-    """How many leading pages ``result`` took from ``prefix`` as they are."""
-    return sum(1 for _ in itertools.takewhile(
-        lambda pair: pair[0] is pair[1], zip(result.pages, prefix.pages)
-    ))
-
-
 @pytest.mark.parametrize("prime", (3, 5, 7))
 def test_sweep_tree_matches_each_pair_solved_from_scratch(prime):
     solved = run_scenario(scenario_bg1(prime))
@@ -599,58 +609,104 @@ def test_sweep_tree_matches_each_pair_solved_from_scratch(prime):
     assert visited == list(itertools.product(range(1, prime), repeat=2))
 
 
-class TestPrefixGuard:
-    """``run_scenario(sc, prefix)`` reuses the prefix's pages only while the
-    differential that turned each one is the same as ``sc``'s own, and gives
-    the from-scratch result for every scenario."""
+class TestTurnMemo:
+    """``run_scenario(sc, turns)`` turns a page only when the memo holds no
+    turn of an equal page (same context object, page number and components)
+    by an equal differential, and gives the from-scratch result for every
+    scenario."""
 
     PRIME = 5
 
     @pytest.fixture
-    def prefix(self):
-        return run_scenario(scenario_bg1(self.PRIME))
+    def turns(self):
+        return {}
 
-    def transgressions(self, sc, alpha1, alpha2):
-        a2, a3 = sc.named["a2"], sc.named["a3"]
-        return [
-            DifferentialSpec.build(2, sc.context, {"z1": a2.scale(-alpha1)}),
-            DifferentialSpec.build(3, sc.context, {"z2": a3.scale(-alpha2)}),
-        ]
+    @pytest.fixture
+    def solved(self, turns):
+        return run_scenario(scenario_bg1(self.PRIME), turns)
 
-    def test_same_differentials_reuse_every_page(self, prefix):
-        result = run_scenario(prefix.scenario, prefix)
-        assert shared_pages(result, prefix) == 3
-        assert snapshot(result) == snapshot(prefix)
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The page numbers of the turns computed from here on."""
+        inputs = []
+        turn = specseq.turn_page
 
-    def test_same_d2_resumes_from_page_three(self, prefix):
-        sc = replace(prefix.scenario, differentials=self.transgressions(prefix.scenario, 1, 3))
-        result = run_scenario(sc, prefix)
-        assert shared_pages(result, prefix) == 2
+        def recorder(page, dspec):
+            inputs.append(page.r)
+            return turn(page, dspec)
+
+        monkeypatch.setattr(specseq, "turn_page", recorder)
+        return inputs
+
+    def scalars(self, solved, alpha1, alpha2):
+        sc = solved.scenario
+        return replace(sc, differentials=specseq._bg1_transgressions(sc.named, alpha1, alpha2))
+
+    def test_same_scenario_hits_on_every_turn(self, turns, solved, computed):
+        result = run_scenario(solved.scenario, turns)
+        assert computed == []
+        assert all(mine is theirs for mine, theirs in zip(result.pages, solved.pages))
+        assert snapshot(result) == snapshot(solved)
+
+    def test_same_d2_hits_on_page_two_only(self, turns, solved, computed):
+        result = run_scenario(self.scalars(solved, 1, 3), turns)
+        assert computed == [3]
+        assert result.pages[1] is solved.pages[1]
         assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, 1, 3)))
 
-    def test_d2_with_another_scalar_reuses_only_the_initial_page(self, prefix):
-        sc = replace(prefix.scenario, differentials=self.transgressions(prefix.scenario, 2, 1))
-        result = run_scenario(sc, prefix)
-        assert shared_pages(result, prefix) == 1
+    def test_d2_with_another_scalar_misses_then_hits_on_page_three(
+        self, turns, solved, computed
+    ):
+        # d2 scaled by 2 has the kernel and image of d2, so page 3 is equal
+        # by value, and the d3 is the same
+        result = run_scenario(self.scalars(solved, 2, 1), turns)
+        assert computed == [2]
+        assert result.pages[1] is not solved.pages[1]
+        assert result.pages[1].key() == solved.pages[1].key()
+        assert result.pages[2] is solved.pages[2]
         assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, 2, 1)))
 
-    def test_prefix_on_another_context_is_not_used(self, prefix):
-        wide = scenario_bg1(self.PRIME, slack=2)
-        result = run_scenario(wide, prefix)
-        assert shared_pages(result, prefix) == 0
-        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, slack=2)))
+    @pytest.mark.parametrize("slack", (0, 2))
+    def test_another_context_never_hits(self, turns, solved, computed, slack):
+        # with slack 0 the pages equal the solved ones but for the context
+        sc = scenario_bg1(self.PRIME, slack=slack)
+        result = run_scenario(sc, turns)
+        assert computed == [2, 3]
+        assert all(page.context is sc.context for page in result.pages)
+        assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, slack=slack)))
 
-    def test_extra_differential_before_the_prefix_turns(self, prefix):
-        # the prefix turns page 2 with a zero d2; the scenario's own d2 differs
-        sc = prefix.scenario
-        d3_only = run_scenario(replace(sc, differentials=sc.differentials[1:], certify=False))
-        result = run_scenario(sc, d3_only)
-        assert shared_pages(result, d3_only) == 1
+    def test_zero_differential_on_another_context_misses(self, turns, computed):
+        # the zero d2 carries no context of its own; the page's context tells
+        # the two runs apart
+        one, other = scenario_bg1(self.PRIME), scenario_bg1(self.PRIME)
+        for sc in (one, other):
+            d3_only = replace(sc, differentials=sc.differentials[1:], certify=False)
+            result = run_scenario(d3_only, turns)
+            assert all(page.context is sc.context for page in result.pages)
+        assert computed == [2, 3, 2, 3]
+
+    def test_d3_only_then_both_misses_where_the_input_page_differs(self, turns, computed):
+        # the d3-only run turns page 2 with a zero d2, so its page 3 differs
+        # from the full scenario's, although both turn page 3 with one d3
+        sc = scenario_bg1(self.PRIME)
+        run_scenario(replace(sc, differentials=sc.differentials[1:], certify=False), turns)
+        result = run_scenario(sc, turns)
+        assert computed == [2, 3, 2, 3]
         assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME)))
 
-    def test_extra_differential_after_the_prefix_turns(self, prefix):
-        sc = prefix.scenario
-        d2_only = run_scenario(replace(sc, differentials=sc.differentials[:1], certify=False))
-        result = run_scenario(sc, d2_only)
-        assert shared_pages(result, d2_only) == 2
+    def test_both_then_d3_only_misses_where_the_input_page_differs(
+        self, turns, solved, computed
+    ):
+        sc = solved.scenario
+        d3_only = replace(sc, differentials=sc.differentials[1:], certify=False)
+        result = run_scenario(d3_only, turns)
+        assert computed == [2, 3]
+        assert snapshot(result) == snapshot(run_scenario(d3_only))
+
+    def test_d2_only_then_both_misses_on_page_three(self, turns, computed):
+        sc = scenario_bg1(self.PRIME)
+        d2_only = run_scenario(replace(sc, differentials=sc.differentials[:1], certify=False), turns)
+        result = run_scenario(sc, turns)
+        assert computed == [2, 3]
+        assert result.pages[1] is d2_only.pages[1]
         assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME)))
