@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -50,7 +51,7 @@ class CycInt:
     def __init__(self, prime: int, coeffs: Sequence[int]):
         check_prime(prime)
         rank = 2 if prime == 2 else prime - 1
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != rank:
             raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
         self.prime = prime

@@ -3,11 +3,19 @@
 Everything here is pure integer arithmetic: matrices store residues in
 ``[0, l)`` and every operation reduces mod ``l``.  No floating point, no
 sparse formats; the degreewise spaces this package handles stay small.
+Outside entries go through ``operator.index``, so a non-integer raises
+``TypeError`` instead of being truncated.
+
+There is one row reduction, ``_Echelon``.  Its rows stay fully reduced: each
+has a 1 at its pivot, zeros before it and zeros at every other row's pivot.
+So its ``basis()``, the rows in pivot order, is the reduced row-echelon basis
+of their span, and ``rref``, ``row_space_basis``, ``in_span``,
+``FieldMatrix.rank`` and ``FieldMatrix.inverse`` all read it.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 
@@ -28,11 +36,16 @@ def check_prime(modulus: int) -> int:
     return modulus
 
 
-def _inv_mod(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return pow(a, p - 2, p)
+def _checked_rows(
+    entries: Iterable[Sequence[int]], modulus: int
+) -> tuple[tuple[int, ...], ...]:
+    """Outside rows as residues mod a prime ``modulus``: a composite modulus
+    or ragged rows raise ``ValueError``, a non-integer entry ``TypeError``."""
+    check_prime(modulus)
+    rows = tuple(tuple(index(x) % modulus for x in row) for row in entries)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    return rows
 
 
 class FieldMatrix:
@@ -41,15 +54,11 @@ class FieldMatrix:
     __slots__ = ("rows", "cols", "modulus", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]], modulus: int):
-        check_prime(modulus)
-        rows = tuple(tuple(int(x) % modulus for x in row) for row in entries)
+        rows = _checked_rows(entries, modulus)
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
-        cols = len(rows[0])
-        if any(len(row) != cols for row in rows):
-            raise ValueError("ragged rows")
         self.rows = len(rows)
-        self.cols = cols
+        self.cols = len(rows[0])
         self.modulus = modulus
         self.entries = rows
 
@@ -114,90 +123,63 @@ class FieldMatrix:
         return rref(self)[0]
 
     def inverse(self) -> "FieldMatrix":
+        """The right half of the reduced ``[A | I]``, which is ``[I | A^-1]``
+        exactly when every pivot lies in the left half."""
         if self.rows != self.cols:
             raise ValueError("not square")
         n, p = self.rows, self.modulus
-        aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)]
-        _, reduced = _rref_rows(aug, p)
-        left = [row[:n] for row in reduced]
-        if left != [[1 if i == j else 0 for j in range(n)] for i in range(n)]:
+        span = _Echelon(
+            p, [row + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(self.entries)]
+        )
+        if any(col >= n for col in span.rows):
             raise ValueError("matrix is singular")
-        return FieldMatrix([row[n:] for row in reduced], p)
-
-
-def _rref_rows(rows: Sequence[Sequence[int]], p: int) -> tuple[int, list[list[int]]]:
-    rows = [list(r) for r in rows]
-    nrows, ncols = len(rows), len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, nrows):
-            if rows[r][col] % p:
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        inv = _inv_mod(rows[pivot_row][col], p)
-        rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col] % p:
-                factor = rows[r][col]
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivot_row, rows
+        return FieldMatrix._trusted(tuple(row[n:] for row in span.basis()), p)
 
 
 def rref(m: FieldMatrix) -> tuple[int, FieldMatrix]:
     """Reduced row-echelon form; returns (rank, reduced).  Row space preserved."""
-    rank, rows = _rref_rows(m.entries, m.modulus)
-    # elimination keeps the entries of a reduced matrix in [0, modulus)
-    return rank, FieldMatrix._trusted(tuple(map(tuple, rows)), m.modulus)
+    rows = _Echelon(m.modulus, m.entries).basis()
+    zeros = [(0,) * m.cols] * (m.rows - len(rows))
+    return len(rows), FieldMatrix._trusted(tuple(rows + zeros), m.modulus)
 
 
 def nullspace(m: FieldMatrix) -> list[tuple[int, ...]]:
     """Canonical basis of ``{v : m v = 0}``, one vector per free column."""
     p = m.modulus
     rank, red = rref(m)
-    pivots: dict[int, int] = {}
-    for r in range(rank):
-        for c in range(m.cols):
-            if red.entries[r][c]:
-                pivots[c] = r
-                break
+    # a reduced row's first 1 is its pivot: the entries before it are 0
+    pivots = {row.index(1): row for row in red.entries[:rank]}
     basis = []
     for free in range(m.cols):
         if free in pivots:
             continue
         v = [0] * m.cols
         v[free] = 1
-        for col, r in pivots.items():
-            v[col] = (-red.entries[r][free]) % p
+        for col, row in pivots.items():
+            v[col] = -row[free] % p
         basis.append(tuple(v))
     return basis
 
 
 def row_space_basis(vectors: Iterable[Sequence[int]], modulus: int) -> list[tuple[int, ...]]:
     """Canonical (rref) basis of the span of the given vectors."""
-    vecs = [tuple(v) for v in vectors]
+    vecs = list(vectors)
     if not vecs:
         return []
-    rank, red = rref(FieldMatrix(vecs, modulus))
-    return [red.entries[r] for r in range(rank)]
+    return _Echelon(modulus, _checked_rows(vecs, modulus)).basis()
 
 
 class _Echelon:
-    """A growing basis of a subspace of F_l^n, kept in echelon form.
+    """A growing basis of a subspace of F_l^n, kept fully reduced.
 
-    ``rows`` maps each pivot column to its row: the pivot entry is 1 and the
-    row is zero at the pivot columns of every row inserted before it.  So
-    ``reduce`` clears the pivot columns of a vector by taking the rows in
-    insertion order, and a vector lies in the span exactly when it reduces to
-    zero.  Each vector is reduced once, against the rows kept so far; nothing
-    is row-reduced again.  Package-internal: the modulus must be prime and
-    every vector as long as the first.
+    ``rows`` maps each pivot column to its row: the pivot entry is 1, the
+    entries before it are 0, and the row is zero at every other row's pivot.
+    So ``reduce`` clears the pivot columns of a vector by one pass over the
+    rows, a vector lies in the span exactly when it reduces to zero, and
+    ``basis()`` is the reduced row-echelon basis of the span.  Each vector is
+    reduced once; an insert also clears its pivot column from the rows kept
+    before it.  Package-internal: the modulus must be prime and every vector
+    a sequence of ints as long as the first.
     """
 
     __slots__ = ("modulus", "rows")
@@ -210,6 +192,10 @@ class _Echelon:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def basis(self) -> list[tuple[int, ...]]:
+        """The rows in pivot order: the rref basis of the span."""
+        return [tuple(self.rows[col]) for col in sorted(self.rows)]
 
     def reduce(self, vector: Sequence[int]) -> list[int]:
         """``vector`` minus its part along the rows, entries in ``[0, l)``."""
@@ -228,20 +214,22 @@ class _Echelon:
             if c:
                 p = self.modulus
                 inv = pow(c, p - 2, p)
-                self.rows[col] = [(x * inv) % p for x in v]
+                v = [(x * inv) % p for x in v]
+                rows = self.rows
+                for other, row in rows.items():
+                    d = row[col]
+                    if d:
+                        rows[other] = [(a - d * b) % p for a, b in zip(row, v)]
+                rows[col] = v
                 return True
         return False
 
 
 def in_span(vector: Sequence[int], basis: Sequence[Sequence[int]], modulus: int) -> bool:
-    if not any(x % modulus for x in vector):
+    vector, *rows = _checked_rows([vector, *basis], modulus)
+    if not any(vector):
         return True
-    if not basis:
-        return False
-    check_prime(modulus)
-    if any(len(b) != len(vector) for b in basis):
-        raise ValueError("ragged rows")
-    return not any(_Echelon(modulus, basis).reduce(vector))
+    return bool(rows) and not any(_Echelon(modulus, rows).reduce(vector))
 
 
 def spans_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int) -> bool:

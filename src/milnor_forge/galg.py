@@ -460,7 +460,7 @@ def signed_leibniz(
 class AlgebraMap:
     """The algebra endomorphism extending given generator images."""
 
-    __slots__ = ("context", "images", "_cache")
+    __slots__ = ("context", "images")
 
     def __init__(self, context: AlgebraContext, images: Mapping[str, Element]):
         self.context = context
@@ -469,7 +469,6 @@ class AlgebraMap:
             img = images.get(g.name)
             full[g.name] = img if img is not None else context.generator(g.name)
         self.images = full
-        self._cache: dict[Monomial, Element] = {}
 
     def __call__(self, element: Element) -> Element:
         """Apply the map: each monomial goes to the product of its factors' images.
@@ -478,23 +477,20 @@ class AlgebraMap:
         factor (the constant monomial maps to ``one``), so a single generator
         maps to its image as given and each further factor costs one exact
         ``multiply``, which raises ``TruncationOverflowError`` past the
-        truncation.  Monomial images are cached on this map, not on the
-        context.
+        truncation.
         """
         if element.context is not self.context:
             raise ValueError("element belongs to a different context")
         ctx = self.context
         terms: dict[Monomial, int] = {}
         for mono, coeff in element.terms.items():
-            img = self._cache.get(mono)
+            img = None
+            for e, g in zip(mono, ctx.generators):
+                for _ in range(e):
+                    factor = self.images[g.name]
+                    img = factor if img is None else multiply(img, factor)
             if img is None:
-                for e, g in zip(mono, ctx.generators):
-                    for _ in range(e):
-                        factor = self.images[g.name]
-                        img = factor if img is None else multiply(img, factor)
-                if img is None:
-                    img = ctx.one()
-                self._cache[mono] = img
+                img = ctx.one()
             _accumulate(terms, img, coeff, ctx.prime)
         return Element._trusted(ctx, terms)
 

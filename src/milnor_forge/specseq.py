@@ -320,15 +320,14 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
         if key not in new_cycles and key not in new_boundaries:
             components[key] = comp
             continue
-        cyc = ffla.row_space_basis(new_cycles.get(key, comp.cycles), p)
-        bnd = ffla.row_space_basis(new_boundaries.get(key, comp.boundaries), p)
-        cycles = ffla._Echelon(p, cyc)
+        cycles = ffla._Echelon(p, new_cycles.get(key, comp.cycles))
+        bnd = ffla._Echelon(p, new_boundaries.get(key, comp.boundaries)).basis()
         for b in bnd:
             if any(cycles.reduce(b)):
                 raise DifferentialError(
                     f"boundary at {key} is not a cycle; differential is ill-posed"
                 )
-        components[key] = PageComponent(comp.basis, tuple(cyc), tuple(bnd))
+        components[key] = PageComponent(comp.basis, tuple(cycles.basis()), tuple(bnd))
         if components[key].dim > comp.dim:
             raise DifferentialError(f"page dimension grew at {key}")
     return SSPage(page.r + 1, ctx, components, ranks)

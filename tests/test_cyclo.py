@@ -206,6 +206,12 @@ class TestCycInt:
         with pytest.raises(ValueError):
             CycInt.root_power(5, 1).as_int()
 
+    def test_non_integer_coefficients_rejected(self):
+        # coefficients are integers or raise; none is truncated to one
+        with pytest.raises(TypeError):
+            CycInt(3, (1.9, 0))
+        assert CycInt(3, (True, -2)).coeffs == (1, -2)
+
 
 def schoolbook(x, y):
     """Reference product: a dense convolution of the canonical coefficients
@@ -321,7 +327,10 @@ class TestProductKernel:
             CycInt(9, (0,) * 8)
         with pytest.raises(ValueError):
             CycInt(5, (1, 2, 3))
-        assert CycInt(5, (True, 2.0, 0, 0)).coeffs == (1, 2, 0, 0)
+        assert CycInt(5, (True, 2, 0, 0)).coeffs == (1, 2, 0, 0)
+        # a float is not an integer, even with an integral value
+        with pytest.raises(TypeError):
+            CycInt(5, (True, 2.0, 0, 0))
 
 
 class TestDetMonomial:

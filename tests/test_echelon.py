@@ -1,6 +1,7 @@
-"""The echelon basis shared by ``in_span`` and the page engine, against oracles
-that do not use it: the two-rref rank test ``in_span`` used to run, the greedy
-rank rule for page representatives, and sympy's rref over GF(p)."""
+"""The echelon basis behind every row reduction in ``ffla`` and the page
+engine, against oracles that do not use it: rank over GF(p) from sympy, the
+two-rank test ``in_span`` used to run, the greedy rank rule for page
+representatives, and sympy's rref over GF(p)."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +9,29 @@ from hypothesis import given, strategies as st
 from milnor_forge.ffla import _Echelon, in_span, row_space_basis
 from milnor_forge.specseq import _complement
 
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
 PRIMES = (2, 3, 5, 7)
 
 
+def sympy_matrix(vectors, p):
+    field = sympy.GF(p)
+    return DomainMatrix(
+        [[field(x) for x in row] for row in vectors], (len(vectors), len(vectors[0])), field
+    )
+
+
 def rank(vectors, p):
-    return len(row_space_basis(vectors, p)) if vectors else 0
+    return sympy_matrix(vectors, p).rank() if vectors else 0
+
+
+def sympy_rref_basis(vectors, p):
+    """The nonzero rows of sympy's rref, entries in ``[0, p)``."""
+    if not vectors:
+        return []
+    reduced, pivots = sympy_matrix(vectors, p).rref()
+    return [tuple(int(x) % p for x in row) for row in reduced.to_list()[: len(pivots)]]
 
 
 def in_span_by_rank(vector, basis, p):
@@ -91,20 +110,23 @@ def test_complement_matches_greedy_rule(p, n, data):
 
 @given(span_queries())
 def test_row_space_basis_is_sympy_rref(query):
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
     p, basis, _ = query
-    if not basis:
-        assert row_space_basis(basis, p) == []
-        return
-    field = sympy.GF(p)
-    matrix = DomainMatrix(
-        [[field(x) for x in row] for row in basis], (len(basis), len(basis[0])), field
-    )
-    reduced, pivots = matrix.rref()
-    want = [tuple(int(x) % p for x in row) for row in reduced.to_list()[: len(pivots)]]
-    assert row_space_basis(basis, p) == want
+    assert row_space_basis(basis, p) == sympy_rref_basis(basis, p)
+
+
+@given(st.sampled_from(PRIMES), st.integers(1, 5), st.data())
+def test_echelon_rows_stay_fully_reduced(p, n, data):
+    vectors = data.draw(vector_lists(p, n, max_size=7))
+    span = _Echelon(p)
+    for i, vec in enumerate(vectors):
+        span.insert(vec)
+        # after every insert: a 1 at each row's pivot, zeros before it and
+        # zeros at every other row's pivot
+        for col, row in span.rows.items():
+            assert row[col] == 1
+            assert not any(row[:col])
+            assert all(row[other] == 0 for other in span.rows if other != col)
+        assert span.basis() == sympy_rref_basis(vectors[: i + 1], p)
 
 
 def test_in_span_rejects_what_it_rejected_before():

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from milnor_forge.ffla import (
     FieldMatrix,
+    in_span,
     is_prime,
     nullspace,
+    row_space_basis,
     rref,
     spans_equal,
 )
@@ -52,11 +54,25 @@ def minor_rank(entries, p):
     return 0
 
 
+def sympy_matrix(m):
+    """``m`` as a sympy ``DomainMatrix`` over GF(p) (oracle)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.GF(m.modulus)
+    return DomainMatrix([[field(x) for x in row] for row in m.entries], (m.rows, m.cols), field)
+
+
+def residue_rows(dm, p):
+    # sympy's GF(p) elements convert to symmetric representatives
+    return tuple(tuple(int(x) % p for x in row) for row in dm.to_list())
+
+
 @st.composite
-def field_matrices(draw, max_dim=4, primes=(2, 3, 5, 7)):
+def field_matrices(draw, max_dim=4, primes=(2, 3, 5, 7), square=False):
     p = draw(st.sampled_from(primes))
     rows = draw(st.integers(1, max_dim))
-    cols = draw(st.integers(1, max_dim))
+    cols = rows if square else draw(st.integers(1, max_dim))
     entries = [
         [draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in range(rows)
     ]
@@ -133,6 +149,58 @@ def test_nullspace_vectors_annihilated(m):
 def test_rank_matches_minor_oracle(m):
     rank, _ = rref(m)
     assert rank == minor_rank([list(r) for r in m.entries], m.modulus)
+
+
+@given(field_matrices())
+def test_rref_is_sympy_rref(m):
+    reduced, pivots = sympy_matrix(m).rref()
+    rank, red = rref(m)
+    assert rank == len(pivots)
+    # row for row, the zero rows below the rank included
+    assert red.entries == residue_rows(reduced, m.modulus)
+
+
+@given(field_matrices(square=True))
+def test_inverse_is_sympy_inverse(m):
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    try:
+        want = residue_rows(sympy_matrix(m).inv(), m.modulus)
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert m.inverse().entries == want
+
+
+class TestRowSpaceBasisInput:
+    def test_composite_modulus_raises(self):
+        with pytest.raises(ValueError):
+            row_space_basis([(1, 2)], 4)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(ValueError):
+            row_space_basis([(1, 2), (1, 2, 3)], 5)
+        with pytest.raises(ValueError):
+            row_space_basis([(1, 2, 3), (1, 2)], 5)
+
+    def test_no_vectors_give_empty_basis(self):
+        assert row_space_basis([], 5) == []
+        assert row_space_basis(iter(()), 5) == []
+
+
+def test_non_integer_entries_are_rejected():
+    # entries are integers or raise; none is truncated to one
+    with pytest.raises(TypeError):
+        FieldMatrix([[1.5, 2]], 3)
+    with pytest.raises(TypeError):
+        row_space_basis([[2.7, 1]], 5)
+    with pytest.raises(TypeError):
+        in_span([0.5, 0], [(1, 0)], 3)
+    with pytest.raises(TypeError):
+        in_span([1, 0], [(0.5, 0)], 3)
+    assert FieldMatrix([[True, 7]], 3).entries == ((1, 1),)
+    assert row_space_basis([[2, 1]], 5) == [(1, 3)]
 
 
 def test_is_prime_small_values():
