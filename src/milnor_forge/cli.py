@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from . import cyclo, invariants, milnor, specseq
@@ -33,15 +32,26 @@ DEFAULT_SEED = 20259
 DICKSON_DEFAULT_CAP = 7
 
 
-@dataclass
 class RunConfig:
-    primes: tuple[int, ...] = DEFAULT_PRIMES
-    suites: tuple[str, ...] = SUITES
-    scenario: str = "all"
-    sweep_scalars: bool = False
-    dickson_cap: int = DICKSON_DEFAULT_CAP
-    fmt: str = "text"
-    seed: int = DEFAULT_SEED
+    __slots__ = ("primes", "suites", "scenario", "sweep_scalars", "dickson_cap", "fmt", "seed")
+
+    def __init__(
+        self,
+        primes: tuple[int, ...] = DEFAULT_PRIMES,
+        suites: tuple[str, ...] = SUITES,
+        scenario: str = "all",
+        sweep_scalars: bool = False,
+        dickson_cap: int = DICKSON_DEFAULT_CAP,
+        fmt: str = "text",
+        seed: int = DEFAULT_SEED,
+    ):
+        self.primes = primes
+        self.suites = suites
+        self.scenario = scenario
+        self.sweep_scalars = sweep_scalars
+        self.dickson_cap = dickson_cap
+        self.fmt = fmt
+        self.seed = seed
 
 
 def rank_nullity(job: Job) -> tuple[str, str]:

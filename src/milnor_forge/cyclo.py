@@ -29,12 +29,10 @@ under conjugation, so e.g. ``tau^-1 alpha tau`` is verified in the form
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from operator import index
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .ffla import check_prime
+from .ffla import check_prime, integers
 from .report import FAIL, NOTE, PASS, Check, Job, at_two, note
 
 
@@ -51,7 +49,7 @@ class CycInt:
     def __init__(self, prime: int, coeffs: Sequence[int]):
         check_prime(prime)
         rank = 2 if prime == 2 else prime - 1
-        coeffs = tuple(map(index, coeffs))
+        coeffs = integers(coeffs)
         if len(coeffs) != rank:
             raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
         self.prime = prime
@@ -399,7 +397,6 @@ def triangular(i: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """The unitary generator matrices for one prime.
 
@@ -412,12 +409,18 @@ class GeneratorSet:
     derived candidate ``s = diag(1, i)`` (see the ``matrices.l2`` checks).
     """
 
-    prime: int
-    alpha: CycMatrix
-    beta: CycMatrix
-    xi: CycMatrix
-    s: CycMatrix
-    t: CycMatrix
+    __slots__ = ("prime", "alpha", "beta", "xi", "s", "t")
+
+    def __init__(
+        self, prime: int, alpha: CycMatrix, beta: CycMatrix, xi: CycMatrix,
+        s: CycMatrix, t: CycMatrix,
+    ):
+        self.prime = prime
+        self.alpha = alpha
+        self.beta = beta
+        self.xi = xi
+        self.s = s
+        self.t = t
 
     @classmethod
     def build(cls, prime: int) -> "GeneratorSet":

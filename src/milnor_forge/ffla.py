@@ -3,8 +3,9 @@
 Everything here is pure integer arithmetic: matrices store residues in
 ``[0, l)`` and every operation reduces mod ``l``.  No floating point, no
 sparse formats; the degreewise spaces this package handles stay small.
-Outside entries go through ``operator.index``, so a non-integer raises
-``TypeError`` instead of being truncated.
+Outside entries go through ``integers`` (``operator.index``), so a
+non-integer raises ``TypeError`` instead of being truncated; ``cyclo`` and
+``galg`` check their outside coefficients with it too.
 
 There is one row reduction, ``_Echelon``.  Its rows stay fully reduced: each
 has a 1 at its pivot, zeros before it and zeros at every other row's pivot.
@@ -36,13 +37,20 @@ def check_prime(modulus: int) -> int:
     return modulus
 
 
+def integers(values: Iterable) -> tuple[int, ...]:
+    """Outside numbers as ints: an int or a bool passes as its value, and a
+    float or any other non-integer raises ``TypeError``, where ``int()``
+    would truncate it and ``%`` would keep it."""
+    return tuple(map(index, values))
+
+
 def _checked_rows(
     entries: Iterable[Sequence[int]], modulus: int
 ) -> tuple[tuple[int, ...], ...]:
     """Outside rows as residues mod a prime ``modulus``: a composite modulus
     or ragged rows raise ``ValueError``, a non-integer entry ``TypeError``."""
     check_prime(modulus)
-    rows = tuple(tuple(index(x) % modulus for x in row) for row in entries)
+    rows = tuple(tuple(x % modulus for x in integers(row)) for row in entries)
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged rows")
     return rows

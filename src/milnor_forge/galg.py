@@ -14,10 +14,9 @@ quotient machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .ffla import check_prime
+from .ffla import check_prime, integers
 
 Monomial = tuple[int, ...]
 
@@ -26,9 +25,8 @@ class TruncationOverflowError(Exception):
     """A product escaped the working truncation degree under exact multiply."""
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
-    """One algebra generator.
+    """One algebra generator, equal to another with the same fields.
 
     ``parity`` is ``"odd"`` for exterior generators (odd prime, odd degree)
     and ``"even"`` otherwise.  ``bockstein_partner`` names the degree+1
@@ -37,19 +35,38 @@ class GeneratorSpec:
     ``bidegree`` is the (p, q) placement used by spectral-sequence contexts.
     """
 
-    name: str
-    degree: int
-    parity: str = "even"
-    bidegree: tuple[int, int] | None = None
-    bockstein_partner: str | None = None
+    __slots__ = ("name", "degree", "parity", "bidegree", "bockstein_partner")
 
-    def __post_init__(self) -> None:
-        if self.degree <= 0:
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        parity: str = "even",
+        bidegree: tuple[int, int] | None = None,
+        bockstein_partner: str | None = None,
+    ):
+        if degree <= 0:
             raise ValueError("generator degree must be positive")
-        if self.parity not in ("even", "odd"):
+        if parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
-        if self.bidegree is not None and sum(self.bidegree) != self.degree:
-            raise ValueError(f"bidegree {self.bidegree} does not sum to {self.degree}")
+        if bidegree is not None and sum(bidegree) != degree:
+            raise ValueError(f"bidegree {bidegree} does not sum to {degree}")
+        self.name = name
+        self.degree = degree
+        self.parity = parity
+        self.bidegree = bidegree
+        self.bockstein_partner = bockstein_partner
+
+    def _fields(self) -> tuple:
+        return self.name, self.degree, self.parity, self.bidegree, self.bockstein_partner
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GeneratorSpec:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class AlgebraContext:
@@ -163,9 +180,6 @@ class AlgebraContext:
         return Element(self, {})
 
     def scalar(self, c: int) -> "Element":
-        c %= self.prime
-        if c == 0:
-            return self.zero()
         unit: Monomial = (0,) * len(self.generators)
         return Element(self, {unit: c})
 
@@ -176,8 +190,9 @@ class AlgebraContext:
         return self.monomial_element({name: 1})
 
     def monomial_element(self, powers: Mapping[str, int], coeff: int = 1) -> "Element":
+        coeff, *exponents = integers((coeff, *powers.values()))
         mono = [0] * len(self.generators)
-        for name, e in powers.items():
+        for name, e in zip(powers, exponents):
             if e < 0:
                 raise ValueError("negative exponent")
             mono[self._index[name]] = e
@@ -236,14 +251,20 @@ class AlgebraContext:
 
 
 class Element:
-    """A finite F_l-linear combination of normal-form monomials."""
+    """A finite F_l-linear combination of normal-form monomials.
+
+    The constructor takes outside coefficients: each must be an integer
+    (``ffla.integers``) and is reduced mod l, and zeros are dropped.  Sums,
+    differences, negations and scalings of elements are reduced by
+    construction and skip that check.
+    """
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context: AlgebraContext, terms: dict[Monomial, int]):
         p = context.prime
         self.context = context
-        self.terms = {m: r for m, c in terms.items() if (r := c % p)}
+        self.terms = {m: r for m, c in zip(terms, integers(terms.values())) if (r := c % p)}
 
     @classmethod
     def _trusted(cls, context: AlgebraContext, terms: dict[Monomial, int]) -> "Element":
@@ -287,7 +308,7 @@ class Element:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = (terms.get(m, 0) + c) % p
-        return Element(self.context, terms)
+        return Element._trusted(self.context, {m: c for m, c in terms.items() if c})
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
@@ -295,16 +316,18 @@ class Element:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = (terms.get(m, 0) - c) % p
-        return Element(self.context, terms)
+        return Element._trusted(self.context, {m: c for m, c in terms.items() if c})
 
     def __neg__(self) -> "Element":
         p = self.context.prime
-        return Element(self.context, {m: (-c) % p for m, c in self.terms.items()})
+        return Element._trusted(self.context, {m: (-c) % p for m, c in self.terms.items()})
 
     def scale(self, c: int) -> "Element":
         p = self.context.prime
-        c %= p
-        return Element(self.context, {m: (c * v) % p for m, v in self.terms.items()})
+        c = integers((c,))[0] % p
+        return Element._trusted(
+            self.context, {m: r for m, v in self.terms.items() if (r := (c * v) % p)}
+        )
 
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)

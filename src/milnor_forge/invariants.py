@@ -9,7 +9,6 @@ against a full breadth-first enumeration of the generated group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import ffla
@@ -28,19 +27,19 @@ from .milnor import key_class, milnor_q, rank2_formulas, rank3_context, two_clas
 from .report import FAIL, NOTE, PASS, Check, Job, always, at_two, odd
 
 
-@dataclass(frozen=True)
 class ActionMatrix:
     """An invertible matrix acting on the degree-1 generators."""
 
-    matrix: FieldMatrix
-    label: str
+    __slots__ = ("matrix", "label")
 
-    def __post_init__(self) -> None:
-        n = self.matrix.rows
-        if self.matrix.cols != n:
+    def __init__(self, matrix: FieldMatrix, label: str):
+        n = matrix.rows
+        if matrix.cols != n:
             raise ValueError("action matrix must be square")
-        if self.matrix.rank() != n:
-            raise ValueError(f"action matrix {self.label} is singular")
+        if matrix.rank() != n:
+            raise ValueError(f"action matrix {label} is singular")
+        self.matrix = matrix
+        self.label = label
 
     @property
     def rank(self) -> int:
@@ -50,13 +49,15 @@ class ActionMatrix:
         return ActionMatrix(self.matrix.inverse(), f"{self.label}^-1")
 
 
-@dataclass(frozen=True)
 class WeylPresentation:
     """Generators of the acting subgroup, plus its closed-form membership test."""
 
-    prime: int
-    generators: tuple[ActionMatrix, ...]
-    rank: int
+    __slots__ = ("prime", "generators", "rank")
+
+    def __init__(self, prime: int, generators: tuple[ActionMatrix, ...], rank: int):
+        self.prime = prime
+        self.generators = generators
+        self.rank = rank
 
     def shape_member(self, m: FieldMatrix) -> bool:
         """Last basis vector fixed up to lower terms: third column (0,0,1),

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 PASS = "pass"
@@ -13,7 +12,6 @@ FAIL = "fail"
 NOTE = "note"
 
 
-@dataclass
 class CheckReport:
     """One verification outcome.
 
@@ -22,11 +20,14 @@ class CheckReport:
     discrepancies and external-input annotations, never for failures.
     """
 
-    check_id: str
-    prime: int
-    status: str
-    details: str
-    elapsed_ms: int
+    __slots__ = ("check_id", "prime", "status", "details", "elapsed_ms")
+
+    def __init__(self, check_id: str, prime: int, status: str, details: str, elapsed_ms: int):
+        self.check_id = check_id
+        self.prime = prime
+        self.status = status
+        self.details = details
+        self.elapsed_ms = elapsed_ms
 
     @property
     def failed(self) -> bool:
@@ -82,15 +83,22 @@ class Job:
         )
 
 
-@dataclass(frozen=True)
 class Check:
     """A registry entry: check ``body(job) -> (status, details)`` runs at the
     primes where ``runs_at(prime, config)`` holds.  One check id may have one
     entry per characteristic, as long as at most one of them runs at a prime."""
 
-    check_id: str
-    runs_at: Callable[[int, Any], bool]
-    body: Callable[[Job], tuple[str, str]]
+    __slots__ = ("check_id", "runs_at", "body")
+
+    def __init__(
+        self,
+        check_id: str,
+        runs_at: Callable[[int, Any], bool],
+        body: Callable[[Job], tuple[str, str]],
+    ):
+        self.check_id = check_id
+        self.runs_at = runs_at
+        self.body = body
 
 
 def always(prime: int, config: Any) -> bool:

@@ -37,7 +37,6 @@ every alpha1 gives the same page 3, and d3 depends only on alpha2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import ffla, invariants
@@ -59,7 +58,6 @@ class DifferentialError(Exception):
     """A differential violated d o d = 0 or left the cycle space."""
 
 
-@dataclass(eq=False)
 class DifferentialSpec:
     """Images of page generators under d_r.
 
@@ -68,8 +66,11 @@ class DifferentialSpec:
     Unlisted generators map to zero.
     """
 
-    page: int
-    images: dict[str, tuple[int, Element]]
+    __slots__ = ("page", "images")
+
+    def __init__(self, page: int, images: dict[str, tuple[int, Element]]):
+        self.page = page
+        self.images = images
 
     @classmethod
     def build(
@@ -114,11 +115,32 @@ class DifferentialSpec:
         )
 
 
-@dataclass(frozen=True)
 class PageComponent:
-    basis: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[int, ...], ...]
-    boundaries: tuple[tuple[int, ...], ...]
+    """One bidegree of a page: its ambient basis and the coordinates of its
+    cycles and boundaries.  Equal to another with the same three tuples, which
+    ``SSPage.key`` reads."""
+
+    __slots__ = ("basis", "cycles", "boundaries")
+
+    def __init__(
+        self,
+        basis: tuple[tuple[int, ...], ...],
+        cycles: tuple[tuple[int, ...], ...],
+        boundaries: tuple[tuple[int, ...], ...],
+    ):
+        self.basis = basis
+        self.cycles = cycles
+        self.boundaries = boundaries
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PageComponent:
+            return NotImplemented
+        return (self.basis, self.cycles, self.boundaries) == (
+            other.basis, other.cycles, other.boundaries
+        )
+
+    def __hash__(self):
+        return hash((self.basis, self.cycles, self.boundaries))
 
     @property
     def dim(self) -> int:
@@ -350,29 +372,55 @@ def euler_bookkeeping_holds(old: SSPage, new: SSPage, upto: int) -> bool:
 # scenarios
 
 
-@dataclass(eq=False)
 class Scenario:
     """A fixed spectral-sequence computation: ambient data, differentials, target."""
 
-    name: str
-    prime: int
-    context: AlgebraContext
-    differentials: list[DifferentialSpec]
-    target_degree: int
-    named: dict[str, Element]
-    permanent: list[tuple[Element, str]] = field(default_factory=list)
-    certify: bool = True
-    annotations: list[str] = field(default_factory=list)
+    __slots__ = (
+        "name", "prime", "context", "differentials", "target_degree", "named",
+        "permanent", "certify", "annotations",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        prime: int,
+        context: AlgebraContext,
+        differentials: list[DifferentialSpec],
+        target_degree: int,
+        named: dict[str, Element],
+        permanent: Sequence[tuple[Element, str]] = (),
+        certify: bool = True,
+        annotations: Sequence[str] = (),
+    ):
+        self.name = name
+        self.prime = prime
+        self.context = context
+        self.differentials = differentials
+        self.target_degree = target_degree
+        self.named = named
+        self.permanent = list(permanent)
+        self.certify = certify
+        self.annotations = list(annotations)
 
 
-@dataclass(eq=False)
 class ScenarioResult:
-    scenario: Scenario
-    pages: list[SSPage]
-    final: SSPage
-    dims: list[int]
-    collapse_certified: bool
-    annotations: list[str]
+    __slots__ = ("scenario", "pages", "final", "dims", "collapse_certified", "annotations")
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        pages: list[SSPage],
+        final: SSPage,
+        dims: list[int],
+        collapse_certified: bool,
+        annotations: list[str],
+    ):
+        self.scenario = scenario
+        self.pages = pages
+        self.final = final
+        self.dims = dims
+        self.collapse_certified = collapse_certified
+        self.annotations = annotations
 
 
 def run_scenario(
@@ -750,7 +798,11 @@ def scalar_sweep_results(
                 yield a1, a2, solved
             else:
                 differentials = _bg1_transgressions(sc.named, a1, a2)
-                yield a1, a2, run_scenario(replace(sc, differentials=differentials), turns)
+                pair = Scenario(
+                    sc.name, sc.prime, sc.context, differentials, sc.target_degree,
+                    sc.named, sc.permanent, sc.certify, sc.annotations,
+                )
+                yield a1, a2, run_scenario(pair, turns)
 
 
 def _scalar_sweep(job: Job) -> tuple[str, str]:

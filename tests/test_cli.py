@@ -1,6 +1,11 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -511,3 +516,44 @@ class TestFullRun:
             return "\n".join(out)
 
         assert stripped(full_run) == stripped(second)
+
+
+def fresh_python(args, **env):
+    """Run ``python <args>`` in a new interpreter that imports this checkout's
+    package; its stdout, after asserting it exited 0."""
+    package_root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root), **env}
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestFreshProcess:
+    def test_cold_start_imports_no_dataclasses_or_inspect(self):
+        # -S keeps the site-packages .pth files, which may import anything,
+        # out of the interpreter's start
+        code = (
+            "import sys; import milnor_forge.cli as cli; cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        assert fresh_python(["-S", "-c", code]) == "[]\n"
+
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    def test_records_do_not_depend_on_the_hash_seed(self, fmt):
+        argv = ["-m", "milnor_forge", "all", "--primes", "2,3,5,7,11", "--sweep-scalars",
+                "--format", fmt]
+
+        def without_elapsed(out):
+            if fmt == "json":
+                records = [json.loads(line) for line in out.splitlines()]
+                return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in records]
+            return [re.sub(r"^(\S+ +\S+ +l=\d+) +\d+ms ", r"\1", line)
+                    for line in out.splitlines()]
+
+        first, second = (
+            without_elapsed(fresh_python(argv, PYTHONHASHSEED=seed)) for seed in ("0", "1")
+        )
+        assert len(first) > 200
+        assert first == second

@@ -186,6 +186,27 @@ class TestElement:
         assert Element(ctx, {mono: -1}).render() == "4*y1"
         assert Element(ctx, {mono: 10}).is_zero()
 
+    def test_non_integer_coefficients_and_exponents_rejected(self):
+        # outside coefficients and exponents are integers or raise; none is
+        # kept as a float
+        ctx = CONTEXTS[(3, 3)]
+        (x1,) = ctx.generator("x1").terms
+        with pytest.raises(TypeError):
+            Element(ctx, {x1: 1.5})
+        with pytest.raises(TypeError):
+            Element(ctx, {x1: 3.0})
+        with pytest.raises(TypeError):
+            ctx.monomial_element({"x2": 1.5})
+        with pytest.raises(TypeError):
+            ctx.monomial_element({"x2": 1}, coeff=0.5)
+        with pytest.raises(TypeError):
+            ctx.scalar(1.5)
+        with pytest.raises(TypeError):
+            ctx.generator("x1").scale(2.0)
+        assert Element(ctx, {x1: True}).render() == "1*x1"
+        assert ctx.monomial_element({"x2": True}, coeff=4).render() == "1*x2"
+        assert ctx.generator("x1").scale(False).is_zero()
+
     def test_render_golden(self):
         ctx = CONTEXTS[(5, 3)]
         el = multiply(

@@ -1,6 +1,5 @@
 import functools
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +28,15 @@ from milnor_forge.specseq import (
 def assert_all_pass(reports):
     bad = [r for r in reports if r.status == FAIL]
     assert not bad, "\n".join(f"{r.check_id}: {r.details}" for r in bad)
+
+
+def with_differentials(sc, differentials, certify=None):
+    """``sc`` with ``differentials`` in place of its own, and with
+    ``certify`` when it is given."""
+    return Scenario(
+        sc.name, sc.prime, sc.context, differentials, sc.target_degree, sc.named,
+        sc.permanent, sc.certify if certify is None else certify, sc.annotations,
+    )
 
 
 def module_basis_dims_oracle(upto):
@@ -583,7 +591,10 @@ def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_rec
     def wrong_when_alpha1_is_two(sc, *args, **kwargs):
         result = original(sc, *args, **kwargs)
         if sc.differentials[0].images["z1"][1] == sc.named["a2"].scale(-2):
-            return replace(result, dims=[1, 0, 1, 1, 3])
+            return specseq.ScenarioResult(
+                result.scenario, result.pages, result.final, [1, 0, 1, 1, 3],
+                result.collapse_certified, result.annotations,
+            )
         return result
 
     monkeypatch.setattr(specseq, "run_scenario", wrong_when_alpha1_is_two)
@@ -640,7 +651,7 @@ class TestTurnMemo:
 
     def scalars(self, solved, alpha1, alpha2):
         sc = solved.scenario
-        return replace(sc, differentials=specseq._bg1_transgressions(sc.named, alpha1, alpha2))
+        return with_differentials(sc, specseq._bg1_transgressions(sc.named, alpha1, alpha2))
 
     def test_same_scenario_hits_on_every_turn(self, turns, solved, computed):
         result = run_scenario(solved.scenario, turns)
@@ -680,7 +691,7 @@ class TestTurnMemo:
         # the two runs apart
         one, other = scenario_bg1(self.PRIME), scenario_bg1(self.PRIME)
         for sc in (one, other):
-            d3_only = replace(sc, differentials=sc.differentials[1:], certify=False)
+            d3_only = with_differentials(sc, sc.differentials[1:], certify=False)
             result = run_scenario(d3_only, turns)
             assert all(page.context is sc.context for page in result.pages)
         assert computed == [2, 3, 2, 3]
@@ -689,7 +700,7 @@ class TestTurnMemo:
         # the d3-only run turns page 2 with a zero d2, so its page 3 differs
         # from the full scenario's, although both turn page 3 with one d3
         sc = scenario_bg1(self.PRIME)
-        run_scenario(replace(sc, differentials=sc.differentials[1:], certify=False), turns)
+        run_scenario(with_differentials(sc, sc.differentials[1:], certify=False), turns)
         result = run_scenario(sc, turns)
         assert computed == [2, 3, 2, 3]
         assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME)))
@@ -698,14 +709,14 @@ class TestTurnMemo:
         self, turns, solved, computed
     ):
         sc = solved.scenario
-        d3_only = replace(sc, differentials=sc.differentials[1:], certify=False)
+        d3_only = with_differentials(sc, sc.differentials[1:], certify=False)
         result = run_scenario(d3_only, turns)
         assert computed == [2, 3]
         assert snapshot(result) == snapshot(run_scenario(d3_only))
 
     def test_d2_only_then_both_misses_on_page_three(self, turns, computed):
         sc = scenario_bg1(self.PRIME)
-        d2_only = run_scenario(replace(sc, differentials=sc.differentials[:1], certify=False), turns)
+        d2_only = run_scenario(with_differentials(sc, sc.differentials[:1], certify=False), turns)
         result = run_scenario(sc, turns)
         assert computed == [2, 3]
         assert result.pages[1] is d2_only.pages[1]
