@@ -72,21 +72,28 @@ class GeneratorSpec:
 class AlgebraContext:
     """Immutable generator data plus the working truncation degree.
 
-    Three memos fill lazily and are bounded by the finite set of monomials of
-    degree at most ``top_degree``: the basis per degree, the degree of each
-    such monomial, and ``_merge_monomials`` of each pair whose product degree
-    is within the truncation (``multiply`` keys it by left, then right).
+    Six memos fill lazily.  Four are bounded by the finite set of monomials
+    of degree at most ``top_degree``: the basis per degree, the degree of each
+    such monomial, ``_last_factor`` of each such monomial, and
+    ``_merge_monomials`` of each pair whose product degree is within the
+    truncation (``_product`` keys it by left, then right).  ``_support_memo``
+    holds ``_image_support`` of each generator that ``linear_substitution``
+    has seen, at most one entry per generator.  ``_row_images`` is
+    ``invariants.induced_action``'s image pair of each matrix row it has met
+    (the image of a degree-1 generator and of its Bockstein partner), at most
+    l^n entries for n degree-1 generators.
     ``_action_layout`` is the unit monomials of the degree-1 generators and
     their Bockstein partners, set by ``invariants.induced_action`` on its
     first successful call and never on a failed one, so a generator above the
     truncation raises on every call.  ``_odd_units`` holds the unit monomial
-    of every odd generator.
+    of every odd generator, and ``_constant`` is the constant monomial.
     """
 
     __slots__ = (
         "prime", "generators", "top_degree", "annihilator_pairs",
-        "_index", "_degrees", "_odd_positions", "_odd_units", "_basis_cache",
-        "_degree_memo", "_merge_memo", "_action_layout",
+        "_index", "_degrees", "_odd_positions", "_odd_units", "_constant",
+        "_basis_cache", "_degree_memo", "_merge_memo", "_split_memo", "_support_memo",
+        "_row_images", "_action_layout",
     )
 
     def __init__(
@@ -128,6 +135,7 @@ class AlgebraContext:
         self._odd_units = frozenset(
             (0,) * i + (1,) + (0,) * (n - i - 1) for i in self._odd_positions
         )
+        self._constant = (0,) * n
         pairs = set()
         for a, b in annihilator_pairs:
             ia, ib = self._index[a], self._index[b]
@@ -136,6 +144,9 @@ class AlgebraContext:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._degree_memo: dict[Monomial, int] = {}
         self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
+        self._support_memo: dict[str, frozenset[Monomial]] = {}
+        self._split_memo: dict[Monomial, tuple[int, Monomial]] = {}
+        self._row_images: dict[tuple[int, ...], tuple[Element, Element | None]] = {}
         self._action_layout = None
 
     # -- structure queries ---------------------------------------------------
@@ -173,6 +184,37 @@ class AlgebraContext:
             if mono[a] and mono[b]:
                 return True
         return False
+
+    def _image_support(self, name: str) -> frozenset[Monomial]:
+        """The monomials a validated image of generator ``name`` may hold: the
+        unit monomials of the odd generators of its degree when it is odd,
+        else the basis of its degree (none above the truncation).  Kept in
+        ``_support_memo``; an unknown name raises ``KeyError``."""
+        spec = self.spec(name)
+        if spec.parity == "odd":
+            support = frozenset(
+                u for u in self._odd_units if self.monomial_degree(u) == spec.degree
+            )
+        elif spec.degree <= self.top_degree:
+            support = frozenset(self.basis_of_degree(spec.degree))
+        else:
+            support = frozenset()
+        self._support_memo[name] = support
+        return support
+
+    def _last_factor(self, mono: Monomial) -> tuple[int, Monomial]:
+        """``(i, prefix)`` with mono = prefix * g_i and g_i its last generator
+        factor; ``(-1, mono)`` for the constant monomial.  Kept in
+        ``_split_memo`` when ``mono`` lies within the truncation."""
+        split = self._split_memo.get(mono)
+        if split is None:
+            i = len(mono) - 1
+            while i >= 0 and not mono[i]:
+                i -= 1
+            split = (i, mono[:i] + (mono[i] - 1,) + mono[i + 1:]) if i >= 0 else (-1, mono)
+            if self.monomial_degree(mono) <= self.top_degree:
+                self._split_memo[mono] = split
+        return split
 
     # -- element constructors --------------------------------------------------
 
@@ -254,17 +296,22 @@ class Element:
     """A finite F_l-linear combination of normal-form monomials.
 
     The constructor takes outside coefficients: each must be an integer
-    (``ffla.integers``) and is reduced mod l, and zeros are dropped.  Sums,
-    differences, negations and scalings of elements are reduced by
-    construction and skip that check.
+    (``ffla.integers``) and is reduced mod l, and zeros are dropped, as are
+    the monomials the context kills (exterior squares and annihilator
+    pairs), as in ``monomial_element``.  Sums, differences, negations and
+    scalings of elements are reduced by construction and skip that check.
     """
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context: AlgebraContext, terms: dict[Monomial, int]):
         p = context.prime
+        killed = context.monomial_killed
         self.context = context
-        self.terms = {m: r for m, c in zip(terms, integers(terms.values())) if (r := c % p)}
+        self.terms = {
+            m: r for m, c in zip(terms, integers(terms.values()))
+            if (r := c % p) and not killed(m)
+        }
 
     @classmethod
     def _trusted(cls, context: AlgebraContext, terms: dict[Monomial, int]) -> "Element":
@@ -385,25 +432,29 @@ def _merge_monomials(ctx: AlgebraContext, left: Monomial, right: Monomial):
 _UNSEEN = object()
 
 
-def multiply(a: Element, b: Element, truncate: bool = False) -> Element:
-    """Bilinear Koszul-signed product.
+def _product(
+    ctx: AlgebraContext,
+    a_terms: dict[Monomial, int],
+    b_terms: dict[Monomial, int],
+    truncate: bool,
+) -> dict[Monomial, int]:
+    """The package's one product kernel: the Koszul-signed product of two
+    reduced term dicts of ``ctx``, as a new reduced term dict.
 
-    Exact mode raises ``TruncationOverflowError`` when a surviving term would
-    exceed the truncation degree; truncating mode silently drops such terms
-    (used only by the spectral-sequence engine, where pages are degreewise).
-    Monomial merges within the truncation are memoized on the context.
+    Exact mode raises ``TruncationOverflowError`` when a term pair whose
+    merge survives would exceed the truncation degree; truncating mode drops
+    such pairs.  Monomial merges within the truncation are memoized on the
+    context, keyed by left, then right.
     """
-    a._check(b)
-    ctx = a.context
     p = ctx.prime
     cap = ctx.top_degree
     merges = ctx._merge_memo
     terms: dict[Monomial, int] = {}
-    for m1, c1 in a.terms.items():
+    for m1, c1 in a_terms.items():
         row = merges.get(m1)
         if row is None:
             row = {}
-        for m2, c2 in b.terms.items():
+        for m2, c2 in b_terms.items():
             merged = row.get(m2, _UNSEEN)
             if merged is _UNSEEN:
                 # only products within the truncation enter the memo
@@ -424,12 +475,25 @@ def multiply(a: Element, b: Element, truncate: bool = False) -> Element:
                 terms[mono] = c
             else:
                 terms.pop(mono, None)
-    return Element._trusted(ctx, terms)
+    return terms
 
 
-def _accumulate(terms: dict[Monomial, int], el: Element, c: int, p: int) -> None:
-    """In place: ``terms += c * el`` with coefficients kept in ``1..p-1``."""
-    for m, v in el.terms.items():
+def multiply(a: Element, b: Element, truncate: bool = False) -> Element:
+    """Bilinear Koszul-signed product of two elements of one context.
+
+    Exact mode raises ``TruncationOverflowError`` when a surviving term would
+    exceed the truncation degree; truncating mode silently drops such terms
+    (used only by the spectral-sequence engine, where pages are degreewise).
+    The work is ``_product``'s, which ``signed_leibniz`` and
+    ``AlgebraMap.__call__`` call directly on raw term dicts.
+    """
+    a._check(b)
+    return Element._trusted(a.context, _product(a.context, a.terms, b.terms, truncate))
+
+
+def _accumulate(terms: dict[Monomial, int], other: dict[Monomial, int], c: int, p: int) -> None:
+    """In place: ``terms += c * other`` with coefficients kept in ``1..p-1``."""
+    for m, v in other.items():
         s = (terms.get(m, 0) + c * v) % p
         if s:
             terms[m] = s
@@ -450,8 +514,8 @@ def signed_leibniz(
     D(ab) = D(a) b + (-1)^deg(a) a D(b): a factor g^n contributes
     (n // power) * (prefix * g^(n - power)) * image * (suffix), so a power
     below ``power`` contributes nothing.  At l = 2 the sign is vacuous.
-    ``truncate`` is passed to ``multiply``: drop terms above the truncation
-    degree instead of raising ``TruncationOverflowError``.
+    ``truncate`` is passed to the product kernel: drop terms above the
+    truncation degree instead of raising ``TruncationOverflowError``.
     """
     ctx = element.context
     p = ctx.prime
@@ -467,13 +531,10 @@ def signed_leibniz(
                     sign = -1 if (p != 2 and prefix_degree % 2) else 1
                     c = (sign * (e // power) * coeff) % p
                     if c:
-                        left = Element._trusted(
-                            ctx, {mono[:i] + (e - power,) + (0,) * (n_gens - i - 1): 1}
-                        )
-                        right = Element._trusted(ctx, {(0,) * (i + 1) + mono[i + 1:]: 1})
-                        term = multiply(
-                            multiply(left, img, truncate=truncate), right,
-                            truncate=truncate,
+                        left = {mono[:i] + (e - power,) + (0,) * (n_gens - i - 1): 1}
+                        right = {(0,) * (i + 1) + mono[i + 1:]: 1}
+                        term = _product(
+                            ctx, _product(ctx, left, img.terms, truncate), right, truncate
                         )
                         _accumulate(terms, term, c, p)
                 prefix_degree += e * ctx._degrees[i]
@@ -483,7 +544,7 @@ def signed_leibniz(
 class AlgebraMap:
     """The algebra endomorphism extending given generator images."""
 
-    __slots__ = ("context", "images")
+    __slots__ = ("context", "images", "_image_terms")
 
     def __init__(self, context: AlgebraContext, images: Mapping[str, Element]):
         self.context = context
@@ -492,56 +553,105 @@ class AlgebraMap:
             img = images.get(g.name)
             full[g.name] = img if img is not None else context.generator(g.name)
         self.images = full
+        # the images' terms by generator position
+        self._image_terms = tuple([img.terms for img in full.values()])
 
     def __call__(self, element: Element) -> Element:
-        """Apply the map: each monomial goes to the product of its factors' images.
+        """Apply the map: the sum over monomials of coeff * f(monomial).
 
-        A monomial's product starts from the image of its first generator
-        factor (the constant monomial maps to ``one``), so a single generator
-        maps to its image as given and each further factor costs one exact
-        ``multiply``, which raises ``TruncationOverflowError`` past the
-        truncation.
+        Each monomial m is written prefix * g with g its last generator
+        factor; since g comes last, no sign arises and f(m) = f(prefix) f(g).
+        So the monomials are grouped by g, the sum of coeff * f(prefix) over
+        each group is formed the same way (Horner's scheme from the right),
+        and each group costs one exact ``_product`` with f(g).  The recursion
+        stops at generators, whose images are taken as given: a monomial
+        that is a generator adds its scaled image with no product, and a
+        group whose one prefix is a generator multiplies the two images.
+        The constant monomial maps to itself.
+
+        An exact product raises ``TruncationOverflowError`` when a surviving
+        term pair lies past the truncation, which no element within the
+        truncation meets under degree-preserving images such as
+        ``linear_substitution``'s.  The map is applied to the element as a
+        whole, so for an element past the truncation, prefix images that
+        cancel within a group raise nothing: under ``y1 -> x1`` at l = 3,
+        x1*y2^2 and y1*y2^2 each raise alone, but x1*y2^2 + 2*y1*y2^2 maps
+        to zero.
         """
         if element.context is not self.context:
             raise ValueError("element belongs to a different context")
+        return Element._trusted(self.context, self._apply(element.terms.items()))
+
+    def _apply(self, pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
+        """f of the sum of coeff * monomial over ``(monomial, coeff)`` pairs
+        with distinct monomials, as a new reduced term dict."""
         ctx = self.context
-        terms: dict[Monomial, int] = {}
-        for mono, coeff in element.terms.items():
-            img = None
-            for e, g in zip(mono, ctx.generators):
-                for _ in range(e):
-                    factor = self.images[g.name]
-                    img = factor if img is None else multiply(img, factor)
-            if img is None:
-                img = ctx.one()
-            _accumulate(terms, img, coeff, ctx.prime)
-        return Element._trusted(ctx, terms)
+        p = ctx.prime
+        constant = ctx._constant
+        images = self._image_terms
+        out: dict[Monomial, int] = {}
+        # last generator position -> [(prefix, coeff), ...]
+        groups: dict[int, list[tuple[Monomial, int]]] = {}
+        for mono, c in pairs:
+            i, prefix = ctx._last_factor(mono)
+            if i < 0:
+                out[mono] = c
+            elif prefix == constant:
+                _accumulate(out, images[i], c, p)
+            else:
+                group = groups.get(i)
+                if group is None:
+                    groups[i] = [(prefix, c)]
+                else:
+                    group.append((prefix, c))
+        for i, group in groups.items():
+            prefix, c = group[0]
+            j, rest = ctx._last_factor(prefix)
+            if len(group) == 1 and rest == constant:
+                # one prefix, the generator g_j: the group is c * f(g_j) f(g_i)
+                left = images[j]
+            else:
+                left, c = self._apply(group), 1
+            product = _product(ctx, left, images[i], False)
+            if out or c != 1:
+                _accumulate(out, product, c, p)
+            else:
+                out = product
+        return out
 
 
 def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> AlgebraMap:
     """Validated construction of the endomorphism sending generators to images.
 
-    Every image must be homogeneous of its generator's degree, checked in one
-    pass over its monomials (a zero image is accepted); images of odd
-    generators must be linear combinations of odd generators (so exterior
-    squares stay zero).  Unlisted generators map to themselves.
+    Every image must be homogeneous of its generator's degree (a zero image
+    is accepted); images of odd generators must be linear combinations of
+    odd generators (so exterior squares stay zero).  Unlisted generators map
+    to themselves.  An image whose monomials all lie in the context's
+    ``_image_support`` of its generator passes by that one set-inclusion
+    test.  Any other image is checked monomial by monomial, degrees first:
+    that raises the error, or accepts what the support leaves out but the
+    rule allows (a monomial above the truncation, for one).
     """
-    odd_units = ctx._odd_units
-    degree_of = ctx.monomial_degree
+    supports = ctx._support_memo
     for name, img in images.items():
-        spec = ctx.spec(name)
+        support = supports.get(name)
+        if support is None:
+            support = ctx._image_support(name)
         if img.context is not ctx:
             raise ValueError("image belongs to a different context")
+        if img.terms.keys() <= support:
+            continue
+        spec = ctx.spec(name)
         degree = spec.degree
         for mono in img.terms:
-            if degree_of(mono) != degree:
+            if ctx.monomial_degree(mono) != degree:
                 raise ValueError(
                     f"image of {name} must be homogeneous of degree {degree}"
                 )
         if spec.parity == "odd":
             for mono in img.terms:
                 # exactly one nonzero exponent, equal to 1, at an odd generator
-                if mono not in odd_units:
+                if mono not in ctx._odd_units:
                     raise ValueError(
                         f"image of odd generator {name} must be a combination "
                         f"of odd generators"

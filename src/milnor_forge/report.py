@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from typing import Any, Callable, Hashable
@@ -34,6 +33,9 @@ class CheckReport:
         return self.status == FAIL
 
     def as_json(self) -> str:
+        # imported here: a text-format run never loads json
+        import json
+
         record = {
             "check_id": self.check_id,
             "prime": self.prime,

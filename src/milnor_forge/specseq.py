@@ -254,7 +254,7 @@ def _combine(
     terms: dict[Monomial, int] = {}
     for m, c in coeffs:
         if c:
-            _accumulate(terms, table[m], c, p)
+            _accumulate(terms, table[m].terms, c, p)
     return terms
 
 

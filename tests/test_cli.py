@@ -536,7 +536,7 @@ class TestFreshProcess:
         # out of the interpreter's start
         code = (
             "import sys; import milnor_forge.cli as cli; cli.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
         )
         assert fresh_python(["-S", "-c", code]) == "[]\n"
 

@@ -207,6 +207,20 @@ class TestElement:
         assert ctx.monomial_element({"x2": True}, coeff=4).render() == "1*x2"
         assert ctx.generator("x1").scale(False).is_zero()
 
+    def test_killed_monomials_dropped_on_construction(self):
+        # as monomial_element does: an exterior square at an odd prime and a
+        # monomial carrying an annihilator pair are zero
+        ctx = elementary_abelian_context(3, 2, 6)
+        x1_squared = Element(ctx, {(2, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+        assert x1_squared.terms == {(0, 1, 0, 0): 1}
+        assert Element(ctx, {(2, 0, 0, 0): 1}) == ctx.monomial_element({"x1": 2}) == ctx.zero()
+        f = linear_substitution(ctx, {"x2": Element(ctx, {(2, 0, 0, 0): 1})})
+        assert f(ctx.generator("x2")).is_zero()
+        gens = [GeneratorSpec("a", 2, "even"), GeneratorSpec("b", 2, "even")]
+        paired = AlgebraContext(3, gens, 8, annihilator_pairs=[("a", "b")])
+        assert Element(paired, {(1, 1): 1}).is_zero()
+        assert Element(paired, {(2, 0): 1}).render() == "1*a^2"
+
     def test_render_golden(self):
         ctx = CONTEXTS[(5, 3)]
         el = multiply(
@@ -291,6 +305,56 @@ class TestLinearSubstitution:
             linear_substitution(ctx, {"w": bad})
         ok = ctx.generator("u") - ctx.generator("w")
         linear_substitution(ctx, {"w": ok})
+
+    @staticmethod
+    def images(case):
+        """``(context, images)`` for one row of the decision table."""
+        if case in ("odd combination", "odd generator outside the odd units"):
+            gens = [GeneratorSpec("w", 3, "odd"), GeneratorSpec("u", 3, "odd"),
+                    GeneratorSpec("v", 1, "odd"), GeneratorSpec("s", 2, "even")]
+            ctx = AlgebraContext(3, gens, 8)
+            g = ctx.generator
+            w = g("u") - g("w") if case == "odd combination" else multiply(g("v"), g("s"))
+            return ctx, {"w": w}
+        if case == "image above the truncation":
+            # x2 has degree 2 over a truncation at 1: no basis to test against
+            ctx = elementary_abelian_context(3, 1, 1)
+            return ctx, {"x2": Element(ctx, {(0, 1): 2})}
+        ctx = CONTEXTS[(3, 3)]
+        g, m = ctx.generator, ctx.monomial_element
+        return ctx, {
+            "linear": {"x1": g("y1") - g("x1"), "y2": g("x2").scale(2) + g("z2")},
+            "non-linear even image": {"x2": m({"x1": 1, "y1": 1}) + g("y2")},
+            "zero image": {"z1": ctx.zero(), "z2": ctx.zero()},
+            "inhomogeneous": {"x1": g("y1"), "x2": g("x2") + ctx.one()},
+            "unknown name": {"x1": g("x1"), "w1": g("x1")},
+        }[case]
+
+    # case -> (error type, or None when accepted; the error's message)
+    DECISIONS = {
+        "linear": (None, None),
+        "non-linear even image": (None, None),
+        "zero image": (None, None),
+        "odd combination": (None, None),
+        "image above the truncation": (None, None),
+        "inhomogeneous": (ValueError, "image of x2 must be homogeneous of degree 2"),
+        "odd generator outside the odd units": (
+            ValueError, "image of odd generator w must be a combination of odd generators"
+        ),
+        "unknown name": (KeyError, "w1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DECISIONS))
+    def test_decisions_and_messages(self, case):
+        ctx, images = self.images(case)
+        error, message = self.DECISIONS[case]
+        if error is None:
+            f = linear_substitution(ctx, images)
+            assert all(f.images[name] == image for name, image in images.items())
+            return
+        with pytest.raises(error) as raised:
+            linear_substitution(ctx, images)
+        assert raised.value.args == (message,)
 
     def test_image_from_another_context_rejected(self):
         ctx = CONTEXTS[(3, 3)]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from milnor_forge import invariants
+from milnor_forge.cli import RunConfig
 from milnor_forge.ffla import FieldMatrix, spans_equal
 from milnor_forge.galg import (
     AlgebraContext,
@@ -21,7 +22,7 @@ from milnor_forge.invariants import (
     weyl_generators,
 )
 from milnor_forge.milnor import milnor_q
-from milnor_forge.report import FAIL, PASS
+from milnor_forge.report import FAIL, PASS, Job
 
 
 def assert_all_pass(reports):
@@ -328,6 +329,36 @@ class TestClosureOracle:
         assert reports["invariants.closure.subspace"].status == FAIL
         assert reports["invariants.closure.order"].status == PASS
         assert reports["invariants.closure.shape"].status == PASS
+
+    @pytest.mark.parametrize("prime,order", [(2, 24), (3, 216), (5, 3000)])
+    def test_every_enumerated_element_gets_its_own_applied_map(self, monkeypatch, prime, order):
+        # one induced_action call per enumerated element, in enumeration
+        # order, each with that element's own matrix, each returning a map of
+        # its own that is applied: an oracle that skipped elements, reused a
+        # map or composed maps from others would fail one of these
+        job = Job(prime, RunConfig(primes=(prime,)))
+        w, elements = invariants._closure(job)
+        answer = invariant_subspace(invariants._rank3_context(job), 4, w)
+        monkeypatch.setattr(invariants, "invariant_subspace", lambda ctx, d, gens: answer)
+        real = induced_action
+        calls = []
+
+        def induced(action, ctx):
+            f, applied = real(action, ctx), []
+            calls.append((action, f, applied))
+
+            def apply(el):
+                applied.append(el)
+                return f(el)
+
+            return apply
+
+        monkeypatch.setattr(invariants, "induced_action", induced)
+        assert invariants._closure_subspace(job)[0] == PASS
+        assert len(elements) == len(calls) == order
+        assert all(action is m for (action, _, _), m in zip(calls, elements))
+        assert len({id(f) for _, f, _ in calls}) == order
+        assert all(applied for _, _, applied in calls)
 
     def test_induced_images_match_generator_sums(self):
         # the images as sums of scaled generators, built with public arithmetic

@@ -5,8 +5,11 @@
 still have reduced, nonzero coefficients and no killed monomial, must equal
 its revalidated copy, and must not depend on the context's merge and degree
 memos: the same product on a fresh context gives the same terms.
-``AlgebraMap.__call__``, which starts each monomial from its first factor's
-image, must also equal a product over every factor starting from ``one``.
+``AlgebraMap.__call__``, which groups the monomials by their last generator
+and multiplies each group's summed prefix images once by that generator's
+image, must also equal a product over every factor starting from ``one``,
+both for induced (linear) maps and for maps whose images are homogeneous but
+not linear, on elements whose monomials share a last generator.
 """
 
 import pytest
@@ -138,6 +141,51 @@ def test_algebra_map_matches_an_independent_evaluation(data):
     assert induced_action(m, el.context)(el) == evaluate(images, el)
 
 
+@st.composite
+def homogeneous_images(draw, ctx):
+    """Images of the generators' own degrees, non-linear where the degree
+    allows, e.g. x2 -> x1*y1 + y2: sums of up to three basis monomials with
+    drawn coefficients (combinations of odd generators for odd ones)."""
+    images = {}
+    for g in ctx.generators:
+        if g.parity == "odd":
+            support = sorted(ctx._odd_units & set(ctx.basis_of_degree(g.degree)))
+        else:
+            support = ctx.basis_of_degree(g.degree)
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            terms[draw(st.sampled_from(support))] = draw(st.integers(0, ctx.prime - 1))
+        images[g.name] = Element(ctx, terms)
+    return images
+
+
+@st.composite
+def shared_last_generator(draw, ctx, max_degree):
+    """Several monomials of one degree that end in the same generator, plus
+    a few drawn terms of any degree."""
+    degree = draw(st.integers(1, max_degree))
+    position = draw(st.integers(0, len(ctx.generators) - 1))
+    ending = [
+        m for m in ctx.basis_of_degree(degree)
+        if m[position] and not any(m[position + 1:])
+    ]
+    chosen = draw(st.lists(st.sampled_from(ending), max_size=5, unique=True)) if ending else []
+    terms = {m: draw(st.integers(1, ctx.prime - 1)) for m in chosen}
+    terms.update(draw(raw_elements(ctx, max_degree)).terms)
+    return Element(ctx, terms)
+
+
+@given(st.data())
+def test_grouped_evaluation_under_non_linear_images(data):
+    prime = data.draw(st.sampled_from(PRIMES))
+    ctx = CTXS[prime]
+    images = data.draw(homogeneous_images(ctx))
+    el = data.draw(shared_last_generator(ctx, max_degree=8))
+    image = linear_substitution(ctx, images)(el)
+    assert_well_formed(image)
+    assert image == evaluate(images, el)
+
+
 class TestAlgebraMapCall:
     def test_scalar_maps_to_itself(self):
         ctx = CTXS[3]
@@ -163,6 +211,16 @@ class TestAlgebraMapCall:
         # x2^2 lies within it, but its image under x2 -> x2 + x2^2 does not
         with pytest.raises(TruncationOverflowError):
             AlgebraMap(ctx, {"x2": x2 + multiply(x2, x2)})(multiply(x2, x2))
+        # the map is applied to the element as a whole: x1*y2^2 and y1*y2^2
+        # lie above the truncation and each raises alone, but under y1 -> x1
+        # the prefix images of x1*y2^2 + 2*y1*y2^2 cancel before any product
+        ctx = elementary_abelian_context(3, 2, 4)
+        f = linear_substitution(ctx, {"y1": ctx.generator("x1")})
+        x1_y2_y2, y1_y2_y2 = (1, 0, 0, 2), (0, 0, 1, 2)
+        for mono in (x1_y2_y2, y1_y2_y2):
+            with pytest.raises(TruncationOverflowError):
+                f(Element(ctx, {mono: 1}))
+        assert f(Element(ctx, {x1_y2_y2: 1, y1_y2_y2: 2})).is_zero()
 
 
 @given(st.data())
