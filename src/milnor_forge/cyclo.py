@@ -29,6 +29,7 @@ under conjugation, so e.g. ``tau^-1 alpha tau`` is verified in the form
 from __future__ import annotations
 
 import itertools
+from operator import add, sub
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -183,6 +184,9 @@ class CycInt:
         )
 
     def __hash__(self):
+        # an element equal to an int hashes as that int
+        if self.is_integer():
+            return hash(self.coeffs[0])
         return hash((self.prime, self.coeffs))
 
     def __repr__(self) -> str:
@@ -238,23 +242,36 @@ def _canonical(prime: int, acc: list[int]) -> CycInt:
     if prime == 2:
         return CycInt._trusted(2, (acc[0] - acc[2], acc[1]))
     top = acc[prime - 1]
-    return CycInt._trusted(
-        prime, tuple([a + b - top for a, b in zip(acc, acc[prime:])])
-    )
+    folded = map(add, acc, acc[prime:])
+    if top:
+        folded = map(sub, folded, itertools.repeat(top))
+    return CycInt._trusted(prime, tuple(folded))
 
 
 class CycMatrix:
-    """Square matrix over Z[xi_l].
+    """Square matrix over Z[xi_l], with a sparse view of its nonzero entries.
 
-    ``A * B`` converts each nonzero entry once to its sparsest group-ring
-    representative (``_support``; a root of unity is one term), skips zero
-    entries, and adds the term products of every ``A[i][k] B[k][j]`` into one
-    accumulator per output entry.  Each accumulator is canonicalized once
-    (``_canonical``).  An output entry that receives no term is the product's
-    one shared zero.
+    ``rows`` holds every entry.  ``_sparse`` holds, for each row, the
+    ``(column, support)`` pairs of its nonzero entries in column order, the
+    support being the entry's sparsest group-ring representative
+    (``_support``; a root of unity is one term).  The view is built once per
+    matrix and never mutated.  Products, comparisons, conjugate transposes,
+    scalings and ``det_monomial`` walk it instead of the zeros in ``rows``.
+
+    ``A * B`` is Gustavson's row-by-row sparse product: for each nonzero
+    ``A[i][k]`` and each nonzero ``B[k][j]`` it adds the term products of the
+    two supports into row i's accumulator for column j (``_convolve``), and
+    canonicalizes each touched accumulator once (``_canonical``).  Every
+    other output entry is the product's one shared zero, and an accumulator
+    that cancels gives a zero entry that the result's view leaves out.  A
+    product of two monomial matrices (one nonzero entry per row) therefore
+    touches n entries, not n^2.
+
+    ``CycMatrix(prime, rows)`` validates outside input; results built here
+    are wrapped by ``_trusted`` without the per-entry checks.
     """
 
-    __slots__ = ("prime", "size", "rows")
+    __slots__ = ("prime", "size", "rows", "_sparse")
 
     def __init__(self, prime: int, rows: Sequence[Sequence[CycInt]]):
         self.prime = prime
@@ -266,11 +283,36 @@ class CycMatrix:
             for x in row:
                 if x.prime != prime:
                     raise ValueError("entry prime mismatch")
+        self._sparse = tuple(
+            [(j, _support(x)) for j, x in enumerate(row) if not x._zero] for row in self.rows
+        )
+
+    @classmethod
+    def _trusted(
+        cls, prime: int, rows: tuple[tuple[CycInt, ...], ...],
+        sparse: tuple[list[tuple[int, list[tuple[int, int]]]], ...],
+    ) -> "CycMatrix":
+        """Wrap ``rows`` and their sparse view without checking them.
+
+        Only for results this module computes itself: square rows of entries
+        of ``prime``, and a view that lists exactly their nonzero entries.
+        """
+        m = cls.__new__(cls)
+        m.prime = prime
+        m.size = len(rows)
+        m.rows = rows
+        m._sparse = sparse
+        return m
 
     @classmethod
     def identity(cls, prime: int, n: int) -> "CycMatrix":
         one, zero = CycInt.one(prime), CycInt.zero(prime)
-        return cls(prime, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        unit = _support(one)
+        return cls._trusted(
+            prime,
+            tuple([tuple([one if i == j else zero for j in range(n)]) for i in range(n)]),
+            tuple([[(i, unit)] for i in range(n)]),
+        )
 
     @classmethod
     def from_fn(cls, prime: int, n: int, fn: Callable[[int, int], CycInt]) -> "CycMatrix":
@@ -292,59 +334,74 @@ class CycMatrix:
             raise ValueError("prime mismatch")
         zero = CycInt.zero(a.prime)
         n, m = a.size, b.size
-        rows = []
-        for i in range(n):
-            rows.append(list(a.rows[i]) + [zero] * m)
-        for i in range(m):
-            rows.append([zero] * n + list(b.rows[i]))
-        return cls(a.prime, rows)
+        rows = [row + (zero,) * m for row in a.rows] + [(zero,) * n + row for row in b.rows]
+        shifted = [[(j + n, s) for j, s in view] for view in b._sparse]
+        return cls._trusted(a.prime, tuple(rows), a._sparse + tuple(shifted))
 
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.prime != other.prime or self.size != other.size:
             raise ValueError("shape or prime mismatch")
         p, n = self.prime, self.size
         zero = CycInt.zero(p)
-        right = [[_support(b) for b in row] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [None] * n
-            for a, supports in zip(row, right):
-                if a._zero:
-                    continue
-                sa = _support(a)
-                for j, sb in enumerate(supports):
-                    if sb:
-                        d = acc[j]
-                        if d is None:
-                            d = acc[j] = _accumulator(p)
-                        _convolve(d, sa, sb)
-            out.append([zero if d is None else _canonical(p, d) for d in acc])
-        return CycMatrix(p, out)
+        right = other._sparse
+        rows, sparse = [], []
+        for left in self._sparse:
+            acc: dict[int, list[int]] = {}
+            for k, sa in left:
+                for j, sb in right[k]:
+                    d = acc.get(j)
+                    if d is None:
+                        d = acc[j] = _accumulator(p)
+                    _convolve(d, sa, sb)
+            row = [zero] * n
+            view = []
+            for j in sorted(acc):
+                x = row[j] = _canonical(p, acc[j])
+                if not x._zero:
+                    view.append((j, _support(x)))
+            rows.append(tuple(row))
+            sparse.append(view)
+        return CycMatrix._trusted(p, tuple(rows), tuple(sparse))
+
+    def _entrywise(self, fn: Callable[[CycInt], CycInt], transpose: bool) -> "CycMatrix":
+        """``fn`` applied to each nonzero entry, which moves to (j, i) when
+        ``transpose``; ``fn`` must send zero to zero."""
+        p, n = self.prime, self.size
+        zero = CycInt.zero(p)
+        rows = [[zero] * n for _ in range(n)]
+        sparse: list[list] = [[] for _ in range(n)]
+        for i, (src, view) in enumerate(zip(self.rows, self._sparse)):
+            for j, _ in view:
+                r, c = (j, i) if transpose else (i, j)
+                x = rows[r][c] = fn(src[j])
+                if not x._zero:
+                    sparse[r].append((c, _support(x)))
+        return CycMatrix._trusted(p, tuple(map(tuple, rows)), tuple(sparse))
 
     def scale(self, c) -> "CycMatrix":
-        return CycMatrix(self.prime, [[x * c for x in row] for row in self.rows])
+        return self._entrywise(lambda x: x * c, transpose=False)
 
     def conj_transpose(self) -> "CycMatrix":
-        n = self.size
-        return CycMatrix(
-            self.prime, [[self.rows[j][i].conj() for j in range(n)] for i in range(n)]
-        )
+        return self._entrywise(CycInt.conj, transpose=True)
 
     def __eq__(self, other) -> bool:
+        # a support determines its entry, so equal views mean equal rows
         return (
             isinstance(other, CycMatrix)
             and self.prime == other.prime
-            and self.rows == other.rows
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
         return hash((self.prime, self.rows))
 
     def first_mismatch(self, other: "CycMatrix") -> tuple[int, int] | None:
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.rows[i][j] != other.rows[i][j]:
-                    return (i, j)
+        """The first (i, j) in row-major order where the entries differ."""
+        for i, (mine, theirs) in enumerate(zip(self._sparse, other._sparse)):
+            if mine != theirs:
+                a, b = self.rows[i], other.rows[i]
+                cols = sorted({j for j, _ in mine}.union(j for j, _ in theirs))
+                return i, next(j for j in cols if a[j] != b[j])
         return None
 
     def det_monomial(self) -> CycInt:
@@ -356,12 +413,11 @@ class CycMatrix:
         n = self.size
         perm = [-1] * n
         values = []
-        for i in range(n):
-            nonzero = [j for j in range(n) if not self.rows[i][j]._zero]
-            if len(nonzero) != 1:
+        for i, view in enumerate(self._sparse):
+            if len(view) != 1:
                 raise ValueError("matrix is not monomial (row with != 1 nonzero entry)")
-            perm[i] = nonzero[0]
-            values.append(self.rows[i][nonzero[0]])
+            perm[i] = view[0][0]
+            values.append(self.rows[i][perm[i]])
         if sorted(perm) != list(range(n)):
             raise ValueError("matrix is not monomial (repeated column)")
         sign = 1

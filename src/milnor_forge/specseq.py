@@ -102,8 +102,17 @@ class DifferentialSpec:
         return cls(page, table)
 
     def apply(self, ctx: AlgebraContext, element: Element) -> Element:
-        """Signed Leibniz extension, truncating above the working degree."""
-        rules = {ctx.position(name): rule for name, rule in self.images.items()}
+        """Signed Leibniz extension, truncating above the working degree.
+
+        ``element`` and every image must belong to ``ctx``; an empty spec
+        applies in any context."""
+        if element.context is not ctx:
+            raise ValueError("element belongs to a different context")
+        rules = {}
+        for name, rule in self.images.items():
+            if rule[1].context is not ctx:
+                raise ValueError("element belongs to a different context")
+            rules[ctx.position(name)] = rule
         return signed_leibniz(element, rules, truncate=True)
 
     def key(self) -> tuple:

@@ -3,8 +3,9 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from milnor_forge import cyclo
 from milnor_forge.cyclo import (
     CycInt,
     CycMatrix,
@@ -205,6 +206,15 @@ class TestCycInt:
         with pytest.raises(ValueError):
             CycInt.root_power(5, 1).as_int()
 
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_integer_valued_element_hashes_as_its_int(self, p):
+        for n in (0, 1, 3, -7):
+            x = CycInt.from_int(p, n)
+            assert x == n and hash(x) == hash(n)
+            assert len({x, n}) == 1
+        root = CycInt.imaginary_unit() if p == 2 else CycInt.root_power(p, 1)
+        assert len({root, CycInt.one(p), 1}) == 2
+
     def test_non_integer_coefficients_rejected(self):
         # coefficients are integers or raise; none is truncated to one
         with pytest.raises(TypeError):
@@ -330,6 +340,188 @@ class TestProductKernel:
         # a float is not an integer, even with an integral value
         with pytest.raises(TypeError):
             CycInt(5, (True, 2.0, 0, 0))
+        one, zero = CycInt.one(5), CycInt.zero(5)
+        for rows in ([[one, zero]], [[one, zero], [zero]], [[one], [zero]]):
+            with pytest.raises(ValueError, match="square"):
+                CycMatrix(5, rows)
+        with pytest.raises(ValueError, match="prime"):
+            CycMatrix(5, [[one, zero], [zero, CycInt.one(3)]])
+        with pytest.raises(ValueError, match="prime"):
+            CycMatrix(3, [[one]])
+
+
+@st.composite
+def monomial_matrices(draw, p, n):
+    """A permutation matrix whose nonzero entries are roots of unity, all
+    scaled by one integer."""
+    perm = draw(st.permutations(range(n)))
+    scale = draw(st.sampled_from((1, -1, 2)))
+    roots = [CycInt.root_power(p, draw(st.integers(0, p - 1))) * scale for _ in range(n)]
+    zero = CycInt.zero(p)
+    return CycMatrix.from_fn(p, n, lambda i, j: roots[i] if j == perm[i] else zero)
+
+
+@st.composite
+def structured_matrices(draw, p, n):
+    """Monomial, a block_diag of two monomials, dense with zero rows and zero
+    columns, or dense."""
+    kind = draw(st.sampled_from(("monomial", "blocks", "holes", "dense")))
+    if kind == "monomial" or (kind == "blocks" and n == 1):
+        return draw(monomial_matrices(p, n))
+    if kind == "blocks":
+        k = draw(st.integers(1, n - 1))
+        blocks = draw(monomial_matrices(p, k)), draw(monomial_matrices(p, n - k))
+        return CycMatrix.block_diag(*blocks)
+    rows = [[draw(kernel_entries(p)) for _ in range(n)] for _ in range(n)]
+    if kind == "holes":
+        zero = CycInt.zero(p)
+        empty_rows = draw(st.sets(st.integers(0, n - 1)))
+        empty_cols = draw(st.sets(st.integers(0, n - 1)))
+        rows = [
+            [zero if i in empty_rows or j in empty_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    return CycMatrix(p, rows)
+
+
+# each example draws up to 2 x 14^2 entries
+SPARSE_EXAMPLES = 60
+
+
+@st.composite
+def structured_pairs(draw):
+    """Two structured n x n matrices over Z[xi_l], n up to 2l."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 2 * p))
+    return draw(structured_matrices(p, n)), draw(structured_matrices(p, n))
+
+
+def assert_view_lists_the_nonzero_entries(m):
+    # the view a validated copy of the same rows builds
+    assert m._sparse == CycMatrix(m.prime, m.rows)._sparse
+
+
+def dense_first_mismatch(a, b):
+    n = a.size
+    return next(
+        ((i, j) for i in range(n) for j in range(n) if a.rows[i][j] != b.rows[i][j]), None
+    )
+
+
+class TestSparseView:
+    """Products, comparisons, conjugate transposes and scalings on the
+    sparse view, against their entrywise definitions."""
+
+    @settings(max_examples=SPARSE_EXAMPLES)
+    @given(structured_pairs())
+    def test_product_matches_schoolbook(self, pair):
+        a, b = pair
+        product, expected = a * b, schoolbook_matrix(a, b)
+        assert product == expected and product.rows == expected.rows
+        assert_view_lists_the_nonzero_entries(product)
+
+    @settings(max_examples=SPARSE_EXAMPLES)
+    @given(structured_pairs())
+    def test_work_is_the_nonzero_entry_products(self, pair):
+        a, b = pair
+        calls = []
+        convolve, accumulator = cyclo._convolve, cyclo._accumulator
+        try:
+            cyclo._convolve = lambda *args: calls.append("convolve") or convolve(*args)
+            cyclo._accumulator = lambda p: calls.append("accumulator") or accumulator(p)
+            a * b
+        finally:
+            cyclo._convolve, cyclo._accumulator = convolve, accumulator
+        n = a.size
+        nonzero = lambda x: not x.is_zero
+        pairs = sum(
+            nonzero(a.rows[i][k]) and nonzero(b.rows[k][j])
+            for i in range(n) for j in range(n) for k in range(n)
+        )
+        touched = sum(
+            any(nonzero(a.rows[i][k]) and nonzero(b.rows[k][j]) for k in range(n))
+            for i in range(n) for j in range(n)
+        )
+        assert calls.count("convolve") == pairs
+        assert calls.count("accumulator") == touched
+
+    @pytest.mark.parametrize("p", (2, 3, 7))
+    def test_monomial_product_touches_n_entries(self, p):
+        g = GeneratorSet.build(p)
+        calls = []
+        accumulator = cyclo._accumulator
+        try:
+            cyclo._accumulator = lambda q: calls.append(q) or accumulator(q)
+            product = g.alpha * g.beta
+        finally:
+            cyclo._accumulator = accumulator
+        assert len(calls) == g.alpha.size
+        assert [len(view) for view in product._sparse] == [1] * g.alpha.size
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_cancelling_accumulator_gives_zero_outside_the_view(self, p):
+        one, zero = CycInt.one(p), CycInt.zero(p)
+        a = CycMatrix(p, [[one, one], [zero, zero]])
+        b = CycMatrix(p, [[one, zero], [-one, zero]])
+        product = a * b
+        assert product.rows[0][0] == CycInt.zero(p) and product.rows[0][0].is_zero
+        assert product._sparse == ([], [])
+        assert product == CycMatrix(p, [[zero, zero], [zero, zero]])
+
+    def test_gram_zeros_are_outside_the_view(self):
+        g = GeneratorSet.build(5)
+        gram = g.t.conj_transpose() * g.t
+        assert gram._sparse == tuple([(i, [(0, 5)])] for i in range(5))
+        assert gram == CycMatrix.identity(5, 5).scale(5)
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_first_mismatch_in_a_value_or_an_extra_nonzero(self, p):
+        ident = CycMatrix.identity(p, 4)
+        root = CycInt.imaginary_unit() if p == 2 else CycInt.root_power(p, 1)
+
+        def changed(i, j, x):
+            rows = [list(row) for row in ident.rows]
+            rows[i][j] = x
+            return CycMatrix(p, rows)
+
+        assert ident.first_mismatch(CycMatrix.identity(p, 4)) is None
+        cases = [
+            (changed(1, 1, CycInt.from_int(p, 2)), (1, 1)),  # a value only
+            (changed(1, 1, root), (1, 1)),
+            (changed(1, 3, root), (1, 3)),  # an extra nonzero after the diagonal
+            (changed(2, 0, root), (2, 0)),  # and before it
+        ]
+        for other, where in cases:
+            assert ident.first_mismatch(other) == where
+            assert other.first_mismatch(ident) == where
+            assert ident != other
+
+    @settings(max_examples=SPARSE_EXAMPLES)
+    @given(structured_pairs())
+    def test_first_mismatch_is_the_first_in_row_major_order(self, pair):
+        a, b = pair
+        assert a.first_mismatch(b) == dense_first_mismatch(a, b)
+        assert (a == b) == (a.first_mismatch(b) is None)
+        assert a.first_mismatch(CycMatrix(a.prime, a.rows)) is None
+
+    @settings(max_examples=SPARSE_EXAMPLES)
+    @given(structured_pairs())
+    def test_conj_transpose_is_entrywise(self, pair):
+        m, _ = pair
+        h = m.conj_transpose()
+        n = m.size
+        assert all(h.rows[i][j] == m.rows[j][i].conj() for i in range(n) for j in range(n))
+        assert_view_lists_the_nonzero_entries(h)
+
+    @settings(max_examples=SPARSE_EXAMPLES)
+    @given(st.data())
+    def test_scale_is_entrywise(self, data):
+        m, _ = data.draw(structured_pairs())
+        c = data.draw(st.one_of(kernel_entries(m.prime), st.integers(-3, 3)))
+        scaled = m.scale(c)
+        n = m.size
+        assert all(scaled.rows[i][j] == m.rows[i][j] * c for i in range(n) for j in range(n))
+        assert_view_lists_the_nonzero_entries(scaled)
 
 
 class TestDetMonomial:

@@ -87,6 +87,21 @@ class TestPageMechanics:
         assert turned.dims_by_total_degree(upto) == page.dims_by_total_degree(upto)
         assert turned.r == 3
 
+    def test_apply_rejects_another_context(self):
+        # d2 of one scenario on z1 of a wider one: the element, or else the
+        # images, belong to a context other than the one it is applied in
+        sc, wide = scenario_bg1(3), scenario_bg1(3, slack=2)
+        d2 = sc.differentials[0]
+        z1 = wide.context.generator("z1")
+        for ctx in (sc.context, wide.context):
+            with pytest.raises(ValueError, match="element belongs to a different context"):
+                d2.apply(ctx, z1)
+        own = d2.apply(sc.context, sc.context.generator("z1"))
+        assert own.context is sc.context and own.render() == "1*v2r + 2*v2l"
+        # a spec with no images carries no context of its own
+        empty = DifferentialSpec(2, {}).apply(wide.context, z1)
+        assert empty.context is wide.context and empty.is_zero()
+
     def test_page_number_mismatch(self):
         sc = scenario_bg1(3)
         page = initial_page(sc.context)
