@@ -169,6 +169,31 @@ def nullspace(m: FieldMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
+def preimage(
+    vectors: Sequence[Sequence[int]],
+    images: Sequence[Sequence[int]],
+    modulus: int,
+    modulo: Sequence[Sequence[int]] = (),
+) -> list[tuple[int, ...]]:
+    """The combinations of ``vectors`` whose image lies in the span of ``modulo``,
+    where ``images[i]`` is the image of ``vectors[i]``: ``sum x_i vectors[i]``
+    for each (x, y) in the ``nullspace`` of ``[images | modulo]``, zero ones
+    left out.  A basis when ``vectors`` and ``modulo`` are each independent."""
+    if len(images) != len(vectors):
+        raise ValueError("one image per vector")
+    if not vectors:
+        return []
+    columns = [*images, *modulo]
+    # images of length 0 all vanish: one zero row keeps the matrix nonempty
+    rows = list(zip(*columns)) or [(0,) * len(columns)]
+    out = []
+    for kvec in nullspace(FieldMatrix(rows, modulus)):
+        v = tuple(sum(k * c for k, c in zip(kvec, col)) % modulus for col in zip(*vectors))
+        if any(v):
+            out.append(v)
+    return out
+
+
 def row_space_basis(vectors: Iterable[Sequence[int]], modulus: int) -> list[tuple[int, ...]]:
     """Canonical (rref) basis of the span of the given vectors."""
     vecs = list(vectors)

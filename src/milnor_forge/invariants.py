@@ -1,15 +1,18 @@
 """Matrix-group actions on the cohomology of elementary abelian groups.
 
-Invariant subspaces are computed as the joint kernel of 1 - g* over the
-generators *and their inverses*; no group enumeration is required and no
-averaging is available (the group order is divisible by the characteristic).
-The small-prime closure oracle cross-checks the generator-based computation
-against a full breadth-first enumeration of the generated group.
+An invariant subspace is what a list of induced maps all fix
+(``fixed_vectors``, which cuts the degree down map by map with
+``ffla.preimage``).  No averaging is available (the group order is divisible
+by the characteristic), so the generators *and their inverses* are applied.
+The small-prime closure oracle runs the same routine on every element of a
+full breadth-first enumeration of the group, each through its own validated
+``induced_action``: its independence from the generator-based answer lies in
+which maps it applies, not in separate linear algebra.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import ffla
 from .ffla import FieldMatrix, check_prime
@@ -23,7 +26,7 @@ from .galg import (
     multiply,
     random_element,
 )
-from .milnor import key_class, milnor_q, rank2_formulas, rank3_context, two_classes
+from .milnor import job_rank3_context, key_class, milnor_q, rank2_formulas, two_classes
 from .report import FAIL, NOTE, PASS, Check, Job, always, at_two, odd
 
 
@@ -175,41 +178,47 @@ def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> A
     return linear_substitution(ctx, images)
 
 
+def fixed_vectors(ctx: AlgebraContext, d: int, maps: Iterable[AlgebraMap]) -> list[Element]:
+    """The rref basis, as ``Element``s, of the degree-d vectors every map fixes.
+
+    Cuts the whole degree down map by map, in order, to the ``ffla.preimage``
+    of zero under 1 - f* on the current basis.  A map with ``f(el) == el`` on
+    every current element (both sides reduced) leaves the subspace as it is,
+    and no coordinates or kernel are formed for it.  Once the subspace is zero
+    no further map is drawn.
+    """
+    basis = ctx.basis_of_degree(d)
+    current = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
+
+    def as_elements(vectors):
+        return [Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
+                for vec in vectors]
+
+    kept = as_elements(current)
+    for f in maps:
+        if not kept:
+            break
+        images = [f(el) for el in kept]
+        if all(img == el for img, el in zip(images, kept)):
+            continue
+        moved = [(el - img).coordinates(basis) for el, img in zip(kept, images)]
+        current = ffla.row_space_basis(ffla.preimage(current, moved, ctx.prime), ctx.prime)
+        kept = as_elements(current)
+    return kept
+
+
 def invariant_subspace(
     ctx: AlgebraContext, d: int, w: WeylPresentation | Sequence[ActionMatrix]
 ) -> list[Element]:
     """Basis of the degree-d invariants under the generated group.
 
-    Computed as the joint kernel of 1 - g* over all generators and their
-    inverses; the output is re-checked for invariance under every generator,
-    with the generators' maps already built for the kernel.
+    The vectors fixed by every generator and every inverse
+    (``fixed_vectors``); the output is re-checked for invariance under every
+    generator, with the generators' maps already built for the cut.
     """
     gens = list(w.generators) if isinstance(w, WeylPresentation) else list(w)
-    actions = gens + [g.inverse() for g in gens]
-    basis = ctx.basis_of_degree(d)
-    n = len(basis)
-    if n == 0:
-        return []
-    p = ctx.prime
-    maps = [induced_action(a, ctx) for a in actions]
-    stacked: list[tuple[int, ...]] = []
-    for f in maps:
-        # columns of each block are indexed by the basis monomials, so the
-        # stacked system acts on monomial-coefficient vectors
-        block = []
-        for mono in basis:
-            one = Element(ctx, {mono: 1})
-            block.append((one - f(one)).coordinates(basis))
-        stacked.extend(zip(*block))
-    if stacked:
-        kernel = ffla.nullspace(FieldMatrix(stacked, p))
-    else:
-        # trivial group: everything is invariant
-        kernel = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    out = []
-    for vec in kernel:
-        el = Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
-        out.append(el)
+    maps = [induced_action(a, ctx) for a in gens + [g.inverse() for g in gens]]
+    out = fixed_vectors(ctx, d, maps)
     for el in out:
         for f in maps[: len(gens)]:
             if f(el) != el:
@@ -229,10 +238,6 @@ def element_span_contains(
 # checks
 
 
-def _rank3_context(job: Job) -> AlgebraContext:
-    return job.shared("rank3_context", lambda: rank3_context(job.prime))
-
-
 def _weyl(job: Job) -> WeylPresentation:
     """The acting subgroup's generators, shared by the degree-4 checks."""
     return job.shared("weyl", lambda: weyl_generators(job.prime))
@@ -241,7 +246,7 @@ def _weyl(job: Job) -> WeylPresentation:
 def _h4_line(job: Job) -> tuple[str, str]:
     """Odd prime: the full subgroup's degree-4 invariants are the line spanned
     by Q0(x1 y1 z1)."""
-    ctx = _rank3_context(job)
+    ctx = job_rank3_context(job)
     spanning = key_class(ctx)
     inv = invariant_subspace(ctx, 4, _weyl(job))
     if len(inv) != 1:
@@ -258,7 +263,7 @@ def _xy_class_times_z1(ctx: AlgebraContext) -> Element:
 
 def _h4_block_diagonal(job: Job) -> tuple[str, str]:
     """Odd prime: the block-diagonal subgroup's degree-4 invariants have dimension 3."""
-    ctx = _rank3_context(job)
+    ctx = job_rank3_context(job)
     m = ctx.monomial_element
     inv = invariant_subspace(ctx, 4, _weyl(job).generators[:2])
     expected = [m({"z2": 2}), m({"x1": 1, "y1": 1, "z2": 1}), _xy_class_times_z1(ctx)]
@@ -273,9 +278,9 @@ def _h4_block_diagonal(job: Job) -> tuple[str, str]:
 def _sign_note(job: Job) -> tuple[str, str]:
     # The displayed values of (1 - f*) on the three subgroup invariants are
     # internally inconsistent: one matches z -> x + z, two match z -> z - x.
-    # Both conventions are computed and reported; the kernel intersection
-    # includes inverses, so the invariant result is convention-independent.
-    ctx = _rank3_context(job)
+    # Both conventions are computed and reported; the invariants are cut by
+    # the inverses too, so the invariant result is convention-independent.
+    ctx = job_rank3_context(job)
     shear_zx = _weyl(job).generators[2]
     f_plus = induced_action(shear_zx, ctx)
     f_minus = induced_action(shear_zx.inverse(), ctx)
@@ -296,7 +301,7 @@ def _sign_note(job: Job) -> tuple[str, str]:
 
 def _h4_two(job: Job) -> tuple[str, str]:
     """l = 2: dimension 2 for the full subgroup, with the displayed basis."""
-    ctx = _rank3_context(job)
+    ctx = job_rank3_context(job)
     u2, _ = two_classes(ctx)
     inv = invariant_subspace(ctx, 4, _weyl(job))
     if len(inv) != 2:
@@ -310,7 +315,7 @@ def _h4_two(job: Job) -> tuple[str, str]:
 
 def _h4_block_diagonal_two(job: Job) -> tuple[str, str]:
     """l = 2: dimension 4 for the block-diagonal subgroup."""
-    ctx = _rank3_context(job)
+    ctx = job_rank3_context(job)
     m = ctx.monomial_element
     u2, u3 = two_classes(ctx)
     inv = invariant_subspace(ctx, 4, _weyl(job).generators[:2])
@@ -329,7 +334,7 @@ def _h4_block_diagonal_two(job: Job) -> tuple[str, str]:
 
 
 def _u2_invariant(job: Job) -> tuple[str, str]:
-    ctx = _rank3_context(job)
+    ctx = job_rank3_context(job)
     u2, _ = two_classes(ctx)
     inv2 = invariant_subspace(ctx, 2, _weyl(job).generators[:2])
     if element_span_contains(ctx, 2, inv2, u2):
@@ -458,66 +463,32 @@ def _closure_shape(job: Job) -> tuple[str, str]:
 def _closure_subspace(job: Job) -> tuple[str, str]:
     """Recompute the degree-4 invariants from the full enumeration.
 
-    The recomputation intersects the degree-4 space with the kernel of
-    1 - g* for every enumerated element g in turn, in enumeration order; each
-    g is applied through its own validated ``induced_action``, never composed
-    from others.  Its images are the context's ``_row_images`` of its rows,
-    and applying it costs one product per group of monomials that share a
-    last generator, level by level (``AlgebraMap.__call__``): five products
-    over at most 21 term pairs on Q0(x1 y1 z1) at l = 5.  The ``Element``s of the current subspace's basis are kept
-    and rebuilt only when the subspace changes.  An element g fixes them all
-    when ``f(el) == el`` for each (both sides are reduced, so this is
-    ``el - f(el)`` being zero); g then leaves the subspace unchanged, and the
-    coordinate rows, kernel and row reduction are formed only for an element
-    that moves a vector.
+    The recomputation is ``fixed_vectors`` over every enumerated element g,
+    in enumeration order, each applied through its own validated
+    ``induced_action``, never composed from others; the generator-based
+    answer applies only the generators and their inverses.  A map's images
+    are the context's ``_row_images`` of its rows, and applying it costs one
+    product per group of monomials that share a last generator, level by
+    level (``AlgebraMap.__call__``): five products over at most 21 term
+    pairs on Q0(x1 y1 z1) at l = 5.
     """
-    prime = job.prime
     w, elements = _closure(job)
-    ctx = _rank3_context(job)
-    from_generators = invariant_subspace(ctx, 4, w)
+    ctx = job_rank3_context(job)
     basis = ctx.basis_of_degree(4)
-    current = list(FieldMatrix.identity(len(basis), prime).entries)
-
-    def as_elements(vectors):
-        return [Element(ctx, {mono: c for mono, c in zip(basis, vec) if c})
-                for vec in vectors]
-
-    kept = as_elements(current)
-    for mat in elements:
-        f = induced_action(mat, ctx)
-        images = [f(el) for el in kept]
-        if all(img == el for img, el in zip(images, kept)):
-            # every current vector is fixed by this element: the kernel is
-            # the whole coefficient space, so ``current`` stays as it is
-            continue
-        rows = [(el - img).coordinates(basis) for el, img in zip(kept, images)]
-        coeff_kernel = ffla.nullspace(FieldMatrix(list(zip(*rows)), prime))
-        p = prime
-        current = ffla.row_space_basis(
-            [
-                tuple(
-                    sum(k * v for k, v in zip(kvec, col)) % p
-                    for col in zip(*current)
-                )
-                for kvec in coeff_kernel
-            ],
-            p,
-        )
-        if not current:
-            break
-        kept = as_elements(current)
-    gen_vectors = [el.coordinates(basis) for el in from_generators]
-    if ffla.spans_equal(gen_vectors, current, prime):
+    gen_vectors = [el.coordinates(basis) for el in invariant_subspace(ctx, 4, w)]
+    fixed = fixed_vectors(ctx, 4, (induced_action(m, ctx) for m in elements))
+    enumerated = [el.coordinates(basis) for el in fixed]
+    if ffla.spans_equal(gen_vectors, enumerated, job.prime):
         return PASS, (
             f"generator-based invariants equal the full-enumeration "
-            f"invariants (dim {len(current)})"
+            f"invariants (dim {len(enumerated)})"
         )
     return FAIL, "generator-based and enumerated invariant subspaces differ"
 
 
 def _q0_compat(job: Job) -> tuple[str, str]:
     rng = job.rng(31337)
-    ctx = _rank3_context(job)
+    ctx = job_rank3_context(job)
     q0 = milnor_q(0, ctx)
     gens = weyl_generators(job.prime).generators
     for _ in range(10):

@@ -162,9 +162,15 @@ def dickson_mui_generators(prime: int, ctx: AlgebraContext) -> tuple[Element, El
 # checks
 
 
+def job_rank3_context(job: Job) -> AlgebraContext:
+    """The job's ``rank3_context``, built once per job; the invariants and
+    spectral-sequence checks read it too."""
+    return job.shared("rank3_context", lambda: rank3_context(job.prime))
+
+
 def _q(job: Job, j: int) -> Derivation:
     """Q_j on the job's rank-3 context."""
-    ctx = job.shared("context", lambda: rank3_context(job.prime))
+    ctx = job_rank3_context(job)
     return job.shared(("q", j), lambda: milnor_q(j, ctx))
 
 

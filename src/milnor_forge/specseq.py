@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import ffla, invariants
-from .ffla import FieldMatrix
 from .galg import (
     AlgebraContext,
     Element,
@@ -50,7 +49,7 @@ from .galg import (
     multiply,
     signed_leibniz,
 )
-from .milnor import key_class, milnor_q, rank3_context, two_classes
+from .milnor import job_rank3_context, key_class, milnor_q, two_classes
 from .report import FAIL, PASS, Check, Job, note
 
 
@@ -336,15 +335,10 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
         ranks[key[0] + key[1]] = ranks.get(key[0] + key[1], 0) + rank
         new_boundaries[target_key] = [*target.boundaries, *(v for v in image_vectors if any(v))]
 
-        # kernel of the induced map: coefficients x with sum x_i D(rep_i) in
-        # the old boundaries at the target
-        columns = FieldMatrix(list(zip(*image_vectors, *target.boundaries)), p)
-        kernel_coeffs = [vec[: len(reps)] for vec in ffla.nullspace(columns)]
-        kept = [
-            tuple(sum(k * v for k, v in zip(kvec, col)) % p for col in zip(*reps))
-            for kvec in kernel_coeffs
-        ]
-        new_cycles[key] = [*comp.boundaries, *(v for v in kept if any(v))]
+        # kernel of the induced map: the combinations of the representatives
+        # whose image lies in the old boundaries at the target
+        kept = ffla.preimage(reps, image_vectors, p, target.boundaries)
+        new_cycles[key] = [*comp.boundaries, *kept]
 
     components: dict[tuple[int, int], PageComponent] = {}
     for key, comp in page.components.items():
@@ -917,7 +911,7 @@ def _h4_rank(job: Job) -> tuple[str, str]:
 def _iota_class(job: Job) -> tuple[AlgebraContext, Element]:
     """The invariant class carrying the restricted leading term (the key class
     ``milnor.key_class``), on the rank-3 context."""
-    ctx = job.shared("rank3_context", lambda: rank3_context(job.prime))
+    ctx = job_rank3_context(job)
     return ctx, job.shared("iota_class", lambda: key_class(ctx))
 
 

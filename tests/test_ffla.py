@@ -8,6 +8,7 @@ from milnor_forge.ffla import (
     in_span,
     is_prime,
     nullspace,
+    preimage,
     row_space_basis,
     rref,
     spans_equal,
@@ -115,6 +116,68 @@ class TestNullspace:
         # 1*3 + 2*1 = 5 = 0 over F_5
         basis = nullspace(FieldMatrix([[1, 2, 0], [0, 0, 1]], 5))
         assert basis == [(3, 1, 0)]
+
+
+@st.composite
+def preimage_problems(draw):
+    """Up to 4 vectors over F_2 or F_3 with their images (all zero in about
+    half the draws) and up to 3 vectors to work modulo."""
+    p = draw(st.sampled_from((2, 3)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+
+    def vector(size):
+        return tuple(draw(st.integers(0, p - 1)) for _ in range(size))
+
+    vectors = [vector(n) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        images = [(0,) * m for _ in vectors]
+    else:
+        images = [vector(m) for _ in vectors]
+    modulo = [vector(m) for _ in range(draw(st.integers(0, 3)))]
+    return p, n, m, vectors, images, modulo
+
+
+@given(preimage_problems())
+def test_preimage_is_brute_force_preimage(problem):
+    # every coefficient vector c: sum c_i vectors[i] is in the preimage
+    # exactly when sum c_i images[i] lies in the span of modulo
+    p, n, m, vectors, images, modulo = problem
+    got = preimage(vectors, images, p, modulo) if modulo else preimage(vectors, images, p)
+
+    def combine(c, rows, size):
+        return tuple(sum(x * row[j] for x, row in zip(c, rows)) % p for j in range(size))
+
+    want = [
+        combine(c, vectors, n)
+        for c in itertools.product(range(p), repeat=len(vectors))
+        if in_span(combine(c, images, m), modulo, p)
+    ]
+    assert all(any(v) for v in got)
+    assert spans_equal(got, want, p)
+    if len(row_space_basis(vectors, p)) == len(vectors) and len(row_space_basis(modulo, p)) == len(modulo):
+        assert len(got) == len(row_space_basis(want, p))
+
+
+class TestPreimage:
+    def test_zero_images_give_every_vector(self):
+        vectors = [(1, 2, 0), (0, 1, 1)]
+        assert preimage(vectors, [(0, 0), (0, 0)], 5) == vectors
+
+    def test_hand_solved_preimage(self):
+        # images 1, 2 and 3 mod 5 in one coordinate: the kernel is spanned
+        # by 3*e0 + e1 and 2*e0 + e2
+        vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert preimage(vectors, [(1,), (2,), (3,)], 5) == [(3, 1, 0), (2, 0, 1)]
+
+    def test_modulo_widens_the_preimage(self):
+        vectors = [(1, 0), (0, 1)]
+        images = [(1, 0), (0, 1)]
+        assert preimage(vectors, images, 3) == []
+        assert preimage(vectors, images, 3, [(0, 1)]) == [(0, 2)]
+
+    def test_one_image_per_vector(self):
+        with pytest.raises(ValueError):
+            preimage([(1, 0)], [], 3)
 
 
 class TestMatrixOps:

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from milnor_forge import invariants
 from milnor_forge.cli import RunConfig
-from milnor_forge.ffla import FieldMatrix, spans_equal
+from milnor_forge.ffla import FieldMatrix, nullspace, row_space_basis, spans_equal
 from milnor_forge.galg import (
     AlgebraContext,
     Element,
@@ -21,7 +21,7 @@ from milnor_forge.invariants import (
     sl2_generators,
     weyl_generators,
 )
-from milnor_forge.milnor import milnor_q
+from milnor_forge.milnor import job_rank3_context, milnor_q
 from milnor_forge.report import FAIL, PASS, Job
 
 
@@ -218,6 +218,34 @@ def reference_closure(w):
     return list(seen.values())
 
 
+def reference_invariants(ctx, d, gens):
+    """Independent invariants as one stacked joint kernel of 1 - g* over the
+    generators and their inverses: each map's block has a column per basis
+    monomial, so the stack acts on monomial-coefficient vectors.  With no
+    generators the whole degree is invariant."""
+    basis = ctx.basis_of_degree(d)
+    stacked = []
+    for action in [*gens, *(g.inverse() for g in gens)]:
+        f = induced_action(action, ctx)
+        units = [Element(ctx, {mono: 1}) for mono in basis]
+        stacked.extend(zip(*[(one - f(one)).coordinates(basis) for one in units]))
+    if not stacked:
+        return [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
+    return nullspace(FieldMatrix(stacked, ctx.prime))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("prime", (2, 3, 5, 7))
+def test_invariants_match_stacked_reference(prime, d):
+    ctx = elementary_abelian_context(prime, 3, 8)
+    w = weyl_generators(prime)
+    basis = ctx.basis_of_degree(d)
+    for acting, gens in ((w, w.generators), (w.generators[:2], w.generators[:2]), ([], [])):
+        got = [el.coordinates(basis) for el in invariant_subspace(ctx, d, acting)]
+        assert got == row_space_basis(got, prime)
+        assert spans_equal(got, reference_invariants(ctx, d, gens), prime)
+
+
 class TestClosureOracle:
     @pytest.mark.parametrize("prime,order", [(2, 24), (3, 216), (5, 3000)])
     def test_group_order(self, prime, order):
@@ -338,7 +366,7 @@ class TestClosureOracle:
         # map or composed maps from others would fail one of these
         job = Job(prime, RunConfig(primes=(prime,)))
         w, elements = invariants._closure(job)
-        answer = invariant_subspace(invariants._rank3_context(job), 4, w)
+        answer = invariant_subspace(job_rank3_context(job), 4, w)
         monkeypatch.setattr(invariants, "invariant_subspace", lambda ctx, d, gens: answer)
         real = induced_action
         calls = []
