@@ -112,10 +112,11 @@ def report_text(reports: list[CheckReport]) -> str:
     if not reports:
         return ""
     width = max(len(r.check_id) for r in reports)
+    prime_width = max(2, len(str(max(r.prime for r in reports))))
     lines = []
     for r in reports:
         lines.append(
-            f"{r.status.upper():4} {r.check_id:<{width}} l={r.prime:<2} "
+            f"{r.status.upper():4} {r.check_id:<{width}} l={r.prime:<{prime_width}} "
             f"{r.elapsed_ms:>5}ms  {r.details}"
         )
     counts = {s: sum(1 for r in reports if r.status == s) for s in ("pass", "fail", "note")}

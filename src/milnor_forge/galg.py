@@ -351,19 +351,15 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
-        p = self.context.prime
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = (terms.get(m, 0) + c) % p
-        return Element._trusted(self.context, {m: c for m, c in terms.items() if c})
+        _accumulate(terms, other.terms, 1, self.context.prime)
+        return Element._trusted(self.context, terms)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check(other)
-        p = self.context.prime
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = (terms.get(m, 0) - c) % p
-        return Element._trusted(self.context, {m: c for m, c in terms.items() if c})
+        _accumulate(terms, other.terms, -1, self.context.prime)
+        return Element._trusted(self.context, terms)
 
     def __neg__(self) -> "Element":
         p = self.context.prime

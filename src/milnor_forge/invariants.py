@@ -8,6 +8,9 @@ The small-prime closure oracle runs the same routine on every element of a
 full breadth-first enumeration of the group, each through its own validated
 ``induced_action``: its independence from the generator-based answer lies in
 which maps it applies, not in separate linear algebra.
+Each job computes a subgroup's invariants once (``job_invariants``), and the
+dimension-and-span claim of the degree-4 checks has one implementation
+(``span_claim``).
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ class ActionMatrix:
             raise ValueError(f"action matrix {label} is singular")
         self.matrix = matrix
         self.label = label
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.rows
 
     def inverse(self) -> "ActionMatrix":
         return ActionMatrix(self.matrix.inverse(), f"{self.label}^-1")
@@ -238,22 +237,44 @@ def element_span_contains(
 # checks
 
 
-def _weyl(job: Job) -> WeylPresentation:
-    """The acting subgroup's generators, shared by the degree-4 checks."""
+def job_weyl(job: Job) -> WeylPresentation:
+    """The acting subgroup's generators, built once per job."""
     return job.shared("weyl", lambda: weyl_generators(job.prime))
+
+
+def job_invariants(job: Job, d: int, subgroup: str) -> list[Element]:
+    """The degree-d invariants on the job's rank-3 context, computed once per
+    job: ``"w"`` is the acting subgroup, ``"w0"`` its block-diagonal subgroup
+    (the first two generators)."""
+    w = job_weyl(job)
+    acting = {"w": w, "w0": w.generators[:2]}[subgroup]
+    ctx = job_rank3_context(job)
+    return job.shared(("invariants", d, subgroup), lambda: invariant_subspace(ctx, d, acting))
+
+
+def span_claim(
+    job: Job, d: int, subgroup: str, classes: Sequence[tuple[str, Element]], passed: str
+) -> tuple[str, str]:
+    """``(PASS, passed)`` when the subgroup's degree-d invariants
+    (``job_invariants``) have one dimension per ``(label, class)`` pair and
+    contain every class; otherwise a fail naming the first gap."""
+    ctx = job_rank3_context(job)
+    inv = job_invariants(job, d, subgroup)
+    if len(inv) != len(classes):
+        return FAIL, f"dim = {len(inv)}, expected {len(classes)}: {[e.render() for e in inv]}"
+    for label, el in classes:
+        if not element_span_contains(ctx, d, inv, el):
+            return FAIL, f"{label} not in computed span"
+    return PASS, passed
 
 
 def _h4_line(job: Job) -> tuple[str, str]:
     """Odd prime: the full subgroup's degree-4 invariants are the line spanned
     by Q0(x1 y1 z1)."""
-    ctx = job_rank3_context(job)
-    spanning = key_class(ctx)
-    inv = invariant_subspace(ctx, 4, _weyl(job))
-    if len(inv) != 1:
-        return FAIL, f"dim = {len(inv)}, expected 1: {[e.render() for e in inv]}"
-    if not element_span_contains(ctx, 4, inv, spanning):
-        return FAIL, f"Q0(x1 y1 z1) not in computed span {inv[0].render()}"
-    return PASS, f"dim 1, spanned by {spanning.render()}"
+    spanning = key_class(job_rank3_context(job))
+    return span_claim(
+        job, 4, "w", [("Q0(x1 y1 z1)", spanning)], f"dim 1, spanned by {spanning.render()}"
+    )
 
 
 def _xy_class_times_z1(ctx: AlgebraContext) -> Element:
@@ -265,14 +286,11 @@ def _h4_block_diagonal(job: Job) -> tuple[str, str]:
     """Odd prime: the block-diagonal subgroup's degree-4 invariants have dimension 3."""
     ctx = job_rank3_context(job)
     m = ctx.monomial_element
-    inv = invariant_subspace(ctx, 4, _weyl(job).generators[:2])
     expected = [m({"z2": 2}), m({"x1": 1, "y1": 1, "z2": 1}), _xy_class_times_z1(ctx)]
-    if len(inv) != 3:
-        return FAIL, f"dim = {len(inv)}, expected 3"
-    for el in expected:
-        if not element_span_contains(ctx, 4, inv, el):
-            return FAIL, f"{el.render()} not in computed span"
-    return PASS, "dim 3: z2^2, x1*y1*z2, (x2*y1 - x1*y2)*z1"
+    return span_claim(
+        job, 4, "w0", [(el.render(), el) for el in expected],
+        "dim 3: z2^2, x1*y1*z2, (x2*y1 - x1*y2)*z1",
+    )
 
 
 def _sign_note(job: Job) -> tuple[str, str]:
@@ -281,7 +299,7 @@ def _sign_note(job: Job) -> tuple[str, str]:
     # Both conventions are computed and reported; the invariants are cut by
     # the inverses too, so the invariant result is convention-independent.
     ctx = job_rank3_context(job)
-    shear_zx = _weyl(job).generators[2]
+    shear_zx = job_weyl(job).generators[2]
     f_plus = induced_action(shear_zx, ctx)
     f_minus = induced_action(shear_zx.inverse(), ctx)
     m = ctx.monomial_element
@@ -303,14 +321,8 @@ def _h4_two(job: Job) -> tuple[str, str]:
     """l = 2: dimension 2 for the full subgroup, with the displayed basis."""
     ctx = job_rank3_context(job)
     u2, _ = two_classes(ctx)
-    inv = invariant_subspace(ctx, 4, _weyl(job))
-    if len(inv) != 2:
-        return FAIL, f"dim = {len(inv)}, expected 2"
-    targets = (("u2^2", multiply(u2, u2)), ("u3*z1 + u2*z1^2 + z1^4", key_class(ctx)))
-    for label, el in targets:
-        if not element_span_contains(ctx, 4, inv, el):
-            return FAIL, f"{label} not in computed span"
-    return PASS, "dim 2: u2^2 and u3*z1 + u2*z1^2 + z1^4"
+    targets = [("u2^2", multiply(u2, u2)), ("u3*z1 + u2*z1^2 + z1^4", key_class(ctx))]
+    return span_claim(job, 4, "w", targets, "dim 2: u2^2 and u3*z1 + u2*z1^2 + z1^4")
 
 
 def _h4_block_diagonal_two(job: Job) -> tuple[str, str]:
@@ -318,26 +330,17 @@ def _h4_block_diagonal_two(job: Job) -> tuple[str, str]:
     ctx = job_rank3_context(job)
     m = ctx.monomial_element
     u2, u3 = two_classes(ctx)
-    inv = invariant_subspace(ctx, 4, _weyl(job).generators[:2])
-    expected = [
-        multiply(u2, u2),
-        multiply(u3, m({"z1": 1})),
-        multiply(u2, m({"z1": 2})),
-        m({"z1": 4}),
-    ]
-    if len(inv) != 4:
-        return FAIL, f"dim = {len(inv)}, expected 4"
-    for el in expected:
-        if not element_span_contains(ctx, 4, inv, el):
-            return FAIL, f"{el.render()} not in computed span"
-    return PASS, "dim 4: u2^2, u3*z1, u2*z1^2, z1^4"
+    expected = [multiply(u2, u2), multiply(u3, m({"z1": 1})),
+                multiply(u2, m({"z1": 2})), m({"z1": 4})]
+    return span_claim(
+        job, 4, "w0", [(el.render(), el) for el in expected], "dim 4: u2^2, u3*z1, u2*z1^2, z1^4"
+    )
 
 
 def _u2_invariant(job: Job) -> tuple[str, str]:
     ctx = job_rank3_context(job)
     u2, _ = two_classes(ctx)
-    inv2 = invariant_subspace(ctx, 2, _weyl(job).generators[:2])
-    if element_span_contains(ctx, 2, inv2, u2):
+    if element_span_contains(ctx, 2, job_invariants(job, 2, "w0"), u2):
         return PASS, "u2 = x1^2 + x1*y1 + y1^2 is invariant in degree 2"
     return FAIL, "u2 not invariant under the block-diagonal subgroup"
 
@@ -461,7 +464,10 @@ def _closure_shape(job: Job) -> tuple[str, str]:
 
 
 def _closure_subspace(job: Job) -> tuple[str, str]:
-    """Recompute the degree-4 invariants from the full enumeration.
+    """Recompute the degree-4 invariants from the full enumeration and
+    compare them with the generator side, ``job_invariants(job, 4, "w")``,
+    the answer ``invariants.w.h4_dimension`` checks too.  The oracle's
+    independence lies in the enumerated side.
 
     The recomputation is ``fixed_vectors`` over every enumerated element g,
     in enumeration order, each applied through its own validated
@@ -472,10 +478,10 @@ def _closure_subspace(job: Job) -> tuple[str, str]:
     level (``AlgebraMap.__call__``): five products over at most 21 term
     pairs on Q0(x1 y1 z1) at l = 5.
     """
-    w, elements = _closure(job)
+    _, elements = _closure(job)
     ctx = job_rank3_context(job)
     basis = ctx.basis_of_degree(4)
-    gen_vectors = [el.coordinates(basis) for el in invariant_subspace(ctx, 4, w)]
+    gen_vectors = [el.coordinates(basis) for el in job_invariants(job, 4, "w")]
     fixed = fixed_vectors(ctx, 4, (induced_action(m, ctx) for m in elements))
     enumerated = [el.coordinates(basis) for el in fixed]
     if ffla.spans_equal(gen_vectors, enumerated, job.prime):
@@ -490,7 +496,7 @@ def _q0_compat(job: Job) -> tuple[str, str]:
     rng = job.rng(31337)
     ctx = job_rank3_context(job)
     q0 = milnor_q(0, ctx)
-    gens = weyl_generators(job.prime).generators
+    gens = job_weyl(job).generators
     for _ in range(10):
         action = rng.choice(gens)
         f = induced_action(action, ctx)

@@ -918,34 +918,28 @@ def _iota_class(job: Job) -> tuple[AlgebraContext, Element]:
 def _leading_term_two(job: Job) -> tuple[str, str]:
     ctx, invariant_class = _iota_class(job)
     u2, _ = two_classes(ctx)
-    inv = invariants.invariant_subspace(ctx, 4, invariants.weyl_generators(2))
-    if len(inv) != 2:
-        return FAIL, f"invariant dimension {len(inv)} != 2"
-    for label, el in (("u2^2", multiply(u2, u2)), ("u3*z1+u2*z1^2+z1^4", invariant_class)):
-        if not invariants.element_span_contains(ctx, 4, inv, el):
-            return FAIL, f"{label} missing from the invariant span"
-    if invariant_class.coefficient({"z1": 4}) != 1:
-        return FAIL, "fiber leading term z1^4 has wrong coefficient"
-    return PASS, (
+    claim = invariants.span_claim(
+        job, 4, "w",
+        [("u2^2", multiply(u2, u2)), ("u3*z1+u2*z1^2+z1^4", invariant_class)],
         "invariants of dim 2 contain u2^2 and the class with fiber "
-        "leading term z1^4; image dimension matches"
+        "leading term z1^4; image dimension matches",
     )
+    if claim[0] == PASS and invariant_class.coefficient({"z1": 4}) != 1:
+        return FAIL, "fiber leading term z1^4 has wrong coefficient"
+    return claim
 
 
 def _leading_term_odd(job: Job) -> tuple[str, str]:
-    ctx, q_target = _iota_class(job)
-    inv = invariants.invariant_subspace(ctx, 4, invariants.weyl_generators(job.prime))
-    if len(inv) != 1:
-        return FAIL, f"invariant dimension {len(inv)} != 1"
-    if not invariants.element_span_contains(ctx, 4, inv, q_target):
-        return FAIL, "Q0(x1 y1 z1) missing from the invariant line"
-    coeff = q_target.coefficient({"x1": 1, "y1": 1, "z2": 1})
-    if coeff != 1:
-        return FAIL, f"coefficient of x1*y1*z2 is {coeff}, expected 1"
-    return PASS, (
+    _, q_target = _iota_class(job)
+    claim = invariants.span_claim(
+        job, 4, "w", [("Q0(x1 y1 z1)", q_target)],
         "the invariant line is spanned by a class with x1*y1*z2 "
-        "coefficient 1, matching the restricted leading term"
+        "coefficient 1, matching the restricted leading term",
     )
+    coeff = q_target.coefficient({"x1": 1, "y1": 1, "z2": 1})
+    if claim[0] == PASS and coeff != 1:
+        return FAIL, f"coefficient of x1*y1*z2 is {coeff}, expected 1"
+    return claim
 
 
 def _q1_nonzero(job: Job) -> tuple[str, str]:

@@ -480,6 +480,13 @@ class TestReports:
         text = report_text(reports)
         assert "1 pass, 0 fail, 1 note" in text
 
+    def test_text_columns_align_past_two_digit_primes(self):
+        # the prime column is as wide as the largest prime, and two wide below 100
+        seven = CheckReport("a.check", 7, "pass", "fine", 12)
+        lines = report_text([seven, CheckReport("a.check", 101, "pass", "fine", 3)]).splitlines()
+        assert lines[0].index("ms") == lines[1].index("ms")
+        assert report_text([seven]).splitlines()[0] == "PASS a.check l=7     12ms  fine"
+
 
 class TestFullRun:
     def test_no_failures(self, full_run):

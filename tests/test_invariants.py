@@ -182,6 +182,26 @@ class TestInvariantDimensions:
 
 
 class TestSuites:
+    @pytest.mark.parametrize("suite,prime,calls", [
+        ("invariants", 2, 3), ("invariants", 3, 2), ("invariants", 5, 2), ("invariants", 7, 2),
+        ("ss", 2, 1), ("ss", 3, 1),
+    ])
+    def test_each_subgroup_invariants_computed_once_per_job(
+        self, monkeypatch, job_records, suite, prime, calls
+    ):
+        # one call per (degree, subgroup) a job reads: the full group's
+        # degree-4 line is shared by the dimension check and the oracle
+        seen = []
+        real = invariants.invariant_subspace
+
+        def counted(ctx, d, w):
+            seen.append(d)
+            return real(ctx, d, w)
+
+        monkeypatch.setattr(invariants, "invariant_subspace", counted)
+        assert_all_pass(job_records(suite, prime, f"{suite}."))
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("prime", (3, 5, 7, 11))
     def test_degree4_suite(self, prime, job_records):
         reports = job_records("invariants", prime, ("invariants.w.", "invariants.w0.", "invariants.sign_convention_note"))
@@ -357,6 +377,26 @@ class TestClosureOracle:
         assert reports["invariants.closure.subspace"].status == FAIL
         assert reports["invariants.closure.order"].status == PASS
         assert reports["invariants.closure.shape"].status == PASS
+
+    def test_block_diagonal_answer_fails_every_full_group_claim(self, monkeypatch, job_records):
+        # the full group's invariants replaced by the block-diagonal answer:
+        # both suites' line claims and the oracle must all see it
+        real = invariants.invariant_subspace
+
+        def block_diagonal(ctx, d, w):
+            if isinstance(w, invariants.WeylPresentation):
+                w = w.generators[:2]
+            return real(ctx, d, w)
+
+        monkeypatch.setattr(invariants, "invariant_subspace", block_diagonal)
+        reports = {r.check_id: r for r in job_records("invariants", 3, "invariants.")}
+        reports.update((r.check_id, r) for r in job_records("ss", 3, "ss.iota."))
+        for check_id in ("invariants.w.h4_dimension", "ss.iota.leading_term"):
+            assert reports[check_id].status == FAIL
+            assert reports[check_id].details.startswith("dim = 3, expected 1: [")
+        closure = reports["invariants.closure.subspace"]
+        assert closure.status == FAIL
+        assert closure.details == "generator-based and enumerated invariant subspaces differ"
 
     @pytest.mark.parametrize("prime,order", [(2, 24), (3, 216), (5, 3000)])
     def test_every_enumerated_element_gets_its_own_applied_map(self, monkeypatch, prime, order):

@@ -2,7 +2,7 @@
 only.  The package declares ``requires-python = ">=3.10"``: every module of
 it parses as Python 3.10, whichever interpreter runs the tests.  No module
 other than ``__init__.py`` (which re-exports) imports a name at module level
-that it never uses."""
+that it never uses, and no line is longer than ``MAX_LINE`` characters."""
 
 import ast
 from pathlib import Path
@@ -12,6 +12,7 @@ import pytest
 import milnor_forge
 
 MODULES = sorted(Path(milnor_forge.__file__).resolve().parent.glob("*.py"))
+MAX_LINE = 99
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +45,13 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_lines_fit(path):
+    lines = path.read_text().splitlines()
+    long = [n for n, line in enumerate(lines, 1) if len(line) > MAX_LINE]
+    assert long == [], f"lines longer than {MAX_LINE} characters: {long}"
 
 
 @pytest.mark.parametrize(
