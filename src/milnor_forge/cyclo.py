@@ -5,20 +5,39 @@ primitive root ``xi = t``; for ``l = 2`` the relevant matrices contain the
 imaginary unit, so the ring is the Gaussian integers Z[t]/(t^2 + 1) with
 ``xi = -1``.  Coefficients are Python ints, so overflow cannot occur.
 
-Every product (``CycInt * CycInt`` and ``CycMatrix * CycMatrix``) runs
-through one kernel: ``_support``, ``_convolve`` and ``_canonical``.  It uses
-the lazily reduced representation of ANTIC (Hart, 2015).  For odd ``l`` it
-multiplies in the group ring Z[t]/(t^l - 1).  That ring maps onto Z[xi_l],
-and the map sends exactly the multiples of ``N = 1 + t + ... + t^(l-1)`` to 0.
-Since ``N t = N``, those multiples are exactly the constant coefficient
-vectors.  So a representative may be shifted by any constant vector, and a
-product of representatives represents the product:
-``(a + cN) b = ab + c b(1) N``.  Canonicalization happens once per product
-entry, in ``_canonical``: fold ``t^l = 1``, then subtract the ``t^(l-1)``
-coefficient times ``N``, which leaves the canonical basis
-``1, t, ..., t^(l-2)`` (the integral basis, Washington, GTM 83).  At
-``l = 2`` the kernel multiplies the coefficients of ``1, i`` as they are and
-folds ``i^2 = -1``.
+``CycInt`` holds an element by its canonical coefficients, and its product
+runs through one kernel: ``_support``, ``_convolve`` and ``_canonical``.  It
+uses the lazily reduced representation of ANTIC (Hart, 2015).  For odd ``l``
+it multiplies in the group ring Z[t]/(t^l - 1).  That ring maps onto
+Z[xi_l], and the map sends exactly the multiples of
+``N = 1 + t + ... + t^(l-1)`` to 0.  Since ``N t = N``, those multiples are
+exactly the constant coefficient vectors.  So a representative may be
+shifted by any constant vector, and a product of representatives represents
+the product: ``(a + cN) b = ab + c b(1) N``.  ``_canonical`` folds
+``t^l = 1``, then subtracts the ``t^(l-1)`` coefficient times ``N``, which
+leaves the canonical basis ``1, t, ..., t^(l-2)`` (the integral basis,
+Washington, GTM 83).  At ``l = 2`` the kernel multiplies the coefficients of
+``1, i`` as they are and folds ``i^2 = -1``.
+
+The matrix identities multiply no two ``CycInt``s.  Every entry of their
+matrices is 0 or a root of unity (of order l, or 4 at ``l = 2``), so each
+matrix is held by exponents:
+
+- alpha, beta, xi, S, their conjugate transposes and the block images
+  Delta(Y) and Gamma(Y) are monomial, each a ``CycMatrix`` ``(perm, exps)``.
+  They form the wreath product of the roots of unity and S_n (James and
+  Kerber, 1981; Holt, Eick and O'Brien, 2005): a product composes the
+  permutations and adds the exponents, a conjugate transpose inverts both,
+  and a determinant is ``sign(perm) xi^(sum of exps)``.
+- T is its table of exponents.  An entry of ``conj_transpose(T) A T``, with
+  ``A`` monomial, is a sum of l roots of unity.  It is 0 exactly when their
+  exponents run once through Z/l, and ``l xi^f`` exactly when all of them are
+  ``f``: every integer relation among ``1, xi, ..., xi^(l-1)`` is a multiple
+  of ``1 + xi + ... + xi^(l-1) = 0``, the relation ``_canonical`` folds.  At
+  ``l = 2`` the two terms ``i^a + i^b`` vanish exactly when ``b = a + 2``.
+
+Canonical coefficients are built only to render a mismatch, from the
+exponents, by ``CycInt`` addition.
 
 All conjugation identities are checked with denominators cleared: the
 analytic normalizers of the Weyl representatives are unit scalars that cancel
@@ -116,9 +135,7 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check(other)
-        return CycInt._trusted(
-            self.prime, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
-        )
+        return CycInt._trusted(self.prime, tuple(map(add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -128,9 +145,7 @@ class CycInt:
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check(other)
-        return CycInt._trusted(
-            self.prime, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)])
-        )
+        return CycInt._trusted(self.prime, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return CycInt._trusted(self.prime, tuple([-a for a in self.coeffs]))
@@ -248,195 +263,152 @@ def _canonical(prime: int, acc: list[int]) -> CycInt:
     return CycInt._trusted(prime, tuple(folded))
 
 
+# ---------------------------------------------------------------------------
+# matrices in exponent form
+
+
+def _order(prime: int) -> int:
+    """The order of the roots of unity in the exponent forms: l, or 4 at
+    ``l = 2``, where the matrices hold powers of i."""
+    return 4 if prime == 2 else prime
+
+
+_GAUSSIAN_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _unit(prime: int, e: int) -> CycInt:
+    """The entry an exponent ``e`` stands for: xi^e for odd l, i^e at l = 2."""
+    if prime == 2:
+        return CycInt._trusted(2, _GAUSSIAN_UNITS[e % 4])
+    return CycInt.root_power(prime, e)
+
+
 class CycMatrix:
-    """Square matrix over Z[xi_l], with a sparse view of its nonzero entries.
+    """A monomial matrix over Z[xi_l] in exponent form: row i holds
+    ``xi^exps[i]`` at column ``perm[i]`` and 0 elsewhere.
 
-    ``rows`` holds every entry.  ``_sparse`` holds, for each row, the
-    ``(column, support)`` pairs of its nonzero entries in column order, the
-    support being the entry's sparsest group-ring representative
-    (``_support``; a root of unity is one term).  The view is built once per
-    matrix and never mutated.  Products, comparisons, conjugate transposes,
-    scalings and ``det_monomial`` walk it instead of the zeros in ``rows``.
-
-    ``A * B`` is Gustavson's row-by-row sparse product: for each nonzero
-    ``A[i][k]`` and each nonzero ``B[k][j]`` it adds the term products of the
-    two supports into row i's accumulator for column j (``_convolve``), and
-    canonicalizes each touched accumulator once (``_canonical``).  Every
-    other output entry is the product's one shared zero, and an accumulator
-    that cancels gives a zero entry that the result's view leaves out.  A
-    product of two monomial matrices (one nonzero entry per row) therefore
-    touches n entries, not n^2.
-
-    ``CycMatrix(prime, rows)`` validates outside input; results built here
-    are wrapped by ``_trusted`` without the per-entry checks.
+    Exponents are kept mod l, or mod 4 at ``l = 2``, where ``xi^e`` stands
+    for ``i^e`` (``_unit``).  A product composes, ``(pi, e)(sigma, f) =
+    (sigma o pi, e + f o pi)``, and a conjugate transpose inverts,
+    ``(pi^-1, -e o pi^-1)``: n integer operations each, and no ``CycInt``.
+    ``rows`` gives the dense entries as ``CycInt``s, built once on first use.
     """
 
-    __slots__ = ("prime", "size", "rows", "_sparse")
+    __slots__ = ("prime", "perm", "exps", "_rows")
 
-    def __init__(self, prime: int, rows: Sequence[Sequence[CycInt]]):
+    def __init__(self, prime: int, perm: Sequence[int], exps: Sequence[int]):
+        order = _order(check_prime(prime))
         self.prime = prime
-        self.rows = tuple(tuple(r) for r in rows)
-        self.size = len(self.rows)
-        if any(len(r) != self.size for r in self.rows):
-            raise ValueError("matrix must be square")
-        for row in self.rows:
-            for x in row:
-                if x.prime != prime:
-                    raise ValueError("entry prime mismatch")
-        self._sparse = tuple(
-            [(j, _support(x)) for j, x in enumerate(row) if not x._zero] for row in self.rows
-        )
+        self.perm = integers(perm)
+        self.exps = tuple(e % order for e in integers(exps))
+        if sorted(self.perm) != list(range(len(self.perm))):
+            raise ValueError(f"{self.perm} is not a permutation of 0..n-1")
+        if len(self.exps) != len(self.perm):
+            raise ValueError(f"{len(self.exps)} exponents for {len(self.perm)} rows")
+        self._rows = None
 
-    @classmethod
-    def _trusted(
-        cls, prime: int, rows: tuple[tuple[CycInt, ...], ...],
-        sparse: tuple[list[tuple[int, list[tuple[int, int]]]], ...],
-    ) -> "CycMatrix":
-        """Wrap ``rows`` and their sparse view without checking them.
-
-        Only for results this module computes itself: square rows of entries
-        of ``prime``, and a view that lists exactly their nonzero entries.
-        """
-        m = cls.__new__(cls)
-        m.prime = prime
-        m.size = len(rows)
-        m.rows = rows
-        m._sparse = sparse
-        return m
+    @property
+    def size(self) -> int:
+        return len(self.perm)
 
     @classmethod
     def identity(cls, prime: int, n: int) -> "CycMatrix":
-        one, zero = CycInt.one(prime), CycInt.zero(prime)
-        unit = _support(one)
-        return cls._trusted(
-            prime,
-            tuple([tuple([one if i == j else zero for j in range(n)]) for i in range(n)]),
-            tuple([[(i, unit)] for i in range(n)]),
-        )
-
-    @classmethod
-    def from_fn(cls, prime: int, n: int, fn: Callable[[int, int], CycInt]) -> "CycMatrix":
-        return cls(prime, [[fn(i, j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, prime: int, diag: Sequence[CycInt]) -> "CycMatrix":
-        zero = CycInt.zero(prime)
-        n = len(diag)
-        return cls(prime, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def scalar(cls, prime: int, value: CycInt, n: int) -> "CycMatrix":
-        return cls.diagonal(prime, [value] * n)
+        return cls(prime, range(n), [0] * n)
 
     @classmethod
     def block_diag(cls, a: "CycMatrix", b: "CycMatrix") -> "CycMatrix":
         if a.prime != b.prime:
             raise ValueError("prime mismatch")
-        zero = CycInt.zero(a.prime)
-        n, m = a.size, b.size
-        rows = [row + (zero,) * m for row in a.rows] + [(zero,) * n + row for row in b.rows]
-        shifted = [[(j + n, s) for j, s in view] for view in b._sparse]
-        return cls._trusted(a.prime, tuple(rows), a._sparse + tuple(shifted))
+        return cls(a.prime, a.perm + tuple(a.size + c for c in b.perm), a.exps + b.exps)
 
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.prime != other.prime or self.size != other.size:
             raise ValueError("shape or prime mismatch")
-        p, n = self.prime, self.size
-        zero = CycInt.zero(p)
-        right = other._sparse
-        rows, sparse = [], []
-        for left in self._sparse:
-            acc: dict[int, list[int]] = {}
-            for k, sa in left:
-                for j, sb in right[k]:
-                    d = acc.get(j)
-                    if d is None:
-                        d = acc[j] = _accumulator(p)
-                    _convolve(d, sa, sb)
-            row = [zero] * n
-            view = []
-            for j in sorted(acc):
-                x = row[j] = _canonical(p, acc[j])
-                if not x._zero:
-                    view.append((j, _support(x)))
-            rows.append(tuple(row))
-            sparse.append(view)
-        return CycMatrix._trusted(p, tuple(rows), tuple(sparse))
-
-    def _entrywise(self, fn: Callable[[CycInt], CycInt], transpose: bool) -> "CycMatrix":
-        """``fn`` applied to each nonzero entry, which moves to (j, i) when
-        ``transpose``; ``fn`` must send zero to zero."""
-        p, n = self.prime, self.size
-        zero = CycInt.zero(p)
-        rows = [[zero] * n for _ in range(n)]
-        sparse: list[list] = [[] for _ in range(n)]
-        for i, (src, view) in enumerate(zip(self.rows, self._sparse)):
-            for j, _ in view:
-                r, c = (j, i) if transpose else (i, j)
-                x = rows[r][c] = fn(src[j])
-                if not x._zero:
-                    sparse[r].append((c, _support(x)))
-        return CycMatrix._trusted(p, tuple(map(tuple, rows)), tuple(sparse))
-
-    def scale(self, c) -> "CycMatrix":
-        return self._entrywise(lambda x: x * c, transpose=False)
+        return CycMatrix(
+            self.prime,
+            [other.perm[c] for c in self.perm],
+            [e + other.exps[c] for c, e in zip(self.perm, self.exps)],
+        )
 
     def conj_transpose(self) -> "CycMatrix":
-        return self._entrywise(CycInt.conj, transpose=True)
+        perm, exps = [0] * self.size, [0] * self.size
+        for i, (c, e) in enumerate(zip(self.perm, self.exps)):
+            perm[c], exps[c] = i, -e
+        return CycMatrix(self.prime, perm, exps)
+
+    def det(self) -> CycInt:
+        """``sign(perm) xi^(sum of exps)``, the sign by counting inversions."""
+        inversions = sum(a > b for a, b in itertools.combinations(self.perm, 2))
+        return _unit(self.prime, sum(self.exps)) * (-1) ** inversions
+
+    @property
+    def rows(self) -> tuple[tuple[CycInt, ...], ...]:
+        if self._rows is None:
+            zero, n = CycInt.zero(self.prime), self.size
+            self._rows = tuple(
+                tuple(_unit(self.prime, e) if j == c else zero for j in range(n))
+                for c, e in zip(self.perm, self.exps)
+            )
+        return self._rows
 
     def __eq__(self, other) -> bool:
-        # a support determines its entry, so equal views mean equal rows
         return (
             isinstance(other, CycMatrix)
             and self.prime == other.prime
-            and self._sparse == other._sparse
+            and self.perm == other.perm
+            and self.exps == other.exps
         )
 
     def __hash__(self):
-        return hash((self.prime, self.rows))
+        return hash((self.prime, self.perm, self.exps))
 
-    def first_mismatch(self, other: "CycMatrix") -> tuple[int, int] | None:
-        """The first (i, j) in row-major order where the entries differ."""
-        for i, (mine, theirs) in enumerate(zip(self._sparse, other._sparse)):
+    def first_mismatch(
+        self, other: "CycMatrix"
+    ) -> tuple[tuple[int, int], CycInt, CycInt] | None:
+        """The first (i, j) in row-major order where the entries differ, with
+        both entries; None where none does."""
+        for i, (mine, theirs) in enumerate(
+            zip(zip(self.perm, self.exps), zip(other.perm, other.exps))
+        ):
             if mine != theirs:
-                a, b = self.rows[i], other.rows[i]
-                cols = sorted({j for j, _ in mine}.union(j for j, _ in theirs))
-                return i, next(j for j in cols if a[j] != b[j])
+                # the first of the two columns that hold a row's nonzero entry
+                j = min(mine[0], theirs[0])
+                return (i, j), self.rows[i][j], other.rows[i][j]
         return None
 
-    def det_monomial(self) -> CycInt:
-        """Determinant of a matrix with exactly one nonzero entry per row/column.
 
-        Covers the diagonal and cycle-permutation generators; anything denser
-        is rejected rather than approximated.
-        """
-        n = self.size
-        perm = [-1] * n
-        values = []
-        for i, view in enumerate(self._sparse):
-            if len(view) != 1:
-                raise ValueError("matrix is not monomial (row with != 1 nonzero entry)")
-            perm[i] = view[0][0]
-            values.append(self.rows[i][perm[i]])
-        if sorted(perm) != list(range(n)):
-            raise ValueError("matrix is not monomial (repeated column)")
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
+def t_conjugate_mismatch(
+    t: Sequence[Sequence[int]], a: CycMatrix, want: CycMatrix
+) -> tuple[tuple[int, int], CycInt, CycInt] | None:
+    """The first entry (j, k), in row-major order, where
+    ``conj_transpose(T) A T`` differs from ``l * want``, with both entries;
+    None where none does.  ``t`` is T's table of exponents, and
+    ``A = (pi, e)``.
+
+    Entry (j, k) is the sum over i of ``xi^x_i``, with
+    ``x_i = e_i - t_ij + t_(pi(i),k)``: row ``pi(i)`` of ``t`` turned by
+    ``e_i - t_ij``, read at column k.  It is ``l xi^f`` exactly when every
+    ``x_i`` is ``f``, and 0 exactly when the ``x_i`` run once through Z/l (at
+    ``l = 2``: two exponents of i that differ by 2).
+    """
+    p, n, order = a.prime, a.size, _order(a.prime)
+    if want.prime != p or want.size != n or len(t) != n or any(len(r) != n for r in t):
+        raise ValueError("shape or prime mismatch")
+    turn = [[(x + s) % order for x in range(order)] for s in range(order)]
+    rows = [[x % order for x in t[c]] for c in a.perm]
+    for j, (c, f) in enumerate(zip(want.perm, want.exps)):
+        shifts = [(e - row[j]) % order for e, row in zip(a.exps, t)]
+        columns = zip(*[map(turn[s].__getitem__, r) for r, s in zip(rows, shifts)])
+        for k, col in enumerate(columns):
+            got = set(col)
+            if k == c:
+                if got == {f}:
+                    continue
+            elif len(got) == p and (p != 2 or sum(got) % 2 == 0):
                 continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        out = CycInt.from_int(self.prime, sign)
-        for v in values:
-            out = out * v
-        return out
+            entry = sum([_unit(p, x) for x in col], CycInt.zero(p))
+            return (j, k), entry, _unit(p, f) * p if k == c else CycInt.zero(p)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +426,16 @@ def triangular(i: int) -> int:
 
 
 class GeneratorSet:
-    """The unitary generator matrices for one prime.
+    """The unitary generator matrices for one prime, in exponent form.
 
-    Odd ``l``: ``alpha = diag(xi^1..xi^l)``, ``beta`` the cyclic shift,
-    ``xi`` the scalar matrix, ``s = diag(xi^(a_1)..xi^(a_l))`` and
-    ``t = (xi^(a_(i+j)))`` the Weyl representatives with normalizers dropped.
+    ``alpha``, ``beta``, ``xi`` and ``s`` are ``CycMatrix``es; ``t`` is T's
+    table of exponents, ``t[i][j]`` for entry (i, j), kept mod l (mod 4 at
+    ``l = 2``, exponents of i).
+
+    Odd ``l``: ``alpha = diag(xi^1..xi^l)``, ``beta`` the cyclic shift (row i
+    holds 1 at column i - 1), ``xi`` the scalar matrix,
+    ``s = diag(xi^(a_1)..xi^(a_l))`` and ``t = (xi^(a_(i+j)))`` (indices from
+    1) the Weyl representatives with normalizers dropped.
 
     ``l = 2``: the Gaussian-integer matrices ``alpha = diag(i, -i)``,
     ``beta = ((0,i),(i,0))``, ``xi = -I``, ``t = ((1,i),(i,1))`` and the
@@ -469,39 +446,37 @@ class GeneratorSet:
 
     def __init__(
         self, prime: int, alpha: CycMatrix, beta: CycMatrix, xi: CycMatrix,
-        s: CycMatrix, t: CycMatrix,
+        s: CycMatrix, t: Sequence[Sequence[int]],
     ):
+        order = _order(check_prime(prime))
         self.prime = prime
         self.alpha = alpha
         self.beta = beta
         self.xi = xi
         self.s = s
-        self.t = t
+        self.t = tuple(tuple(x % order for x in integers(row)) for row in t)
+        if any(len(row) != alpha.size for row in self.t) or len(self.t) != alpha.size:
+            raise ValueError(f"t must be {alpha.size} x {alpha.size}")
 
     @classmethod
     def build(cls, prime: int) -> "GeneratorSet":
         check_prime(prime)
         if prime == 2:
-            i_unit = CycInt.imaginary_unit()
-            one = CycInt.one(2)
-            zero = CycInt.zero(2)
-            alpha = CycMatrix(2, [[i_unit, zero], [zero, -i_unit]])
-            beta = CycMatrix(2, [[zero, i_unit], [i_unit, zero]])
-            xi = CycMatrix.scalar(2, CycInt.from_int(2, -1), 2)
-            s = CycMatrix(2, [[one, zero], [zero, i_unit]])
-            t = CycMatrix(2, [[one, i_unit], [i_unit, one]])
-            return cls(2, alpha, beta, xi, s, t)
+            return cls(
+                2, alpha=CycMatrix(2, (0, 1), (1, 3)), beta=CycMatrix(2, (1, 0), (1, 1)),
+                xi=CycMatrix(2, (0, 1), (2, 2)), s=CycMatrix(2, (0, 1), (0, 1)),
+                t=((0, 1), (1, 0)),
+            )
         n = prime
-        root = lambda k: CycInt.root_power(prime, k)
-        zero = CycInt.zero(prime)
-        alpha = CycMatrix.diagonal(prime, [root(i + 1) for i in range(n)])
-        beta = CycMatrix.from_fn(
-            prime, n, lambda i, j: CycInt.one(prime) if i % n == (j + 1) % n else zero
+        a = list(itertools.accumulate(range(2 * n + 1)))  # a_i by the recurrence
+        return cls(
+            prime,
+            alpha=CycMatrix(prime, range(n), range(1, n + 1)),
+            beta=CycMatrix(prime, [(i - 1) % n for i in range(n)], [0] * n),
+            xi=CycMatrix(prime, range(n), [1] * n),
+            s=CycMatrix(prime, range(n), a[1:n + 1]),
+            t=[a[i + 2:i + 2 + n] for i in range(n)],
         )
-        xi = CycMatrix.scalar(prime, root(1), n)
-        s = CycMatrix.diagonal(prime, [root(triangular(i + 1)) for i in range(n)])
-        t = CycMatrix.from_fn(prime, n, lambda i, j: root(triangular((i + 1) + (j + 1))))
-        return cls(prime, alpha, beta, xi, s, t)
 
 
 def root_power_sum(prime: int, m: int) -> int:
@@ -510,11 +485,15 @@ def root_power_sum(prime: int, m: int) -> int:
     The canonicalized sum is l when m = 0 mod l and 0 otherwise; the result is
     obtained from the ring arithmetic, not from that closed form.
     """
-    check_prime(prime)
-    total = CycInt.zero(prime)
-    for k in range(1, prime + 1):
-        total = total + CycInt.root_power(prime, k * m)
-    return total.as_int()
+    return _root_power_sums(prime, (m,))[0]
+
+
+def _root_power_sums(prime: int, ms: Iterable[int]) -> list[int]:
+    """``root_power_sum(prime, m)`` for each m: the l roots xi^e built once,
+    each sum taken by ``CycInt`` addition."""
+    roots = [CycInt.root_power(check_prime(prime), e) for e in range(prime)]
+    zero = CycInt.zero(prime)
+    return [sum([roots[k * m % prime] for k in range(1, prime + 1)], zero).as_int() for m in ms]
 
 
 def lemma22_holds(prime: int, i: int, j: int, k: int) -> bool:
@@ -566,10 +545,10 @@ def _odd_upto_cap(prime: int, config) -> bool:
 
 
 def _matrices(job: Job) -> SimpleNamespace:
-    """The job's generator matrices, their conjugate transposes (suffix
-    ``_h``), the identity ``ident``, the scalar ``ell`` = l, and the block
-    images ``d_Y`` = Delta(Y) and ``g_Y`` = Gamma(Y) with their identity
-    ``ident2``."""
+    """The job's generator matrices, T's exponent table ``t``, the conjugate
+    transposes (suffix ``_h``) of the monomial generators, the identity
+    ``ident``, and the block images ``d_Y`` = Delta(Y) and ``g_Y`` = Gamma(Y)
+    with their identity ``ident2``."""
 
     def build() -> SimpleNamespace:
         g = GeneratorSet.build(job.prime)
@@ -577,8 +556,7 @@ def _matrices(job: Job) -> SimpleNamespace:
         return SimpleNamespace(
             prime=g.prime, alpha=g.alpha, beta=g.beta, xi=g.xi, s=g.s, t=g.t,
             alpha_h=g.alpha.conj_transpose(), beta_h=g.beta.conj_transpose(),
-            s_h=g.s.conj_transpose(), t_h=g.t.conj_transpose(),
-            ident=ident, ell=CycInt.from_int(g.prime, g.prime),
+            s_h=g.s.conj_transpose(), ident=ident,
             d_alpha=CycMatrix.block_diag(g.alpha, g.alpha),
             d_beta=CycMatrix.block_diag(g.beta, g.beta),
             d_xi=CycMatrix.block_diag(g.xi, g.xi),
@@ -591,31 +569,26 @@ def _matrices(job: Job) -> SimpleNamespace:
 
 
 def _identity(
-    lhs: Callable[[SimpleNamespace], CycMatrix], rhs: Callable[[SimpleNamespace], CycMatrix],
+    mismatch: Callable[[SimpleNamespace], tuple[tuple[int, int], CycInt, CycInt] | None],
     description: str, status_on_pass: str = PASS,
 ) -> Callable[[Job], tuple[str, str]]:
-    """The body of the check ``lhs(m) == rhs(m)`` on ``m = _matrices(job)``."""
+    """The body of the check that passes when ``mismatch(_matrices(job))``
+    finds no differing entry, and otherwise renders the first one."""
 
     def body(job: Job) -> tuple[str, str]:
-        m = _matrices(job)
-        left, right = lhs(m), rhs(m)
-        bad = left.first_mismatch(right)
+        bad = mismatch(_matrices(job))
         if bad is None:
             return status_on_pass, description
-        i, j = bad
-        return (
-            FAIL,
-            f"{description}: entry ({i},{j}) differs: "
-            f"{left.rows[i][j]!r} != {right.rows[i][j]!r}",
-        )
+        (i, j), left, right = bad
+        return FAIL, f"{description}: entry ({i},{j}) differs: {left!r} != {right!r}"
 
     return body
 
 
 def _su_determinants(job: Job) -> tuple[str, str]:
     m = _matrices(job)
-    da = m.alpha.det_monomial()
-    db = m.beta.det_monomial()
+    da = m.alpha.det()
+    db = m.beta.det()
     if da == 1 and db == 1:
         return PASS, "det(alpha) = det(beta) = 1"
     return FAIL, f"det(alpha) = {da!r}, det(beta) = {db!r}"
@@ -623,7 +596,7 @@ def _su_determinants(job: Job) -> tuple[str, str]:
 
 def _l2_determinants(job: Job) -> tuple[str, str]:
     m = _matrices(job)
-    vals = {name: x.det_monomial() for name, x in
+    vals = {name: x.det() for name, x in
             [("alpha", m.alpha), ("beta", m.beta), ("xi", m.xi)]}
     if all(v == 1 for v in vals.values()):
         return PASS, "det(alpha) = det(beta) = det(xi) = 1"
@@ -632,8 +605,7 @@ def _l2_determinants(job: Job) -> tuple[str, str]:
 
 def _root_sum(job: Job) -> tuple[str, str]:
     prime = job.prime
-    for m in range(prime):
-        got = root_power_sum(prime, m)
+    for m, got in enumerate(_root_power_sums(prime, range(prime))):
         want = prime if m % prime == 0 else 0
         if got != want:
             return FAIL, f"sum_k xi^(k*{m}) = {got}, expected {want}"
@@ -642,73 +614,82 @@ def _root_sum(job: Job) -> tuple[str, str]:
 
 def _congruence(job: Job) -> tuple[str, str]:
     """The congruence of ``lemma22_holds`` on every triple in [0, l)^3, with
-    a_0 .. a_(2l-2) built once by the recurrence of ``triangular``."""
+    a_0 .. a_(2l-2) built once by the recurrence of ``triangular``.
+
+    At (i, j, k) it says ``b_i[k] = b_j[k]`` for the rows
+    ``b_n[k] = a_(n+k) - kn - a_n mod l``, so it holds on all of [0, l)^3
+    exactly when every row equals ``b_0``.  Otherwise the first failing
+    triple is (0, j, k), j the first row that differs, and
+    ``_lemma22_failure`` finds its k.
+    """
     prime = check_prime(job.prime)
     a = list(itertools.accumulate(range(2 * prime - 1)))
-    failure = _lemma22_failure(prime, a, itertools.product(range(prime), repeat=3))
-    if failure:
-        return FAIL, "congruence fails at (i,j,k)=(%d,%d,%d)" % failure
+    rows = [[(a[n + k] - k * n - a[n]) % prime for k in range(prime)] for n in range(prime)]
+    for j, row in enumerate(rows):
+        if row != rows[0]:
+            failure = _lemma22_failure(prime, a, [(0, j, k) for k in range(prime)])
+            return FAIL, "congruence fails at (i,j,k)=(%d,%d,%d)" % failure
     return PASS, f"a_(j+k) - a_(i+k) = k(j-i) + (a_j - a_i) mod {prime} on [0,{prime})^3"
 
 
 CHECKS = (
     Check("matrices.su.alpha_unitary", _odd_upto_cap, _identity(
-        lambda m: m.alpha_h * m.alpha, lambda m: m.ident,
+        lambda m: (m.alpha_h * m.alpha).first_mismatch(m.ident),
         "conj_transpose(alpha) * alpha = I",
     )),
     Check("matrices.su.beta_unitary", _odd_upto_cap, _identity(
-        lambda m: m.beta_h * m.beta, lambda m: m.ident,
+        lambda m: (m.beta_h * m.beta).first_mismatch(m.ident),
         "conj_transpose(beta) * beta = I",
     )),
     # [alpha, beta] = xi, checked inverse-free as alpha*beta = beta*alpha*xi
     Check("matrices.su.commutator", _odd_upto_cap, _identity(
-        lambda m: m.alpha * m.beta, lambda m: m.beta * m.alpha * m.xi,
+        lambda m: (m.alpha * m.beta).first_mismatch(m.beta * m.alpha * m.xi),
         "alpha * beta = beta * alpha * xi",
     )),
     Check("matrices.su.s_unitary", _odd_upto_cap, _identity(
-        lambda m: m.s_h * m.s, lambda m: m.ident,
+        lambda m: (m.s_h * m.s).first_mismatch(m.ident),
         "conj_transpose(S) * S = I",
     )),
     Check("matrices.su.t_gram", _odd_upto_cap, _identity(
-        lambda m: m.t_h * m.t, lambda m: m.ident.scale(m.ell),
+        lambda m: t_conjugate_mismatch(m.t, m.ident, m.ident),
         "conj_transpose(T) * T = l * I",
     )),
     Check("matrices.su.determinants", _odd_upto_cap, _su_determinants),
     Check("matrices.weyl.alpha_by_s", _odd_upto_cap, _identity(
-        lambda m: m.s_h * m.alpha * m.s, lambda m: m.alpha,
+        lambda m: (m.s_h * m.alpha * m.s).first_mismatch(m.alpha),
         "S^-1 alpha S = alpha",
     )),
     Check("matrices.weyl.beta_by_s", _odd_upto_cap, _identity(
-        lambda m: m.s_h * m.beta * m.s, lambda m: m.alpha_h * m.beta,
+        lambda m: (m.s_h * m.beta * m.s).first_mismatch(m.alpha_h * m.beta),
         "S^-1 beta S = alpha^-1 beta",
     )),
     Check("matrices.weyl.alpha_by_t", _odd_upto_cap, _identity(
-        lambda m: m.t_h * m.alpha * m.t, lambda m: (m.alpha_h * m.beta).scale(m.ell),
+        lambda m: t_conjugate_mismatch(m.t, m.alpha, m.alpha_h * m.beta),
         "conj_transpose(T) alpha T = l (alpha^-1 beta)",
     )),
     Check("matrices.weyl.beta_by_t", _odd_upto_cap, _identity(
-        lambda m: m.t_h * m.beta * m.t, lambda m: m.beta_h.scale(m.ell),
+        lambda m: t_conjugate_mismatch(m.t, m.beta, m.beta_h),
         "conj_transpose(T) beta T = l beta^-1",
     )),
     Check("matrices.l2.beta_conj", at_two, _identity(
-        lambda m: m.beta_h * m.alpha * m.beta, lambda m: m.xi * m.alpha,
+        lambda m: (m.beta_h * m.alpha * m.beta).first_mismatch(m.xi * m.alpha),
         "beta^-1 alpha beta = xi alpha",
     )),
     Check("matrices.l2.t_gram", at_two, _identity(
-        lambda m: m.t_h * m.t, lambda m: m.ident.scale(m.ell),
+        lambda m: t_conjugate_mismatch(m.t, m.ident, m.ident),
         "conj_transpose(T) T = 2 I",
     )),
     Check("matrices.l2.alpha_by_t", at_two, _identity(
-        lambda m: m.t_h * m.alpha * m.t, lambda m: (m.alpha * m.beta).scale(m.ell),
+        lambda m: t_conjugate_mismatch(m.t, m.alpha, m.alpha * m.beta),
         "conj_transpose(T) alpha T = 2 (alpha beta)",
     )),
     Check("matrices.l2.beta_by_t", at_two, _identity(
-        lambda m: m.t_h * m.beta * m.t, lambda m: m.beta.scale(m.ell),
+        lambda m: t_conjugate_mismatch(m.t, m.beta, m.beta),
         "conj_transpose(T) beta T = 2 beta",
     )),
     Check("matrices.l2.sigma_candidate", at_two, _identity(
-        lambda m: CycMatrix.block_diag(m.s_h * m.alpha * m.s, m.s_h * m.beta * m.s),
-        lambda m: CycMatrix.block_diag(m.alpha, m.alpha * m.beta),
+        lambda m: CycMatrix.block_diag(m.s_h * m.alpha * m.s, m.s_h * m.beta * m.s)
+        .first_mismatch(CycMatrix.block_diag(m.alpha, m.alpha * m.beta)),
         "derived candidate S2 = diag(1, i): S2^-1 alpha S2 = alpha and "
         "S2^-1 beta S2 = alpha beta (the diagonal Weyl representative is "
         "otherwise undefined at l = 2)",
@@ -716,27 +697,27 @@ CHECKS = (
     )),
     Check("matrices.l2.determinants", at_two, _l2_determinants),
     Check("matrices.g1.commutator", _upto_cap, _identity(
-        lambda m: m.d_alpha * m.d_beta, lambda m: m.d_beta * m.d_alpha * m.d_xi,
+        lambda m: (m.d_alpha * m.d_beta).first_mismatch(m.d_beta * m.d_alpha * m.d_xi),
         "Delta(alpha) Delta(beta) = Delta(beta) Delta(alpha) Delta(xi)",
     )),
     Check("matrices.g1.central_alpha", _upto_cap, _identity(
-        lambda m: m.g_xi * m.d_alpha, lambda m: m.d_alpha * m.g_xi * m.ident2,
+        lambda m: (m.g_xi * m.d_alpha).first_mismatch(m.d_alpha * m.g_xi * m.ident2),
         "[Gamma(xi), Delta(alpha)] = I",
     )),
     Check("matrices.g1.central_beta", _upto_cap, _identity(
-        lambda m: m.g_xi * m.d_beta, lambda m: m.d_beta * m.g_xi * m.ident2,
+        lambda m: (m.g_xi * m.d_beta).first_mismatch(m.d_beta * m.g_xi * m.ident2),
         "[Gamma(xi), Delta(beta)] = I",
     )),
     Check("matrices.g1.alpha_by_gamma_beta", _upto_cap, _identity(
-        lambda m: m.d_alpha * m.g_beta, lambda m: m.g_beta * (m.g_xi * m.d_alpha),
+        lambda m: (m.d_alpha * m.g_beta).first_mismatch(m.g_beta * (m.g_xi * m.d_alpha)),
         "Delta(alpha)^Gamma(beta) = Gamma(xi) Delta(alpha)",
     )),
     Check("matrices.g1.beta_by_gamma_beta", _upto_cap, _identity(
-        lambda m: m.d_beta * m.g_beta, lambda m: m.g_beta * m.d_beta,
+        lambda m: (m.d_beta * m.g_beta).first_mismatch(m.g_beta * m.d_beta),
         "Delta(beta)^Gamma(beta) = Delta(beta)",
     )),
     Check("matrices.g1.xi_by_gamma_beta", _upto_cap, _identity(
-        lambda m: m.g_xi * m.g_beta, lambda m: m.g_beta * m.g_xi,
+        lambda m: (m.g_xi * m.g_beta).first_mismatch(m.g_beta * m.g_xi),
         "Gamma(xi)^Gamma(beta) = Gamma(xi)",
     )),
     # exhaustive sweeps of the two index lemmas behind the T computation

@@ -184,7 +184,8 @@ def fixed_vectors(ctx: AlgebraContext, d: int, maps: Iterable[AlgebraMap]) -> li
     of zero under 1 - f* on the current basis.  A map with ``f(el) == el`` on
     every current element (both sides reduced) leaves the subspace as it is,
     and no coordinates or kernel are formed for it.  Once the subspace is zero
-    no further map is drawn.
+    no further map is drawn.  A map that moves a vector by a term outside
+    degree d raises ``ValueError``.
     """
     basis = ctx.basis_of_degree(d)
     current = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
@@ -200,7 +201,7 @@ def fixed_vectors(ctx: AlgebraContext, d: int, maps: Iterable[AlgebraMap]) -> li
         images = [f(el) for el in kept]
         if all(img == el for img, el in zip(images, kept)):
             continue
-        moved = [(el - img).coordinates(basis) for el, img in zip(kept, images)]
+        moved = [_degree_coordinates(el - img, d, basis) for el, img in zip(kept, images)]
         current = ffla.row_space_basis(ffla.preimage(current, moved, ctx.prime), ctx.prime)
         kept = as_elements(current)
     return kept
@@ -228,9 +229,20 @@ def invariant_subspace(
 def element_span_contains(
     ctx: AlgebraContext, d: int, basis_elements: Sequence[Element], candidate: Element
 ) -> bool:
+    """Whether ``candidate`` lies in the span of ``basis_elements``, all of
+    them in degree d."""
     monos = ctx.basis_of_degree(d)
-    vectors = [el.coordinates(monos) for el in basis_elements]
-    return ffla.in_span(candidate.coordinates(monos), vectors, ctx.prime)
+    vectors = [_degree_coordinates(el, d, monos) for el in basis_elements]
+    return ffla.in_span(_degree_coordinates(candidate, d, monos), vectors, ctx.prime)
+
+
+def _degree_coordinates(el: Element, d: int, basis: Sequence[Monomial]) -> tuple[int, ...]:
+    """``el``'s coordinates on the degree-d ``basis``; a term of any other
+    degree, which they would drop, raises ``ValueError``."""
+    coords = el.coordinates(basis)
+    if len(el.terms) != len(coords) - coords.count(0):
+        raise ValueError(f"element has a term outside degree {d}")
+    return coords
 
 
 # ---------------------------------------------------------------------------

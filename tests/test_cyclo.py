@@ -1,37 +1,42 @@
 import itertools
 import random
+import time
 from functools import reduce
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnor_forge import cyclo
+from milnor_forge.cli import RunConfig, run
 from milnor_forge.cyclo import (
     CycInt,
     CycMatrix,
     GeneratorSet,
     _canonical,
     _lemma22_failure,
+    _unit,
     lemma22_holds,
     root_power_sum,
+    t_conjugate_mismatch,
     triangular,
 )
+from milnor_forge.report import FAIL, NOTE, PASS, Job
+
+
+@st.composite
+def monomial_matrices(draw, p, n):
+    """An exponent form: a permutation and one exponent per row."""
+    perm = draw(st.permutations(range(n)))
+    return CycMatrix(p, perm, [draw(st.integers(-9, 9)) for _ in range(n)])
 
 
 @st.composite
 def cyc_matrices(draw, primes=(2, 3, 5)):
     p = draw(st.sampled_from(primes))
-    rank = 2 if p == 2 else p - 1
-    n = draw(st.integers(1, 3))
-    rows = [
-        [
-            CycInt(p, [draw(st.integers(-3, 3)) for _ in range(rank)])
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    return CycMatrix(p, rows)
-from milnor_forge.report import FAIL
+    return draw(monomial_matrices(p, draw(st.integers(1, 3))))
+
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 PAST_OLD_CAP = (17, 19, 23, 29, 31)
@@ -238,12 +243,83 @@ def schoolbook(x, y):
     return CycInt(p, [dense[k] - top for k in range(p - 1)])
 
 
-def schoolbook_matrix(a, b):
-    n, p = a.size, a.prime
-    entry = lambda i, j: reduce(
-        lambda s, k: s + schoolbook(a.rows[i][k], b.rows[k][j]), range(n), CycInt.zero(p)
-    )
-    return CycMatrix.from_fn(p, n, entry)
+class Dense:
+    """A dense square matrix over Z[xi_l], the reference the exponent forms
+    are checked against.  Its product is the schoolbook sum over k of
+    ``entry_product(a_ik, b_kj)``, zero terms left out, by ``CycInt``
+    addition; the entry product is ``CycInt``'s kernel, or ``schoolbook``."""
+
+    def __init__(self, prime, rows, entry_product=mul):
+        self.prime = prime
+        self.rows = tuple(tuple(row) for row in rows)
+        self.entry_product = entry_product
+
+    @classmethod
+    def of(cls, m, entry_product=mul):
+        """The matrix an exponent form stands for."""
+        return cls(m.prime, m.rows, entry_product)
+
+    @classmethod
+    def of_table(cls, prime, t, entry_product=mul):
+        """The matrix a table of exponents (T's) stands for."""
+        return cls(prime, [[_unit(prime, x) for x in row] for row in t], entry_product)
+
+    def __mul__(self, other):
+        zero = CycInt.zero(self.prime)
+        cols = list(zip(*other.rows))
+        rows = []
+        for row in self.rows:
+            terms = [(k, x) for k, x in enumerate(row) if not x.is_zero]
+            rows.append([
+                sum((self.entry_product(x, col[k]) for k, x in terms if not col[k].is_zero), zero)
+                for col in cols
+            ])
+        return Dense(self.prime, rows, self.entry_product)
+
+    def conj_transpose(self):
+        cols = zip(*self.rows)
+        return Dense(self.prime, [[x.conj() for x in col] for col in cols], self.entry_product)
+
+    def scale(self, c):
+        return Dense(self.prime, [[x * c for x in row] for row in self.rows], self.entry_product)
+
+    @staticmethod
+    def block_diag(a, b):
+        zero = CycInt.zero(a.prime)
+        n, m = len(a.rows), len(b.rows)
+        rows = [row + (zero,) * m for row in a.rows] + [(zero,) * n + row for row in b.rows]
+        return Dense(a.prime, rows, a.entry_product)
+
+    def __eq__(self, other):
+        return self.prime == other.prime and self.rows == other.rows
+
+    def first_mismatch(self, other):
+        n = len(self.rows)
+        return next(
+            (((i, j), self.rows[i][j], other.rows[i][j])
+             for i in range(n) for j in range(n) if self.rows[i][j] != other.rows[i][j]),
+            None,
+        )
+
+    def det_monomial(self):
+        """The product of the nonzero entries, negated once per cycle of even
+        length in their permutation; a row without exactly one nonzero entry
+        raises."""
+        cols = []
+        for row in self.rows:
+            [c] = [j for j, x in enumerate(row) if not x.is_zero]
+            cols.append(c)
+        sign, seen = 1, set()
+        for start in range(len(cols)):
+            cycle = []
+            while start not in seen:
+                seen.add(start)
+                cycle.append(start)
+                start = cols[start]
+            if cycle and len(cycle) % 2 == 0:
+                sign = -sign
+        values = [row[c] for row, c in zip(self.rows, cols)]
+        return reduce(self.entry_product, values, CycInt.from_int(self.prime, sign))
 
 
 def sympy_product(pairs):
@@ -291,13 +367,14 @@ def kernel_pairs(draw):
 def kernel_matrix_pairs(draw):
     p = draw(st.sampled_from(KERNEL_PRIMES))
     n = draw(st.integers(1, 3))
-    square = lambda: CycMatrix.from_fn(p, n, lambda i, j: draw(kernel_entries(p)))
-    return square(), square()
+    return draw(monomial_matrices(p, n)), draw(monomial_matrices(p, n))
+
 
 
 class TestProductKernel:
     """The group-ring kernel against the schoolbook product it replaced and
-    against sympy, on the entry kinds it treats differently."""
+    against sympy, on the entry kinds it treats differently; and products of
+    exponent forms against both."""
 
     @given(kernel_pairs())
     def test_entry_product(self, pair):
@@ -309,7 +386,7 @@ class TestProductKernel:
     def test_matrix_product(self, pair):
         a, b = pair
         product = a * b
-        assert product == schoolbook_matrix(a, b)
+        assert product.rows == (Dense.of(a, schoolbook) * Dense.of(b, schoolbook)).rows
         n = a.size
         for i in range(n):
             for j in range(n):
@@ -326,10 +403,16 @@ class TestProductKernel:
     def test_product_entries_are_canonical(self):
         # a zero-sum product entry compares, hashes and renders as zero
         g = GeneratorSet.build(5)
-        entry = (g.t.conj_transpose() * g.t).rows[0][1]
+        t = Dense.of_table(5, g.t)
+        entry = (t.conj_transpose() * t).rows[0][1]
         assert entry == CycInt.zero(5) and entry.is_zero
         assert hash(entry) == hash(CycInt.zero(5)) and repr(entry) == "0"
         assert isinstance(entry.coeffs, tuple) and entry.coeffs == (0, 0, 0, 0)
+        # and so does one rendered from exponents: conj_transpose(T) alpha T
+        # is l alpha^-1 beta, which is 0 at (0, 1) where l beta^-1 is not
+        where, left, right = t_conjugate_mismatch(g.t, g.alpha, g.beta.conj_transpose())
+        assert where == (0, 1) and left.is_zero and repr(left) == "0"
+        assert left.coeffs == (0, 0, 0, 0) and right == 5
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(ValueError):
@@ -340,110 +423,74 @@ class TestProductKernel:
         # a float is not an integer, even with an integral value
         with pytest.raises(TypeError):
             CycInt(5, (True, 2.0, 0, 0))
-        one, zero = CycInt.one(5), CycInt.zero(5)
-        for rows in ([[one, zero]], [[one, zero], [zero]], [[one], [zero]]):
-            with pytest.raises(ValueError, match="square"):
-                CycMatrix(5, rows)
+        for perm in ((0, 0), (1, 2), (0, 1, 3)):
+            with pytest.raises(ValueError, match="permutation"):
+                CycMatrix(5, perm, (0,) * len(perm))
+        with pytest.raises(ValueError, match="exponents"):
+            CycMatrix(5, (1, 0), (0, 0, 0))
         with pytest.raises(ValueError, match="prime"):
-            CycMatrix(5, [[one, zero], [zero, CycInt.one(3)]])
-        with pytest.raises(ValueError, match="prime"):
-            CycMatrix(3, [[one]])
-
-
-@st.composite
-def monomial_matrices(draw, p, n):
-    """A permutation matrix whose nonzero entries are roots of unity, all
-    scaled by one integer."""
-    perm = draw(st.permutations(range(n)))
-    scale = draw(st.sampled_from((1, -1, 2)))
-    roots = [CycInt.root_power(p, draw(st.integers(0, p - 1))) * scale for _ in range(n)]
-    zero = CycInt.zero(p)
-    return CycMatrix.from_fn(p, n, lambda i, j: roots[i] if j == perm[i] else zero)
+            CycMatrix(9, (0,), (0,))
+        with pytest.raises(TypeError):
+            CycMatrix(5, (0,), (1.0,))
+        assert CycMatrix(5, (True, 0), (7, -1)).exps == (2, 4)
+        assert CycMatrix(2, (0,), (7,)).exps == (3,)
+        g = GeneratorSet.build(3)
+        with pytest.raises(ValueError, match="3 x 3"):
+            GeneratorSet(3, g.alpha, g.beta, g.xi, g.s, g.t[:2])
+        for t, want in ((g.t[:2], g.beta), (g.t, CycMatrix.identity(3, 2)),
+                        (g.t, CycMatrix.identity(5, 3))):
+            with pytest.raises(ValueError, match="mismatch"):
+                t_conjugate_mismatch(t, g.alpha, want)
 
 
 @st.composite
 def structured_matrices(draw, p, n):
-    """Monomial, a block_diag of two monomials, dense with zero rows and zero
-    columns, or dense."""
-    kind = draw(st.sampled_from(("monomial", "blocks", "holes", "dense")))
-    if kind == "monomial" or (kind == "blocks" and n == 1):
+    """Monomial, or a block_diag of two monomials."""
+    if n == 1 or draw(st.booleans()):
         return draw(monomial_matrices(p, n))
-    if kind == "blocks":
-        k = draw(st.integers(1, n - 1))
-        blocks = draw(monomial_matrices(p, k)), draw(monomial_matrices(p, n - k))
-        return CycMatrix.block_diag(*blocks)
-    rows = [[draw(kernel_entries(p)) for _ in range(n)] for _ in range(n)]
-    if kind == "holes":
-        zero = CycInt.zero(p)
-        empty_rows = draw(st.sets(st.integers(0, n - 1)))
-        empty_cols = draw(st.sets(st.integers(0, n - 1)))
-        rows = [
-            [zero if i in empty_rows or j in empty_cols else x for j, x in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-    return CycMatrix(p, rows)
+    k = draw(st.integers(1, n - 1))
+    return CycMatrix.block_diag(draw(monomial_matrices(p, k)), draw(monomial_matrices(p, n - k)))
 
 
-# each example draws up to 2 x 14^2 entries
+# each example draws up to 2 x 14 entries
 SPARSE_EXAMPLES = 60
 
 
 @st.composite
 def structured_pairs(draw):
-    """Two structured n x n matrices over Z[xi_l], n up to 2l."""
+    """Two structured n x n exponent forms over Z[xi_l], n up to 2l."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     n = draw(st.integers(1, 2 * p))
     return draw(structured_matrices(p, n)), draw(structured_matrices(p, n))
 
 
-def assert_view_lists_the_nonzero_entries(m):
-    # the view a validated copy of the same rows builds
-    assert m._sparse == CycMatrix(m.prime, m.rows)._sparse
-
-
-def dense_first_mismatch(a, b):
-    n = a.size
-    return next(
-        ((i, j) for i in range(n) for j in range(n) if a.rows[i][j] != b.rows[i][j]), None
-    )
-
-
 class TestSparseView:
-    """Products, comparisons, conjugate transposes and scalings on the
-    sparse view, against their entrywise definitions."""
+    """The exponent form is the sparse view of a monomial matrix, its one
+    nonzero entry per row.  Products, comparisons and conjugate transposes
+    on it, against their dense entrywise definitions."""
 
     @settings(max_examples=SPARSE_EXAMPLES)
     @given(structured_pairs())
     def test_product_matches_schoolbook(self, pair):
         a, b = pair
-        product, expected = a * b, schoolbook_matrix(a, b)
-        assert product == expected and product.rows == expected.rows
-        assert_view_lists_the_nonzero_entries(product)
+        expected = Dense.of(a, schoolbook) * Dense.of(b, schoolbook)
+        assert (a * b).rows == expected.rows
 
     @settings(max_examples=SPARSE_EXAMPLES)
     @given(structured_pairs())
     def test_work_is_the_nonzero_entry_products(self, pair):
+        # n exponent additions: no entry product, no dense rows
         a, b = pair
         calls = []
         convolve, accumulator = cyclo._convolve, cyclo._accumulator
         try:
             cyclo._convolve = lambda *args: calls.append("convolve") or convolve(*args)
             cyclo._accumulator = lambda p: calls.append("accumulator") or accumulator(p)
-            a * b
+            product = a * b
         finally:
             cyclo._convolve, cyclo._accumulator = convolve, accumulator
-        n = a.size
-        nonzero = lambda x: not x.is_zero
-        pairs = sum(
-            nonzero(a.rows[i][k]) and nonzero(b.rows[k][j])
-            for i in range(n) for j in range(n) for k in range(n)
-        )
-        touched = sum(
-            any(nonzero(a.rows[i][k]) and nonzero(b.rows[k][j]) for k in range(n))
-            for i in range(n) for j in range(n)
-        )
-        assert calls.count("convolve") == pairs
-        assert calls.count("accumulator") == touched
+        assert calls == [] and product._rows is None
+        assert product.size == a.size
 
     @pytest.mark.parametrize("p", (2, 3, 7))
     def test_monomial_product_touches_n_entries(self, p):
@@ -455,54 +502,39 @@ class TestSparseView:
             product = g.alpha * g.beta
         finally:
             cyclo._accumulator = accumulator
-        assert len(calls) == g.alpha.size
-        assert [len(view) for view in product._sparse] == [1] * g.alpha.size
-
-    @pytest.mark.parametrize("p", (2, 3, 5))
-    def test_cancelling_accumulator_gives_zero_outside_the_view(self, p):
-        one, zero = CycInt.one(p), CycInt.zero(p)
-        a = CycMatrix(p, [[one, one], [zero, zero]])
-        b = CycMatrix(p, [[one, zero], [-one, zero]])
-        product = a * b
-        assert product.rows[0][0] == CycInt.zero(p) and product.rows[0][0].is_zero
-        assert product._sparse == ([], [])
-        assert product == CycMatrix(p, [[zero, zero], [zero, zero]])
+        assert calls == [] and len(product.exps) == g.alpha.size
+        assert [sum(not x.is_zero for x in row) for row in product.rows] == [1] * g.alpha.size
 
     def test_gram_zeros_are_outside_the_view(self):
+        # the off-diagonal entries of conj_transpose(T) T are cancelling root sums
         g = GeneratorSet.build(5)
-        gram = g.t.conj_transpose() * g.t
-        assert gram._sparse == tuple([(i, [(0, 5)])] for i in range(5))
-        assert gram == CycMatrix.identity(5, 5).scale(5)
+        t = Dense.of_table(5, g.t)
+        assert t.conj_transpose() * t == Dense.of(CycMatrix.identity(5, 5)).scale(5)
+        ident = CycMatrix.identity(5, 5)
+        assert t_conjugate_mismatch(g.t, ident, ident) is None
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_first_mismatch_in_a_value_or_an_extra_nonzero(self, p):
-        ident = CycMatrix.identity(p, 4)
-        root = CycInt.imaginary_unit() if p == 2 else CycInt.root_power(p, 1)
-
-        def changed(i, j, x):
-            rows = [list(row) for row in ident.rows]
-            rows[i][j] = x
-            return CycMatrix(p, rows)
-
-        assert ident.first_mismatch(CycMatrix.identity(p, 4)) is None
+        base = CycMatrix(p, (3, 0, 1, 2), (0, 1, 2, 3))
+        assert base.first_mismatch(CycMatrix(p, base.perm, base.exps)) is None
         cases = [
-            (changed(1, 1, CycInt.from_int(p, 2)), (1, 1)),  # a value only
-            (changed(1, 1, root), (1, 1)),
-            (changed(1, 3, root), (1, 3)),  # an extra nonzero after the diagonal
-            (changed(2, 0, root), (2, 0)),  # and before it
+            (CycMatrix(p, base.perm, (0, 2, 2, 3)), (1, 0)),  # a value only
+            (CycMatrix(p, (3, 0, 2, 1), base.exps), (2, 1)),  # a nonzero moved right
+            (CycMatrix(p, (0, 3, 1, 2), base.exps), (0, 0)),  # and left
         ]
         for other, where in cases:
-            assert ident.first_mismatch(other) == where
-            assert other.first_mismatch(ident) == where
-            assert ident != other
+            for a, b in ((base, other), (other, base)):
+                assert a.first_mismatch(b) == Dense.of(a).first_mismatch(Dense.of(b))
+                assert a.first_mismatch(b)[0] == where
+            assert base != other
 
     @settings(max_examples=SPARSE_EXAMPLES)
     @given(structured_pairs())
     def test_first_mismatch_is_the_first_in_row_major_order(self, pair):
         a, b = pair
-        assert a.first_mismatch(b) == dense_first_mismatch(a, b)
+        assert a.first_mismatch(b) == Dense.of(a).first_mismatch(Dense.of(b))
         assert (a == b) == (a.first_mismatch(b) is None)
-        assert a.first_mismatch(CycMatrix(a.prime, a.rows)) is None
+        assert a.first_mismatch(CycMatrix(a.prime, a.perm, a.exps)) is None
 
     @settings(max_examples=SPARSE_EXAMPLES)
     @given(structured_pairs())
@@ -511,34 +543,64 @@ class TestSparseView:
         h = m.conj_transpose()
         n = m.size
         assert all(h.rows[i][j] == m.rows[j][i].conj() for i in range(n) for j in range(n))
-        assert_view_lists_the_nonzero_entries(h)
-
-    @settings(max_examples=SPARSE_EXAMPLES)
-    @given(st.data())
-    def test_scale_is_entrywise(self, data):
-        m, _ = data.draw(structured_pairs())
-        c = data.draw(st.one_of(kernel_entries(m.prime), st.integers(-3, 3)))
-        scaled = m.scale(c)
-        n = m.size
-        assert all(scaled.rows[i][j] == m.rows[i][j] * c for i in range(n) for j in range(n))
-        assert_view_lists_the_nonzero_entries(scaled)
 
 
 class TestDetMonomial:
     def test_cycle_sign(self):
         # a 3-cycle is even
         beta = GeneratorSet.build(3).beta
-        assert beta.det_monomial() == 1
+        assert beta.det() == 1
 
     def test_transposition_sign(self):
-        one, zero = CycInt.one(2), CycInt.zero(2)
-        swap = CycMatrix(2, [[zero, one], [one, zero]])
-        assert swap.det_monomial() == -1
+        swap = CycMatrix(2, (1, 0), (0, 0))
+        assert swap.det() == -1
 
     def test_dense_rejected(self):
-        t = GeneratorSet.build(3).t
+        # a matrix without exactly one nonzero entry per row and column has
+        # no exponent form
         with pytest.raises(ValueError):
-            t.det_monomial()
+            CycMatrix(3, (0, 0, 1), (0, 0, 0))
+
+    @given(st.sampled_from((2, 3, 5, 7)).flatmap(
+        lambda p: st.integers(1, 6).flatmap(lambda n: monomial_matrices(p, n))
+    ))
+    def test_det_is_the_signed_product_of_the_entries(self, m):
+        assert m.det() == Dense.of(m).det_monomial()
+
+
+def random_tables(p):
+    """p x p tables of exponents, not reduced."""
+    row = st.lists(st.integers(-2 * p, 4 * p), min_size=p, max_size=p)
+    return st.lists(row, min_size=p, max_size=p)
+
+
+class TestTConjugation:
+    """``t_conjugate_mismatch`` against the schoolbook product
+    ``conj_transpose(T) A T`` of the dense matrices, compared with ``l want``."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: st.tuples(
+        random_tables(p), monomial_matrices(p, p), monomial_matrices(p, p),
+    )))
+    def test_matches_the_schoolbook_product(self, case):
+        t, a, want = case
+        p = a.prime
+        dense_t = Dense.of_table(p, t, schoolbook)
+        lhs = dense_t.conj_transpose() * Dense.of(a, schoolbook) * dense_t
+        rhs = Dense.of(want, schoolbook).scale(p)
+        assert t_conjugate_mismatch(t, a, want) == lhs.first_mismatch(rhs)
+
+    @pytest.mark.parametrize("p", (2, 11, 13))
+    def test_generator_identities_match_the_schoolbook_product(self, p):
+        g = GeneratorSet.build(p)
+        ident = CycMatrix.identity(p, g.alpha.size)
+        beta_side = g.beta if p == 2 else g.beta.conj_transpose()
+        alpha_side = g.alpha * g.beta if p == 2 else g.alpha.conj_transpose() * g.beta
+        dense_t = Dense.of_table(p, g.t, schoolbook)
+        for a, want in ((ident, ident), (g.alpha, alpha_side), (g.beta, beta_side)):
+            assert t_conjugate_mismatch(g.t, a, want) is None
+            lhs = dense_t.conj_transpose() * Dense.of(a, schoolbook) * dense_t
+            assert lhs == Dense.of(want, schoolbook).scale(p)
 
 
 class TestGramEntryOracle:
@@ -553,7 +615,8 @@ class TestGramEntryOracle:
         # entry (i, j) of conj_transpose(T) T is sum_k xi^(a_(j+k) - a_(i+k)),
         # computed here term by term, independently of the matrix product
         g = GeneratorSet.build(p)
-        product = g.t.conj_transpose() * g.t
+        t = Dense.of_table(p, g.t)
+        product = t.conj_transpose() * t
         for i in range(1, p + 1):
             for j in range(1, p + 1):
                 entry = CycInt.zero(p)
@@ -566,6 +629,132 @@ class TestGramEntryOracle:
                     assert entry.as_int() == p
                 else:
                     assert entry.is_zero
+        ident = CycMatrix.identity(p, p)
+        assert t_conjugate_mismatch(g.t, ident, ident) is None
+
+
+def perturbed_t(g):
+    t = [list(row) for row in g.t]
+    t[1][2] += 1
+    return GeneratorSet(g.prime, g.alpha, g.beta, g.xi, g.s, t)
+
+
+def s_from_a_i_plus_2(g):
+    n = g.alpha.size
+    s = CycMatrix(g.prime, range(n), [triangular(i + 2) for i in range(n)])
+    return GeneratorSet(g.prime, g.alpha, g.beta, g.xi, s, g.t)
+
+
+def beta_shifted_the_other_way(g):
+    n = g.alpha.size
+    beta = CycMatrix(g.prime, [(i + 1) % n for i in range(n)], [0] * n)
+    return GeneratorSet(g.prime, g.alpha, beta, g.xi, g.s, g.t)
+
+
+def beta_rows_swapped(g):
+    perm = list(g.beta.perm)
+    perm[0], perm[1] = perm[1], perm[0]
+    beta = CycMatrix(g.prime, perm, g.beta.exps)
+    return GeneratorSet(g.prime, g.alpha, beta, g.xi, g.s, g.t)
+
+
+MUTANTS = {
+    f.__name__: f
+    for f in (perturbed_t, s_from_a_i_plus_2, beta_shifted_the_other_way, beta_rows_swapped)
+}
+
+
+def dense_matrices(g):
+    """The dense generator matrices of ``g`` and the products the checks
+    name, as ``_matrices`` names them, with ``t_h`` and ``ell`` = l."""
+    p = g.prime
+    alpha, beta, xi, s = (Dense.of(m) for m in (g.alpha, g.beta, g.xi, g.s))
+    t = Dense.of_table(p, g.t)
+    ident = Dense.of(CycMatrix.identity(p, g.alpha.size))
+    block = Dense.block_diag
+    return SimpleNamespace(
+        alpha=alpha, beta=beta, xi=xi, s=s, t=t,
+        alpha_h=alpha.conj_transpose(), beta_h=beta.conj_transpose(),
+        s_h=s.conj_transpose(), t_h=t.conj_transpose(),
+        ident=ident, ell=CycInt.from_int(p, p),
+        d_alpha=block(alpha, alpha), d_beta=block(beta, beta), d_xi=block(xi, xi),
+        g_xi=block(ident, xi), g_beta=block(ident, beta),
+        ident2=Dense.of(CycMatrix.identity(p, 2 * g.alpha.size)),
+    )
+
+
+# check id -> (lhs, rhs): each identity as a product of dense matrices
+DENSE_IDENTITIES = {
+    "matrices.su.alpha_unitary": (lambda d: d.alpha_h * d.alpha, lambda d: d.ident),
+    "matrices.su.beta_unitary": (lambda d: d.beta_h * d.beta, lambda d: d.ident),
+    "matrices.su.commutator": (lambda d: d.alpha * d.beta, lambda d: d.beta * d.alpha * d.xi),
+    "matrices.su.s_unitary": (lambda d: d.s_h * d.s, lambda d: d.ident),
+    "matrices.su.t_gram": (lambda d: d.t_h * d.t, lambda d: d.ident.scale(d.ell)),
+    "matrices.weyl.alpha_by_s": (lambda d: d.s_h * d.alpha * d.s, lambda d: d.alpha),
+    "matrices.weyl.beta_by_s": (
+        lambda d: d.s_h * d.beta * d.s, lambda d: d.alpha_h * d.beta,
+    ),
+    "matrices.weyl.alpha_by_t": (
+        lambda d: d.t_h * d.alpha * d.t, lambda d: (d.alpha_h * d.beta).scale(d.ell),
+    ),
+    "matrices.weyl.beta_by_t": (
+        lambda d: d.t_h * d.beta * d.t, lambda d: d.beta_h.scale(d.ell),
+    ),
+    "matrices.g1.commutator": (
+        lambda d: d.d_alpha * d.d_beta, lambda d: d.d_beta * d.d_alpha * d.d_xi,
+    ),
+    "matrices.g1.central_alpha": (
+        lambda d: d.g_xi * d.d_alpha, lambda d: d.d_alpha * d.g_xi * d.ident2,
+    ),
+    "matrices.g1.central_beta": (
+        lambda d: d.g_xi * d.d_beta, lambda d: d.d_beta * d.g_xi * d.ident2,
+    ),
+    "matrices.g1.alpha_by_gamma_beta": (
+        lambda d: d.d_alpha * d.g_beta, lambda d: d.g_beta * (d.g_xi * d.d_alpha),
+    ),
+    "matrices.g1.beta_by_gamma_beta": (
+        lambda d: d.d_beta * d.g_beta, lambda d: d.g_beta * d.d_beta,
+    ),
+    "matrices.g1.xi_by_gamma_beta": (
+        lambda d: d.g_xi * d.g_beta, lambda d: d.g_beta * d.g_xi,
+    ),
+}
+
+
+def dense_verdict(check_id, d, unmutated):
+    """The (status, details) of a check computed on the dense matrices ``d``;
+    ``unmutated`` is its record on the true generators, whose details are
+    the identity's description."""
+    if check_id in DENSE_IDENTITIES:
+        lhs, rhs = DENSE_IDENTITIES[check_id]
+        bad = lhs(d).first_mismatch(rhs(d))
+        if bad is None:
+            return unmutated.status, unmutated.details
+        (i, j), x, y = bad
+        return FAIL, f"{unmutated.details}: entry ({i},{j}) differs: {x!r} != {y!r}"
+    if check_id == "matrices.su.determinants":
+        da, db = d.alpha.det_monomial(), d.beta.det_monomial()
+        if da == 1 and db == 1:
+            return unmutated.status, unmutated.details
+        return FAIL, f"det(alpha) = {da!r}, det(beta) = {db!r}"
+    # the lemma sweeps and rank-nullity read no generator matrix
+    return unmutated.status, unmutated.details
+
+
+class TestMutants:
+    @pytest.mark.parametrize("p", (3, 5, 13, 31))
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_records_match_the_dense_reference(self, mutant, p, monkeypatch, job_records):
+        unmutated = {r.check_id: r for r in job_records("matrices", p, "matrices.")}
+        g = MUTANTS[mutant](GeneratorSet.build(p))
+        monkeypatch.setattr(GeneratorSet, "build", classmethod(lambda cls, prime: g))
+        records = job_records("matrices", p, "matrices.")
+        assert {r.check_id for r in records} == set(unmutated)
+        assert set(DENSE_IDENTITIES) | {"matrices.su.determinants"} <= set(unmutated)
+        d = dense_matrices(g)
+        for r in records:
+            assert (r.status, r.details) == dense_verdict(r.check_id, d, unmutated[r.check_id])
+        assert any(r.status == FAIL for r in records)
 
 
 class TestCheckSuites:
@@ -598,22 +787,43 @@ class TestCheckSuites:
         assert_all_pass(reports)
         assert {r.check_id.split(".")[1] for r in reports} == {"su", "weyl", "g1", "lemma"}
 
+    def test_capped_checks_pass_past_the_cap(self):
+        # the capped bodies, run directly: the cap guards no failure and,
+        # on exponent tables, no cost that matters
+        start = time.perf_counter()
+        for p in (37, 61, 101):
+            job = Job(p, RunConfig(primes=(p,)))
+            capped = [c for c in cyclo.CHECKS if c.runs_at(31, job.config)
+                      and not c.runs_at(p, job.config)]
+            assert len(capped) == 19
+            for check in capped:
+                status, details = check.body(job)
+                assert status in (PASS, NOTE), f"{check.check_id} at l={p}: {details}"
+        assert time.perf_counter() - start <= 1.5
+
+    def test_check_path_makes_no_cycint_product(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a CycInt product on the check path")
+
+        monkeypatch.setattr(cyclo, "_convolve", forbidden)
+        records = run(RunConfig(primes=(2, 3, 5, 7, 11, 13, 31), suites=("matrices",)))
+        assert records
+        bad = [f"{r.check_id} l={r.prime}: {r.details}" for r in records
+               if r.status not in (PASS, NOTE)]
+        assert not bad, "\n".join(bad)
+
     def test_t_gram_failure_details(self, monkeypatch, job_records):
-        # a wrong entry of T: the mismatch renders through CycInt.__repr__
+        # one perturbed exponent of T: the mismatch renders through
+        # CycInt.__repr__, as the dense product rendered it
         build = GeneratorSet.build.__func__
-
-        def wrong_t(cls, prime):
-            g = build(cls, prime)
-            rows = [list(row) for row in g.t.rows]
-            rows[1][2] = CycInt(prime, (2, 0, -1, 3))
-            return GeneratorSet(g.prime, g.alpha, g.beta, g.xi, g.s, CycMatrix(prime, rows))
-
-        monkeypatch.setattr(GeneratorSet, "build", classmethod(wrong_t))
+        monkeypatch.setattr(
+            GeneratorSet, "build", classmethod(lambda cls, prime: perturbed_t(build(cls, prime)))
+        )
         [record] = job_records("matrices", 5, "matrices.su.t_gram")
         assert record.status == FAIL
         assert record.details == (
             "conj_transpose(T) * T = l * I: entry (0,2) differs: "
-            "-1 + -2*t + 2*t^2 + -1*t^3 != 0"
+            "2 + 1*t + 1*t^2 + 1*t^3 != 0"
         )
 
     def test_su_rejects_two(self, planned_ids):
@@ -635,6 +845,7 @@ class TestCycMatrix:
         gamma = lambda y: CycMatrix.block_diag(ident, y)
         assert delta(a * b) == delta(a) * delta(b)
         assert gamma(a * b) == gamma(a) * gamma(b)
+        assert (delta(a) * delta(b)).rows == (Dense.of(delta(a)) * Dense.of(delta(b))).rows
 
     @given(cyc_matrices(), cyc_matrices())
     def test_conj_transpose_antihomomorphism(self, a, b):
@@ -664,15 +875,20 @@ class TestGeneratorSet:
 
     def test_t_entries_use_triangular_numbers(self):
         g = GeneratorSet.build(5)
+        t = Dense.of_table(5, g.t)
         for i in range(5):
             for j in range(5):
-                assert g.t.rows[i][j] == CycInt.root_power(
+                assert t.rows[i][j] == CycInt.root_power(
                     5, triangular((i + 1) + (j + 1))
                 )
 
     def test_l2_matrices(self):
         g = GeneratorSet.build(2)
         i = CycInt.imaginary_unit()
+        zero = CycInt.zero(2)
         assert g.alpha.rows[0][0] == i and g.alpha.rows[1][1] == -i
+        assert g.beta.rows == ((zero, i), (i, zero))
         assert g.xi.rows[0][0].as_int() == -1
-        assert g.t.rows[0][1] == i and g.t.rows[1][0] == i
+        assert g.s.rows == ((CycInt.one(2), zero), (zero, i))
+        t = Dense.of_table(2, g.t)
+        assert t.rows[0][1] == i and t.rows[1][0] == i and t.rows[0][0] == 1

@@ -6,11 +6,13 @@ from milnor_forge.cli import RunConfig
 from milnor_forge.ffla import FieldMatrix, nullspace, row_space_basis, spans_equal
 from milnor_forge.galg import (
     AlgebraContext,
+    AlgebraMap,
     Element,
     GeneratorSpec,
     TruncationOverflowError,
     elementary_abelian_context,
     linear_substitution,
+    multiply,
 )
 from milnor_forge.invariants import (
     ActionMatrix,
@@ -21,7 +23,7 @@ from milnor_forge.invariants import (
     sl2_generators,
     weyl_generators,
 )
-from milnor_forge.milnor import job_rank3_context, milnor_q
+from milnor_forge.milnor import job_rank3_context, key_class, milnor_q, rank3_context
 from milnor_forge.report import FAIL, PASS, Job
 
 
@@ -143,6 +145,27 @@ class TestInvariantDimensions:
         ctx = elementary_abelian_context(3, 3, 7)
         inv = invariant_subspace(ctx, 4, [])
         assert len(inv) == 15
+
+    def test_span_test_rejects_terms_outside_its_degree(self):
+        # degree-4 coordinates alone would put K + x1 in the span of K
+        ctx = rank3_context(3)
+        key, x1 = key_class(ctx), ctx.generator("x1")
+        assert element_span_contains(ctx, 4, [key], key.scale(2))
+        for basis, candidate in (([key], key + x1), ([key + x1], key)):
+            with pytest.raises(ValueError, match="outside degree 4"):
+                element_span_contains(ctx, 4, basis, candidate)
+
+    def test_fixed_vectors_rejects_a_map_that_moves_a_vector_out_of_its_degree(self):
+        # x2 -> x2 + x2 y2 moves the key class by terms of degree 6; degree-4
+        # coordinates alone would call every degree-4 vector fixed
+        ctx = rank3_context(3)
+        x2 = ctx.generator("x2")
+        f = AlgebraMap(ctx, {"x2": x2 + multiply(x2, ctx.generator("y2"))})
+        assert f(key_class(ctx)) != key_class(ctx)
+        with pytest.raises(ValueError, match="outside degree 4"):
+            invariants.fixed_vectors(ctx, 4, [f])
+        # a map that fixes every vector forms no coordinates
+        assert len(invariants.fixed_vectors(ctx, 4, [AlgebraMap(ctx, {})])) == 15
 
     def test_one_induced_map_per_generator_and_inverse(self, monkeypatch):
         # the closing invariance re-check reuses the generators' maps
