@@ -136,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             f"Default primes: {','.join(str(p) for p in DEFAULT_PRIMES)}. "
-            f"The matrix identities run for primes up to {cyclo.MATRIX_PRIME_CAP}; "
-            f"the rank-2 modular-generator product check is capped at "
+            "The rank-2 modular-generator product check is capped at "
             f"{DICKSON_DEFAULT_CAP} by default (raise with --dickson-cap). "
             "Suites run one after another in one thread."
         ),

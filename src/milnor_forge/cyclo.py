@@ -53,7 +53,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .ffla import check_prime, integers
-from .report import FAIL, NOTE, PASS, Check, Job, at_two, note
+from .report import FAIL, NOTE, PASS, Check, Job, always, at_two, note, odd
 
 
 class CycInt:
@@ -517,10 +517,12 @@ def _lemma22_failure(
 # ---------------------------------------------------------------------------
 # identity checks
 #
-# The odd-prime identities on alpha, beta, xi, S and T run for l up to
-# MATRIX_PRIME_CAP.  The Weyl conjugations are verified with the unit scalars
-# normalizing S and T cancelled: S^-1 alpha S = alpha, S^-1 beta S =
-# alpha^-1 beta, conj_transpose(T) alpha T = l (alpha^-1 beta) and
+# The odd-prime identities on alpha, beta, xi, S and T run at every odd prime,
+# the block relations and the lemma sweeps at every prime.  The job grows as
+# l^3: each T conjugation sums l roots of unity in each of its l^2 entries.
+# The Weyl conjugations are verified with the unit scalars normalizing S and
+# T cancelled: S^-1 alpha S = alpha, S^-1 beta S = alpha^-1 beta,
+# conj_transpose(T) alpha T = l (alpha^-1 beta) and
 # conj_transpose(T) beta T = l beta^-1 as exact matrix equations over Z[xi].
 #
 # The 2l x 2l block relations among Delta(Y) = diag(Y, Y) and
@@ -532,17 +534,6 @@ def _lemma22_failure(
 # construction (the general formula degenerates to a scalar), so the
 # conjugation claims attributed to it are checked against the derived
 # candidate S2 = diag(1, i) and flagged as a note rather than a plain pass.
-
-MATRIX_PRIME_CAP = 31
-
-
-def _upto_cap(prime: int, config) -> bool:
-    return prime <= MATRIX_PRIME_CAP
-
-
-def _odd_upto_cap(prime: int, config) -> bool:
-    return prime != 2 and prime <= MATRIX_PRIME_CAP
-
 
 def _matrices(job: Job) -> SimpleNamespace:
     """The job's generator matrices, T's exponent table ``t``, the conjugate
@@ -633,41 +624,41 @@ def _congruence(job: Job) -> tuple[str, str]:
 
 
 CHECKS = (
-    Check("matrices.su.alpha_unitary", _odd_upto_cap, _identity(
+    Check("matrices.su.alpha_unitary", odd, _identity(
         lambda m: (m.alpha_h * m.alpha).first_mismatch(m.ident),
         "conj_transpose(alpha) * alpha = I",
     )),
-    Check("matrices.su.beta_unitary", _odd_upto_cap, _identity(
+    Check("matrices.su.beta_unitary", odd, _identity(
         lambda m: (m.beta_h * m.beta).first_mismatch(m.ident),
         "conj_transpose(beta) * beta = I",
     )),
     # [alpha, beta] = xi, checked inverse-free as alpha*beta = beta*alpha*xi
-    Check("matrices.su.commutator", _odd_upto_cap, _identity(
+    Check("matrices.su.commutator", odd, _identity(
         lambda m: (m.alpha * m.beta).first_mismatch(m.beta * m.alpha * m.xi),
         "alpha * beta = beta * alpha * xi",
     )),
-    Check("matrices.su.s_unitary", _odd_upto_cap, _identity(
+    Check("matrices.su.s_unitary", odd, _identity(
         lambda m: (m.s_h * m.s).first_mismatch(m.ident),
         "conj_transpose(S) * S = I",
     )),
-    Check("matrices.su.t_gram", _odd_upto_cap, _identity(
+    Check("matrices.su.t_gram", odd, _identity(
         lambda m: t_conjugate_mismatch(m.t, m.ident, m.ident),
         "conj_transpose(T) * T = l * I",
     )),
-    Check("matrices.su.determinants", _odd_upto_cap, _su_determinants),
-    Check("matrices.weyl.alpha_by_s", _odd_upto_cap, _identity(
+    Check("matrices.su.determinants", odd, _su_determinants),
+    Check("matrices.weyl.alpha_by_s", odd, _identity(
         lambda m: (m.s_h * m.alpha * m.s).first_mismatch(m.alpha),
         "S^-1 alpha S = alpha",
     )),
-    Check("matrices.weyl.beta_by_s", _odd_upto_cap, _identity(
+    Check("matrices.weyl.beta_by_s", odd, _identity(
         lambda m: (m.s_h * m.beta * m.s).first_mismatch(m.alpha_h * m.beta),
         "S^-1 beta S = alpha^-1 beta",
     )),
-    Check("matrices.weyl.alpha_by_t", _odd_upto_cap, _identity(
+    Check("matrices.weyl.alpha_by_t", odd, _identity(
         lambda m: t_conjugate_mismatch(m.t, m.alpha, m.alpha_h * m.beta),
         "conj_transpose(T) alpha T = l (alpha^-1 beta)",
     )),
-    Check("matrices.weyl.beta_by_t", _odd_upto_cap, _identity(
+    Check("matrices.weyl.beta_by_t", odd, _identity(
         lambda m: t_conjugate_mismatch(m.t, m.beta, m.beta_h),
         "conj_transpose(T) beta T = l beta^-1",
     )),
@@ -696,34 +687,34 @@ CHECKS = (
         status_on_pass=NOTE,
     )),
     Check("matrices.l2.determinants", at_two, _l2_determinants),
-    Check("matrices.g1.commutator", _upto_cap, _identity(
+    Check("matrices.g1.commutator", always, _identity(
         lambda m: (m.d_alpha * m.d_beta).first_mismatch(m.d_beta * m.d_alpha * m.d_xi),
         "Delta(alpha) Delta(beta) = Delta(beta) Delta(alpha) Delta(xi)",
     )),
-    Check("matrices.g1.central_alpha", _upto_cap, _identity(
+    Check("matrices.g1.central_alpha", always, _identity(
         lambda m: (m.g_xi * m.d_alpha).first_mismatch(m.d_alpha * m.g_xi * m.ident2),
         "[Gamma(xi), Delta(alpha)] = I",
     )),
-    Check("matrices.g1.central_beta", _upto_cap, _identity(
+    Check("matrices.g1.central_beta", always, _identity(
         lambda m: (m.g_xi * m.d_beta).first_mismatch(m.d_beta * m.g_xi * m.ident2),
         "[Gamma(xi), Delta(beta)] = I",
     )),
-    Check("matrices.g1.alpha_by_gamma_beta", _upto_cap, _identity(
+    Check("matrices.g1.alpha_by_gamma_beta", always, _identity(
         lambda m: (m.d_alpha * m.g_beta).first_mismatch(m.g_beta * (m.g_xi * m.d_alpha)),
         "Delta(alpha)^Gamma(beta) = Gamma(xi) Delta(alpha)",
     )),
-    Check("matrices.g1.beta_by_gamma_beta", _upto_cap, _identity(
+    Check("matrices.g1.beta_by_gamma_beta", always, _identity(
         lambda m: (m.d_beta * m.g_beta).first_mismatch(m.g_beta * m.d_beta),
         "Delta(beta)^Gamma(beta) = Delta(beta)",
     )),
-    Check("matrices.g1.xi_by_gamma_beta", _upto_cap, _identity(
+    Check("matrices.g1.xi_by_gamma_beta", always, _identity(
         lambda m: (m.g_xi * m.g_beta).first_mismatch(m.g_beta * m.g_xi),
         "Gamma(xi)^Gamma(beta) = Gamma(xi)",
     )),
     # exhaustive sweeps of the two index lemmas behind the T computation
-    Check("matrices.lemma.root_sum", _upto_cap, _root_sum),
-    Check("matrices.lemma.triangular_congruence", _upto_cap, _congruence),
-    Check("matrices.lemma.root_sum_index_note", _upto_cap, note(
+    Check("matrices.lemma.root_sum", always, _root_sum),
+    Check("matrices.lemma.triangular_congruence", always, _congruence),
+    Check("matrices.lemma.root_sum_index_note", always, note(
         "the root-power-sum statement is written with a Kronecker delta in "
         "an index n while the summand exponent uses m; it is verified as "
         "delta_(m mod l, 0) by direct summation"

@@ -74,7 +74,7 @@ class AlgebraContext:
 
     Six memos fill lazily.  Four are bounded by the finite set of monomials
     of degree at most ``top_degree``: the basis per degree, the degree of each
-    such monomial, ``_last_factor`` of each such monomial, and
+    such monomial, ``_last_power`` of each such monomial, and
     ``_merge_monomials`` of each pair whose product degree is within the
     truncation (``_product`` keys it by left, then right).  ``_support_memo``
     holds ``_image_support`` of each generator that ``linear_substitution``
@@ -145,7 +145,7 @@ class AlgebraContext:
         self._degree_memo: dict[Monomial, int] = {}
         self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
         self._support_memo: dict[str, frozenset[Monomial]] = {}
-        self._split_memo: dict[Monomial, tuple[int, Monomial]] = {}
+        self._split_memo: dict[Monomial, tuple[int, int, Monomial]] = {}
         self._row_images: dict[tuple[int, ...], tuple[Element, Element | None]] = {}
         self._action_layout = None
 
@@ -202,16 +202,17 @@ class AlgebraContext:
         self._support_memo[name] = support
         return support
 
-    def _last_factor(self, mono: Monomial) -> tuple[int, Monomial]:
-        """``(i, prefix)`` with mono = prefix * g_i and g_i its last generator
-        factor; ``(-1, mono)`` for the constant monomial.  Kept in
-        ``_split_memo`` when ``mono`` lies within the truncation."""
+    def _last_power(self, mono: Monomial) -> tuple[int, int, Monomial]:
+        """``(i, e, prefix)`` with mono = prefix * g_i^e, g_i its last
+        generator factor and e its exponent there; ``(-1, 0, mono)`` for the
+        constant monomial.  Kept in ``_split_memo`` when ``mono`` lies within
+        the truncation."""
         split = self._split_memo.get(mono)
         if split is None:
             i = len(mono) - 1
             while i >= 0 and not mono[i]:
                 i -= 1
-            split = (i, mono[:i] + (mono[i] - 1,) + mono[i + 1:]) if i >= 0 else (-1, mono)
+            split = (i, mono[i], mono[:i] + (0,) * (len(mono) - i)) if i >= 0 else (-1, 0, mono)
             if self.monomial_degree(mono) <= self.top_degree:
                 self._split_memo[mono] = split
         return split
@@ -538,9 +539,13 @@ def signed_leibniz(
 
 
 class AlgebraMap:
-    """The algebra endomorphism extending given generator images."""
+    """The algebra endomorphism extending given generator images.
 
-    __slots__ = ("context", "images", "_image_terms")
+    ``_powers`` holds, per generator position, the powers f(g)^1 .. f(g)^k
+    of its image that applications of the map have needed so far.
+    """
+
+    __slots__ = ("context", "images", "_image_terms", "_powers")
 
     def __init__(self, context: AlgebraContext, images: Mapping[str, Element]):
         self.context = context
@@ -551,19 +556,22 @@ class AlgebraMap:
         self.images = full
         # the images' terms by generator position
         self._image_terms = tuple([img.terms for img in full.values()])
+        self._powers: dict[int, list[dict[Monomial, int]]] = {}
 
     def __call__(self, element: Element) -> Element:
         """Apply the map: the sum over monomials of coeff * f(monomial).
 
-        Each monomial m is written prefix * g with g its last generator
-        factor; since g comes last, no sign arises and f(m) = f(prefix) f(g).
-        So the monomials are grouped by g, the sum of coeff * f(prefix) over
-        each group is formed the same way (Horner's scheme from the right),
-        and each group costs one exact ``_product`` with f(g).  The recursion
-        stops at generators, whose images are taken as given: a monomial
-        that is a generator adds its scaled image with no product, and a
-        group whose one prefix is a generator multiplies the two images.
-        The constant monomial maps to itself.
+        Each monomial m is written prefix * g^e with g its last generator
+        factor and e its exponent; since g comes last, no sign arises and
+        f(m) = f(prefix) f(g)^e.  So the monomials are grouped by (g, e), the
+        sum of coeff * f(prefix) over each group is formed the same way, and
+        each group costs one exact ``_product`` with f(g)^e.  Each level of
+        that recursion drops a generator, so its depth is at most the number
+        of generators, whatever the exponents.  The powers f(g)^e are formed
+        in a loop, one product per step, and kept on the map.  A monomial
+        that is a power of a generator adds its scaled power with no product,
+        and a group whose one prefix is a generator power multiplies the two
+        powers.  The constant monomial maps to itself.
 
         An exact product raises ``TruncationOverflowError`` when a surviving
         term pair lies past the truncation, which no element within the
@@ -578,37 +586,47 @@ class AlgebraMap:
             raise ValueError("element belongs to a different context")
         return Element._trusted(self.context, self._apply(element.terms.items()))
 
+    def _power(self, i: int, e: int) -> dict[Monomial, int]:
+        """f(g_i)^e for e >= 1, from the powers kept on the map."""
+        powers = self._powers.get(i)
+        if powers is None:
+            powers = self._powers[i] = [self._image_terms[i]]
+        while len(powers) < e:
+            powers.append(_product(self.context, powers[-1], powers[0], False))
+        return powers[e - 1]
+
     def _apply(self, pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
         """f of the sum of coeff * monomial over ``(monomial, coeff)`` pairs
         with distinct monomials, as a new reduced term dict."""
         ctx = self.context
         p = ctx.prime
         constant = ctx._constant
-        images = self._image_terms
         out: dict[Monomial, int] = {}
-        # last generator position -> [(prefix, coeff), ...]
-        groups: dict[int, list[tuple[Monomial, int]]] = {}
+        # (last generator position, its exponent) -> [(prefix, coeff), ...]
+        groups: dict[tuple[int, int], list[tuple[Monomial, int]]] = {}
         for mono, c in pairs:
-            i, prefix = ctx._last_factor(mono)
+            i, e, prefix = ctx._last_power(mono)
             if i < 0:
                 out[mono] = c
             elif prefix == constant:
-                _accumulate(out, images[i], c, p)
+                _accumulate(out, self._power(i, e), c, p)
             else:
-                group = groups.get(i)
+                group = groups.get((i, e))
                 if group is None:
-                    groups[i] = [(prefix, c)]
+                    groups[i, e] = [(prefix, c)]
                 else:
                     group.append((prefix, c))
-        for i, group in groups.items():
+        for (i, e), group in groups.items():
             prefix, c = group[0]
-            j, rest = ctx._last_factor(prefix)
+            j, k, rest = ctx._last_power(prefix)
             if len(group) == 1 and rest == constant:
-                # one prefix, the generator g_j: the group is c * f(g_j) f(g_i)
-                left = images[j]
+                # one prefix, the power g_j^k: the group is c * f(g_j)^k f(g_i)^e
+                left = self._power(j, k)
             else:
                 left, c = self._apply(group), 1
-            product = _product(ctx, left, images[i], False)
+                if not left:
+                    continue
+            product = _product(ctx, left, self._power(i, e), False)
             if out or c != 1:
                 _accumulate(out, product, c, p)
             else:

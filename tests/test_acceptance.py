@@ -328,4 +328,4 @@ def test_criterion_11_matrix_suite_at_31(job_records):
     assert_all_pass(reports)
     assert {r.check_id.split(".")[1] for r in reports} >= {"su", "weyl", "g1", "lemma"}
     assert sw.elapsed < 2.0
-    report(11, "matrix suite exact at l = 31, the matrix cap", sw.elapsed)
+    report(11, "matrix suite exact at l = 31", sw.elapsed)

@@ -198,7 +198,7 @@ class TestRegistry:
         {"scenario": "bpu", "dickson_cap": 0},
     ])
     def test_at_most_one_entry_per_id_runs_at_a_prime(self, options):
-        primes = tuple(p for p in range(2, 32) if all(p % q for q in range(2, p)))
+        primes = tuple(p for p in range(2, 102) if all(p % q for q in range(2, p)))
         config = RunConfig(primes=primes, **options)
         for prime, checks in cli.plan(config):
             ids = [c.check_id for c in checks]
@@ -207,7 +207,7 @@ class TestRegistry:
     def test_plans_of_configurations_outside_the_benchmark(self):
         # (check id, prime, status) of each configuration, as the per-suite
         # runners that the registry replaced reported them, plus the matrix
-        # identities at l = 17 since the matrix cap is 31
+        # suite at l = 17 and at l = 37, past the prime cap of 31 it once had
         for argv, pinned in PINNED_PLANS.items():
             got = [(r.check_id, r.prime, r.status) for r in run(parse_config(argv.split()))]
             want = [
@@ -302,6 +302,28 @@ PINNED_PLANS = {
         milnor.q1q0.xy 11 pass
         milnor.q1q0.xyz 11 pass
         milnor.q1q0.xyz_exponent_note 11 note
+    """,
+    "matrices --primes 37": """
+        matrices.ffla.rank_nullity 37 pass
+        matrices.g1.alpha_by_gamma_beta 37 pass
+        matrices.g1.beta_by_gamma_beta 37 pass
+        matrices.g1.central_alpha 37 pass
+        matrices.g1.central_beta 37 pass
+        matrices.g1.commutator 37 pass
+        matrices.g1.xi_by_gamma_beta 37 pass
+        matrices.lemma.root_sum 37 pass
+        matrices.lemma.root_sum_index_note 37 note
+        matrices.lemma.triangular_congruence 37 pass
+        matrices.su.alpha_unitary 37 pass
+        matrices.su.beta_unitary 37 pass
+        matrices.su.commutator 37 pass
+        matrices.su.determinants 37 pass
+        matrices.su.s_unitary 37 pass
+        matrices.su.t_gram 37 pass
+        matrices.weyl.alpha_by_s 37 pass
+        matrices.weyl.alpha_by_t 37 pass
+        matrices.weyl.beta_by_s 37 pass
+        matrices.weyl.beta_by_t 37 pass
     """,
     "all --primes 3 --sweep-scalars": """
         invariants.action.q0_compat 3 pass

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from functools import reduce
 from operator import mul
 from types import SimpleNamespace
@@ -22,7 +23,7 @@ from milnor_forge.cyclo import (
     t_conjugate_mismatch,
     triangular,
 )
-from milnor_forge.report import FAIL, NOTE, PASS, Job
+from milnor_forge.report import FAIL, NOTE, PASS
 
 
 @st.composite
@@ -787,26 +788,24 @@ class TestCheckSuites:
         assert_all_pass(reports)
         assert {r.check_id.split(".")[1] for r in reports} == {"su", "weyl", "g1", "lemma"}
 
-    def test_capped_checks_pass_past_the_cap(self):
-        # the capped bodies, run directly: the cap guards no failure and,
-        # on exponent tables, no cost that matters
+    def test_matrix_suite_passes_at_every_prime_past_31(self):
+        # no prime cap: all 20 matrix checks run at 37, 61 and 101, and on
+        # exponent tables they cost little there
         start = time.perf_counter()
-        for p in (37, 61, 101):
-            job = Job(p, RunConfig(primes=(p,)))
-            capped = [c for c in cyclo.CHECKS if c.runs_at(31, job.config)
-                      and not c.runs_at(p, job.config)]
-            assert len(capped) == 19
-            for check in capped:
-                status, details = check.body(job)
-                assert status in (PASS, NOTE), f"{check.check_id} at l={p}: {details}"
-        assert time.perf_counter() - start <= 1.5
+        records = run(RunConfig(primes=(37, 61, 101), suites=("matrices",)))
+        elapsed = time.perf_counter() - start
+        assert Counter(r.prime for r in records) == {37: 20, 61: 20, 101: 20}
+        bad = [f"{r.check_id} l={r.prime}: {r.details}" for r in records
+               if r.status not in (PASS, NOTE)]
+        assert not bad, "\n".join(bad)
+        assert elapsed <= 1.5
 
     def test_check_path_makes_no_cycint_product(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a CycInt product on the check path")
 
         monkeypatch.setattr(cyclo, "_convolve", forbidden)
-        records = run(RunConfig(primes=(2, 3, 5, 7, 11, 13, 31), suites=("matrices",)))
+        records = run(RunConfig(primes=(2, 3, 5, 7, 11, 13, 31, 37), suites=("matrices",)))
         assert records
         bad = [f"{r.check_id} l={r.prime}: {r.details}" for r in records
                if r.status not in (PASS, NOTE)]

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from milnor_forge import galg
+
 from milnor_forge.galg import (
     AlgebraContext,
     Element,
@@ -369,6 +371,36 @@ class TestLinearSubstitution:
         assert f(m({"z1": 1})).is_zero()
         assert f(m({"x1": 1, "z2": 1})).is_zero()
         assert f(m({"x1": 1, "y2": 1})) == m({"x1": 1, "y2": 1})
+
+    def test_recursion_depth_does_not_grow_with_the_exponent(self):
+        # x2^1100 is grouped once, by (x2, 1100), and its image is a power
+        # formed in a loop, not 1100 nested applications
+        ctx = elementary_abelian_context(3, 1, 2400)
+        el = ctx.monomial_element({"x2": 1100})
+        assert linear_substitution(ctx, {"x2": ctx.generator("x2")})(el) == el
+
+    def test_power_of_a_shear_image(self):
+        # (x2 + y2)^9 = x2^9 + y2^9 at l = 3; y1*x2^9 is a group of one
+        # prefix, x2^9, so its image is f(x2)^9 f(y1)
+        ctx = elementary_abelian_context(3, 2, 20)
+        g, m = ctx.generator, ctx.monomial_element
+        f = linear_substitution(ctx, {"x2": g("x2") + g("y2")})
+        assert f(m({"x2": 9})) == m({"x2": 9}) + m({"y2": 9})
+        assert f(m({"x2": 9, "y1": 1})) == m({"x2": 9, "y1": 1}) + m({"y1": 1, "y2": 9})
+
+    def test_squarefree_monomials_take_one_product_per_group(self, monkeypatch):
+        # Q0(x1 y1 z1) = x2 y1 z1 - x1 y2 z1 + x1 y1 z2 at l = 5: the groups
+        # z1 {x2 y1, x1 y2} and z2 {x1 y1} cost 2 + 1 and 1 + 1 products
+        ctx = CONTEXTS[(5, 3)]
+        g, m = ctx.generator, ctx.monomial_element
+        f = linear_substitution(ctx, {"z1": g("x1") + g("z1"), "z2": g("x2") + g("z2")})
+        q0 = m({"x2": 1, "y1": 1, "z1": 1}) - m({"x1": 1, "y2": 1, "z1": 1}) \
+            + m({"x1": 1, "y1": 1, "z2": 1})
+        calls = []
+        product = galg._product
+        monkeypatch.setattr(galg, "_product", lambda *args: calls.append(1) or product(*args))
+        f(q0)
+        assert len(calls) == 5
 
 
 class TestSignedLeibniz:

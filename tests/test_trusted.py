@@ -211,16 +211,18 @@ class TestAlgebraMapCall:
         # x2^2 lies within it, but its image under x2 -> x2 + x2^2 does not
         with pytest.raises(TruncationOverflowError):
             AlgebraMap(ctx, {"x2": x2 + multiply(x2, x2)})(multiply(x2, x2))
-        # the map is applied to the element as a whole: x1*y2^2 and y1*y2^2
+        # the map is applied to the element as a whole: x1*y2^e and y1*y2^e
         # lie above the truncation and each raises alone, but under y1 -> x1
-        # the prefix images of x1*y2^2 + 2*y1*y2^2 cancel before any product
+        # the prefix images of x1*y2^e + 2*y1*y2^e cancel before any product,
+        # and before y2^3, itself above the truncation, is formed
         ctx = elementary_abelian_context(3, 2, 4)
         f = linear_substitution(ctx, {"y1": ctx.generator("x1")})
-        x1_y2_y2, y1_y2_y2 = (1, 0, 0, 2), (0, 0, 1, 2)
-        for mono in (x1_y2_y2, y1_y2_y2):
-            with pytest.raises(TruncationOverflowError):
-                f(Element(ctx, {mono: 1}))
-        assert f(Element(ctx, {x1_y2_y2: 1, y1_y2_y2: 2})).is_zero()
+        for e in (2, 3):
+            x1_y2_e, y1_y2_e = (1, 0, 0, e), (0, 0, 1, e)
+            for mono in (x1_y2_e, y1_y2_e):
+                with pytest.raises(TruncationOverflowError):
+                    f(Element(ctx, {mono: 1}))
+            assert f(Element(ctx, {x1_y2_e: 1, y1_y2_e: 2})).is_zero()
 
 
 @given(st.data())
