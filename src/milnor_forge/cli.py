@@ -4,7 +4,8 @@ Usage: ``verify <suite> [--primes P1,P2,...] [--scenario NAME]
 [--sweep-scalars] [--dickson-cap N] [--format json|text] [--seed N]``.
 
 Exit codes: 0 when every check passes (notes allowed), 1 when any check
-fails, 2 on usage errors.  ``REGISTRY`` holds every check of every suite as
+fails, 2 on usage errors, among them options under which no check runs at
+any of the primes.  ``REGISTRY`` holds every check of every suite as
 a ``report.Check`` entry, kept by the module the check belongs to; an
 entry's predicate alone decides at which primes, and under which options,
 its check runs.  A run plans one job per (suite, prime) pair with the
@@ -181,7 +182,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         if not is_prime(p):
             parser.error(f"{p} is not prime")
     suites = SUITES if args.suite == "all" else (args.suite,)
-    return RunConfig(
+    config = RunConfig(
         primes=primes,
         suites=suites,
         scenario=args.scenario,
@@ -190,6 +191,14 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         fmt=args.fmt,
         seed=args.seed,
     )
+    if not any(checks for _, checks in plan(config)):
+        # an empty record stream would read as a clean pass
+        sweep = " --sweep-scalars" if args.sweep_scalars else ""
+        parser.error(
+            f"suite {args.suite} plans no check at primes {','.join(map(str, primes))} "
+            f"with --scenario {args.scenario} --dickson-cap {args.dickson_cap}{sweep}"
+        )
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

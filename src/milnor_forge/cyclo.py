@@ -5,21 +5,10 @@ primitive root ``xi = t``; for ``l = 2`` the relevant matrices contain the
 imaginary unit, so the ring is the Gaussian integers Z[t]/(t^2 + 1) with
 ``xi = -1``.  Coefficients are Python ints, so overflow cannot occur.
 
-``CycInt`` holds an element by its canonical coefficients, and its product
-runs through one kernel: ``_support``, ``_convolve`` and ``_canonical``.  It
-uses the lazily reduced representation of ANTIC (Hart, 2015).  For odd ``l``
-it multiplies in the group ring Z[t]/(t^l - 1).  That ring maps onto
-Z[xi_l], and the map sends exactly the multiples of
-``N = 1 + t + ... + t^(l-1)`` to 0.  Since ``N t = N``, those multiples are
-exactly the constant coefficient vectors.  So a representative may be
-shifted by any constant vector, and a product of representatives represents
-the product: ``(a + cN) b = ab + c b(1) N``.  ``_canonical`` folds
-``t^l = 1``, then subtracts the ``t^(l-1)`` coefficient times ``N``, which
-leaves the canonical basis ``1, t, ..., t^(l-2)`` (the integral basis,
-Washington, GTM 83).  At ``l = 2`` the kernel multiplies the coefficients of
-``1, i`` as they are and folds ``i^2 = -1``.
-
-The matrix identities multiply no two ``CycInt``s.  Every entry of their
+``CycInt`` holds an element by its coefficients in the canonical basis
+``1, t, ..., t^(l-2)`` (the integral basis, Washington, GTM 83), or ``1, i``
+at ``l = 2``.  It adds, subtracts and scales by ints, and has no product of
+two elements: none of the matrix identities needs one.  Every entry of their
 matrices is 0 or a root of unity (of order l, or 4 at ``l = 2``), so each
 matrix is held by exponents:
 
@@ -33,8 +22,9 @@ matrix is held by exponents:
   ``A`` monomial, is a sum of l roots of unity.  It is 0 exactly when their
   exponents run once through Z/l, and ``l xi^f`` exactly when all of them are
   ``f``: every integer relation among ``1, xi, ..., xi^(l-1)`` is a multiple
-  of ``1 + xi + ... + xi^(l-1) = 0``, the relation ``_canonical`` folds.  At
-  ``l = 2`` the two terms ``i^a + i^b`` vanish exactly when ``b = a + 2``.
+  of ``1 + xi + ... + xi^(l-1) = 0``, by which the basis rewrites
+  ``xi^(l-1)``.  At ``l = 2`` the two terms ``i^a + i^b`` vanish exactly
+  when ``b = a + 2``.
 
 Canonical coefficients are built only to render a mismatch, from the
 exponents, by ``CycInt`` addition.
@@ -107,23 +97,19 @@ class CycInt:
         return cls(prime, c)
 
     @classmethod
-    def one(cls, prime: int) -> "CycInt":
-        return cls.from_int(prime, 1)
-
-    @classmethod
-    def imaginary_unit(cls) -> "CycInt":
-        return cls(2, (0, 1))
-
-    @classmethod
     def root_power(cls, prime: int, k: int) -> "CycInt":
-        """xi^k, where xi = exp(2 pi i / l) abstractly (xi = -1 for l = 2)."""
-        if prime == 2:
+        """xi^k, where xi = exp(2 pi i / l) abstractly (xi = -1 for l = 2):
+        a basis element, or ``-(1 + t + ... + t^(l-2))`` for ``t^(l-1)``."""
+        if check_prime(prime) == 2:
             return cls.from_int(2, 1 if k % 2 == 0 else -1)
-        acc = _accumulator(check_prime(prime))
-        acc[k % prime] = 1
-        return _canonical(prime, acc)
+        k %= prime
+        if k == prime - 1:
+            return cls._trusted(prime, (-1,) * k)
+        coeffs = [0] * (prime - 1)
+        coeffs[k] = 1
+        return cls._trusted(prime, tuple(coeffs))
 
-    # -- ring operations ---------------------------------------------------
+    # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "CycInt") -> None:
         if self.prime != other.prime:
@@ -151,29 +137,12 @@ class CycInt:
         return CycInt._trusted(self.prime, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return CycInt._trusted(self.prime, tuple([a * other for a in self.coeffs]))
-        if not isinstance(other, CycInt):
+        """Scaling by an int; a product of two elements is not defined."""
+        if not isinstance(other, int):
             return NotImplemented
-        self._check(other)
-        acc = _accumulator(self.prime)
-        _convolve(acc, _support(self), _support(other))
-        return _canonical(self.prime, acc)
+        return CycInt._trusted(self.prime, tuple([a * other for a in self.coeffs]))
 
     __rmul__ = __mul__
-
-    def conj(self) -> "CycInt":
-        """Complex conjugation: t^k -> t^(l-k), re-canonicalized.
-
-        The coefficient of t^k moves to t^(l-k) and the constant stays, so
-        t^(l-1) receives c_1 and t^1 receives the implicit zero of t^(l-1).
-        """
-        c = self.coeffs
-        if self.prime == 2:
-            return CycInt._trusted(2, (c[0], -c[1]))
-        # an accumulator of t^0 .. t^(2l-2) with nothing above t^(l-1)
-        acc = [c[0], 0, *reversed(c[1:])] + [0] * (self.prime - 1)
-        return _canonical(self.prime, acc)
 
     # -- queries -----------------------------------------------------------
 
@@ -216,51 +185,6 @@ class CycInt:
                 mono = sym if k == 1 else f"{sym}^{k}"
                 parts.append(f"{c}*{mono}")
         return " + ".join(parts) if parts else "0"
-
-
-# ---------------------------------------------------------------------------
-# the product kernel
-
-
-def _support(x: CycInt) -> list[tuple[int, int]]:
-    """The nonzero (exponent, coefficient) pairs of the sparsest
-    representative of ``x``.
-
-    Odd ``l``: the canonical coefficients with an implicit 0 at t^(l-1),
-    minus their most frequent value, so a root of unity is a single pair.
-    ``l = 2``: the coefficients of 1 and i as they are.
-    """
-    if x._zero:
-        return []
-    if x.prime == 2:
-        return [(e, c) for e, c in enumerate(x.coeffs) if c]
-    v = x.coeffs + (0,)
-    shift = 0 if 2 * v.count(0) > len(v) else max(set(v), key=v.count)
-    return [(e, c - shift) for e, c in enumerate(v) if c != shift]
-
-
-def _accumulator(prime: int) -> list[int]:
-    """Zeroed coefficients of t^0 .. t^(2r-2) for supports in [0, r)."""
-    return [0] * (3 if prime == 2 else 2 * prime - 1)
-
-
-def _convolve(acc: list[int], sa: list[tuple[int, int]], sb: list[tuple[int, int]]) -> None:
-    for e, c in sa:
-        for f, g in sb:
-            acc[e + f] += c * g
-
-
-def _canonical(prime: int, acc: list[int]) -> CycInt:
-    """The element of Z[xi_l] that an accumulator of ``_convolve`` represents:
-    fold ``t^l = 1`` (``i^2 = -1`` at ``l = 2``), then subtract the
-    ``t^(l-1)`` coefficient from the others."""
-    if prime == 2:
-        return CycInt._trusted(2, (acc[0] - acc[2], acc[1]))
-    top = acc[prime - 1]
-    folded = map(add, acc, acc[prime:])
-    if top:
-        folded = map(sub, folded, itertools.repeat(top))
-    return CycInt._trusted(prime, tuple(folded))
 
 
 # ---------------------------------------------------------------------------

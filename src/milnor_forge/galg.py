@@ -26,7 +26,7 @@ class TruncationOverflowError(Exception):
 
 
 class GeneratorSpec:
-    """One algebra generator, equal to another with the same fields.
+    """One algebra generator.
 
     ``parity`` is ``"odd"`` for exterior generators (odd prime, odd degree)
     and ``"even"`` otherwise.  ``bockstein_partner`` names the degree+1
@@ -56,17 +56,6 @@ class GeneratorSpec:
         self.parity = parity
         self.bidegree = bidegree
         self.bockstein_partner = bockstein_partner
-
-    def _fields(self) -> tuple:
-        return self.name, self.degree, self.parity, self.bidegree, self.bockstein_partner
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not GeneratorSpec:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 class AlgebraContext:

@@ -102,6 +102,17 @@ class TestMain:
             main(["matrices", "--primes", "4"])
         assert err.value.code == 2
 
+    def test_run_that_plans_no_check_is_a_usage_error(self, capsys):
+        # bpu is odd-only and the iota checks need --scenario all, so at l = 2
+        # the ss suite plans nothing; an empty stream would read as a pass
+        with pytest.raises(SystemExit) as err:
+            main(["ss", "--scenario", "bpu", "--primes", "2", "--format", "json"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "suite ss plans no check at primes 2 with --scenario bpu" in captured.err
+        assert main(["ss", "--scenario", "bpu", "--primes", "2,3"]) == 0
+
     def test_failure_exit_code(self, monkeypatch):
         failing = Check("matrices.fail", always, lambda job: ("fail", "boom"))
         monkeypatch.setitem(cli.REGISTRY, "matrices", (failing,))
