@@ -61,13 +61,12 @@ class GeneratorSpec:
 class AlgebraContext:
     """Immutable generator data plus the working truncation degree.
 
-    Six memos fill lazily.  Four are bounded by the finite set of monomials
+    Five memos fill lazily.  Three are bounded by the finite set of monomials
     of degree at most ``top_degree``: the basis per degree, the degree of each
-    such monomial, ``_last_power`` of each such monomial, and
-    ``_merge_monomials`` of each pair whose product degree is within the
-    truncation (``_product`` keys it by left, then right).  ``_support_memo``
-    holds ``_image_support`` of each generator that ``linear_substitution``
-    has seen, at most one entry per generator.  ``_row_images`` is
+    such monomial, and ``_merge_monomials`` of each pair whose product degree
+    is within the truncation (``_product`` keys it by left, then right).
+    ``_support_memo`` holds ``_image_support`` of each generator that
+    ``linear_substitution`` has seen, at most one entry per generator.  ``_row_images`` is
     ``invariants.induced_action``'s image pair of each matrix row it has met
     (the image of a degree-1 generator and of its Bockstein partner), at most
     l^n entries for n degree-1 generators.
@@ -75,13 +74,13 @@ class AlgebraContext:
     their Bockstein partners, set by ``invariants.induced_action`` on its
     first successful call and never on a failed one, so a generator above the
     truncation raises on every call.  ``_odd_units`` holds the unit monomial
-    of every odd generator, and ``_constant`` is the constant monomial.
+    of every odd generator.
     """
 
     __slots__ = (
         "prime", "generators", "top_degree", "annihilator_pairs",
-        "_index", "_degrees", "_odd_positions", "_odd_units", "_constant",
-        "_basis_cache", "_degree_memo", "_merge_memo", "_split_memo", "_support_memo",
+        "_index", "_degrees", "_odd_positions", "_odd_units",
+        "_basis_cache", "_degree_memo", "_merge_memo", "_support_memo",
         "_row_images", "_action_layout",
     )
 
@@ -124,7 +123,6 @@ class AlgebraContext:
         self._odd_units = frozenset(
             (0,) * i + (1,) + (0,) * (n - i - 1) for i in self._odd_positions
         )
-        self._constant = (0,) * n
         pairs = set()
         for a, b in annihilator_pairs:
             ia, ib = self._index[a], self._index[b]
@@ -134,7 +132,6 @@ class AlgebraContext:
         self._degree_memo: dict[Monomial, int] = {}
         self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
         self._support_memo: dict[str, frozenset[Monomial]] = {}
-        self._split_memo: dict[Monomial, tuple[int, int, Monomial]] = {}
         self._row_images: dict[tuple[int, ...], tuple[Element, Element | None]] = {}
         self._action_layout = None
 
@@ -190,21 +187,6 @@ class AlgebraContext:
             support = frozenset()
         self._support_memo[name] = support
         return support
-
-    def _last_power(self, mono: Monomial) -> tuple[int, int, Monomial]:
-        """``(i, e, prefix)`` with mono = prefix * g_i^e, g_i its last
-        generator factor and e its exponent there; ``(-1, 0, mono)`` for the
-        constant monomial.  Kept in ``_split_memo`` when ``mono`` lies within
-        the truncation."""
-        split = self._split_memo.get(mono)
-        if split is None:
-            i = len(mono) - 1
-            while i >= 0 and not mono[i]:
-                i -= 1
-            split = (i, mono[i], mono[:i] + (0,) * (len(mono) - i)) if i >= 0 else (-1, 0, mono)
-            if self.monomial_degree(mono) <= self.top_degree:
-                self._split_memo[mono] = split
-        return split
 
     # -- element constructors --------------------------------------------------
 
@@ -285,23 +267,30 @@ class AlgebraContext:
 class Element:
     """A finite F_l-linear combination of normal-form monomials.
 
-    The constructor takes outside coefficients: each must be an integer
-    (``ffla.integers``) and is reduced mod l, and zeros are dropped, as are
-    the monomials the context kills (exterior squares and annihilator
-    pairs), as in ``monomial_element``.  Sums, differences, negations and
-    scalings of elements are reduced by construction and skip that check.
+    The constructor takes outside terms: a non-integer exponent or
+    coefficient raises ``TypeError`` (``ffla.integers``), a monomial that is
+    not one nonnegative exponent per generator ``ValueError``, and one past
+    the truncation is kept.  Each coefficient is reduced mod l, and zeros
+    are dropped, as are the monomials the context kills (exterior squares
+    and annihilator pairs), as in ``monomial_element``.  Sums, differences,
+    negations and scalings of elements are reduced by construction and skip
+    that check.
     """
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context: AlgebraContext, terms: dict[Monomial, int]):
         p = context.prime
+        n = len(context.generators)
         killed = context.monomial_killed
+        kept: dict[Monomial, int] = {}
+        for m, c in zip(terms, integers(terms.values())):
+            if len(m := integers(m)) != n or min(m, default=0) < 0:
+                raise ValueError(f"monomial {m} is not {n} nonnegative exponents")
+            if (r := c % p) and not killed(m):
+                kept[m] = r
         self.context = context
-        self.terms = {
-            m: r for m, c in zip(terms, integers(terms.values()))
-            if (r := c % p) and not killed(m)
-        }
+        self.terms = kept
 
     @classmethod
     def _trusted(cls, context: AlgebraContext, terms: dict[Monomial, int]) -> "Element":
@@ -550,30 +539,29 @@ class AlgebraMap:
     def __call__(self, element: Element) -> Element:
         """Apply the map: the sum over monomials of coeff * f(monomial).
 
-        Each monomial m is written prefix * g^e with g its last generator
-        factor and e its exponent; since g comes last, no sign arises and
-        f(m) = f(prefix) f(g)^e.  So the monomials are grouped by (g, e), the
-        sum of coeff * f(prefix) over each group is formed the same way, and
-        each group costs one exact ``_product`` with f(g)^e.  Each level of
-        that recursion drops a generator, so its depth is at most the number
-        of generators, whatever the exponents.  The powers f(g)^e are formed
-        in a loop, one product per step, and kept on the map.  A monomial
-        that is a power of a generator adds its scaled power with no product,
-        and a group whose one prefix is a generator power multiplies the two
-        powers.  The constant monomial maps to itself.
+        f(m) is the product, in generator order, of the powers f(g)^e of the
+        factors g^e of m, so no sign arises.  Each power is formed in a loop,
+        one product per step, and kept on the map.  The constant monomial
+        maps to itself.
 
-        An exact product raises ``TruncationOverflowError`` when a surviving
-        term pair lies past the truncation, which no element within the
-        truncation meets under degree-preserving images such as
-        ``linear_substitution``'s.  The map is applied to the element as a
-        whole, so for an element past the truncation, prefix images that
-        cancel within a group raise nothing: under ``y1 -> x1`` at l = 3,
-        x1*y2^2 and y1*y2^2 each raise alone, but x1*y2^2 + 2*y1*y2^2 maps
-        to zero.
+        Every product is exact, as in ``multiply``: a surviving term pair
+        past the truncation raises ``TruncationOverflowError``, which no
+        element within the truncation meets under degree-preserving images
+        such as ``linear_substitution``'s.
         """
-        if element.context is not self.context:
+        ctx = self.context
+        if element.context is not ctx:
             raise ValueError("element belongs to a different context")
-        return Element._trusted(self.context, self._apply(element.terms.items()))
+        p = ctx.prime
+        out: dict[Monomial, int] = {}
+        for mono, c in element.terms.items():
+            image = None
+            for i, e in enumerate(mono):
+                if e:
+                    power = self._power(i, e)
+                    image = power if image is None else _product(ctx, image, power, False)
+            _accumulate(out, {mono: 1} if image is None else image, c, p)
+        return Element._trusted(ctx, out)
 
     def _power(self, i: int, e: int) -> dict[Monomial, int]:
         """f(g_i)^e for e >= 1, from the powers kept on the map."""
@@ -583,44 +571,6 @@ class AlgebraMap:
         while len(powers) < e:
             powers.append(_product(self.context, powers[-1], powers[0], False))
         return powers[e - 1]
-
-    def _apply(self, pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
-        """f of the sum of coeff * monomial over ``(monomial, coeff)`` pairs
-        with distinct monomials, as a new reduced term dict."""
-        ctx = self.context
-        p = ctx.prime
-        constant = ctx._constant
-        out: dict[Monomial, int] = {}
-        # (last generator position, its exponent) -> [(prefix, coeff), ...]
-        groups: dict[tuple[int, int], list[tuple[Monomial, int]]] = {}
-        for mono, c in pairs:
-            i, e, prefix = ctx._last_power(mono)
-            if i < 0:
-                out[mono] = c
-            elif prefix == constant:
-                _accumulate(out, self._power(i, e), c, p)
-            else:
-                group = groups.get((i, e))
-                if group is None:
-                    groups[i, e] = [(prefix, c)]
-                else:
-                    group.append((prefix, c))
-        for (i, e), group in groups.items():
-            prefix, c = group[0]
-            j, k, rest = ctx._last_power(prefix)
-            if len(group) == 1 and rest == constant:
-                # one prefix, the power g_j^k: the group is c * f(g_j)^k f(g_i)^e
-                left = self._power(j, k)
-            else:
-                left, c = self._apply(group), 1
-                if not left:
-                    continue
-            product = _product(ctx, left, self._power(i, e), False)
-            if out or c != 1:
-                _accumulate(out, product, c, p)
-            else:
-                out = product
-        return out
 
 
 def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> AlgebraMap:

@@ -485,10 +485,8 @@ def _closure_subspace(job: Job) -> tuple[str, str]:
     in enumeration order, each applied through its own validated
     ``induced_action``, never composed from others; the generator-based
     answer applies only the generators and their inverses.  A map's images
-    are the context's ``_row_images`` of its rows, and applying it costs one
-    product per group of monomials that share a last generator and its
-    exponent, level by level (``AlgebraMap.__call__``): five products over
-    at most 21 term pairs on Q0(x1 y1 z1) at l = 5.
+    are the context's ``_row_images`` of its rows, and applying it
+    (``AlgebraMap.__call__``) multiplies each monomial's factor images.
     """
     _, elements = _closure(job)
     ctx = job_rank3_context(job)

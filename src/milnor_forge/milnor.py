@@ -39,8 +39,6 @@ class Derivation:
 
     __slots__ = ("context", "shift", "images", "_rules")
 
-    parity = "odd"
-
     def __init__(self, context: AlgebraContext, shift: int, images: Mapping[str, Element]):
         self.context = context
         self.shift = shift

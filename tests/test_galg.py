@@ -209,6 +209,29 @@ class TestElement:
         assert ctx.monomial_element({"x2": True}, coeff=4).render() == "1*x2"
         assert ctx.generator("x1").scale(False).is_zero()
 
+    def test_non_integer_monomial_exponent_rejected(self):
+        ctx = CONTEXTS[(3, 3)]
+        with pytest.raises(TypeError):
+            Element(ctx, {(0, 1.5, 0, 0, 0, 0): 1})
+        with pytest.raises(TypeError):
+            Element(ctx, {(0, 1.0, 0, 0, 0, 0): 1})
+        assert Element(ctx, {(0, True, 0, 0, 0, 0): 1}) == ctx.generator("x2")
+
+    def test_negative_monomial_exponent_rejected(self):
+        ctx = CONTEXTS[(3, 3)]
+        with pytest.raises(ValueError):
+            Element(ctx, {(0, -1, 0, 0, 0, 0): 1})
+        with pytest.raises(ValueError):
+            Element(ctx, {(0, -1, 0, 0, 0, 0): 0})
+
+    def test_monomial_of_the_wrong_length_rejected(self):
+        ctx = CONTEXTS[(3, 3)]
+        for mono in ((0, 1, 0, 0), (0, 1, 0, 0, 0, 0, 0), ()):
+            with pytest.raises(ValueError):
+                Element(ctx, {mono: 1})
+        # a monomial past the truncation is kept
+        assert Element(ctx, {(0, 6, 0, 0, 0, 0): 1}).homogeneous_degree() == 12
+
     def test_killed_monomials_dropped_on_construction(self):
         # as monomial_element does: an exterior square at an odd prime and a
         # monomial carrying an annihilator pair are zero
@@ -373,34 +396,42 @@ class TestLinearSubstitution:
         assert f(m({"x1": 1, "y2": 1})) == m({"x1": 1, "y2": 1})
 
     def test_recursion_depth_does_not_grow_with_the_exponent(self):
-        # x2^1100 is grouped once, by (x2, 1100), and its image is a power
-        # formed in a loop, not 1100 nested applications
+        # the image of x2^1100 is a power formed in a loop, one product per
+        # step, not 1100 nested applications
         ctx = elementary_abelian_context(3, 1, 2400)
         el = ctx.monomial_element({"x2": 1100})
         assert linear_substitution(ctx, {"x2": ctx.generator("x2")})(el) == el
 
     def test_power_of_a_shear_image(self):
-        # (x2 + y2)^9 = x2^9 + y2^9 at l = 3; y1*x2^9 is a group of one
-        # prefix, x2^9, so its image is f(x2)^9 f(y1)
+        # (x2 + y2)^9 = x2^9 + y2^9 at l = 3; the image of x2^9*y1 is the
+        # kept power f(x2)^9 times f(y1)
         ctx = elementary_abelian_context(3, 2, 20)
         g, m = ctx.generator, ctx.monomial_element
         f = linear_substitution(ctx, {"x2": g("x2") + g("y2")})
         assert f(m({"x2": 9})) == m({"x2": 9}) + m({"y2": 9})
         assert f(m({"x2": 9, "y1": 1})) == m({"x2": 9, "y1": 1}) + m({"y1": 1, "y2": 9})
 
-    def test_squarefree_monomials_take_one_product_per_group(self, monkeypatch):
-        # Q0(x1 y1 z1) = x2 y1 z1 - x1 y2 z1 + x1 y1 z2 at l = 5: the groups
-        # z1 {x2 y1, x1 y2} and z2 {x1 y1} cost 2 + 1 and 1 + 1 products
+    def test_one_product_per_factor_and_powers_kept(self, monkeypatch):
+        # Q0(x1 y1 z1) = x2 y1 z1 - x1 y2 z1 + x1 y1 z2 at l = 5: three
+        # monomials of three factors cost two products each, on every
+        # application; x2^3 z2 costs two products to form f(x2)^3 on the
+        # first application only, and one to multiply it by f(z2)
         ctx = CONTEXTS[(5, 3)]
         g, m = ctx.generator, ctx.monomial_element
         f = linear_substitution(ctx, {"z1": g("x1") + g("z1"), "z2": g("x2") + g("z2")})
         q0 = m({"x2": 1, "y1": 1, "z1": 1}) - m({"x1": 1, "y2": 1, "z1": 1}) \
             + m({"x1": 1, "y1": 1, "z2": 1})
+        cube = m({"x2": 3, "z2": 1})
         calls = []
         product = galg._product
         monkeypatch.setattr(galg, "_product", lambda *args: calls.append(1) or product(*args))
-        f(q0)
-        assert len(calls) == 5
+        for el, first, again in ((q0, 6, 6), (cube, 3, 1)):
+            calls.clear()
+            f(el)
+            assert len(calls) == first
+            calls.clear()
+            f(el)
+            assert len(calls) == again
 
 
 class TestSignedLeibniz:
