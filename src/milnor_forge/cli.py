@@ -1,11 +1,12 @@
 """Command-line verification harness.
 
-Usage: ``verify <suite> [--primes P1,P2,...] [--scenario NAME]
-[--sweep-scalars] [--dickson-cap N] [--format json|text] [--seed N]``.
+Usage: ``verify <suite> [--primes P1,P2,...] [--sweep-scalars]
+[--dickson-cap N] [--format json|text] [--seed N]``.
 
 Exit codes: 0 when every check passes (notes allowed), 1 when any check
-fails, 2 on usage errors, among them options under which no check runs at
-any of the primes.  ``REGISTRY`` holds every check of every suite as
+fails, 2 on usage errors.  A run that would plan no check at any of the
+primes exits 2 too, since an empty record stream would read as a clean
+pass.  ``REGISTRY`` holds every check of every suite as
 a ``report.Check`` entry, kept by the module the check belongs to; an
 entry's predicate alone decides at which primes, and under which options,
 its check runs.  A run plans one job per (suite, prime) pair with the
@@ -34,13 +35,12 @@ DICKSON_DEFAULT_CAP = 7
 
 
 class RunConfig:
-    __slots__ = ("primes", "suites", "scenario", "sweep_scalars", "dickson_cap", "fmt", "seed")
+    __slots__ = ("primes", "suites", "sweep_scalars", "dickson_cap", "fmt", "seed")
 
     def __init__(
         self,
         primes: tuple[int, ...] = DEFAULT_PRIMES,
         suites: tuple[str, ...] = SUITES,
-        scenario: str = "all",
         sweep_scalars: bool = False,
         dickson_cap: int = DICKSON_DEFAULT_CAP,
         fmt: str = "text",
@@ -48,7 +48,6 @@ class RunConfig:
     ):
         self.primes = primes
         self.suites = suites
-        self.scenario = scenario
         self.sweep_scalars = sweep_scalars
         self.dickson_cap = dickson_cap
         self.fmt = fmt
@@ -149,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated primes (default %(default)s)",
     )
     parser.add_argument(
-        "--scenario", default="all", choices=("all", "bg1", "bpu"),
-        help="restrict the ss suite to one scenario",
-    )
-    parser.add_argument(
         "--sweep-scalars", action="store_true",
         help="sweep all nonzero transgression scalars (default: prime 3 only)",
     )
@@ -185,7 +180,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     config = RunConfig(
         primes=primes,
         suites=suites,
-        scenario=args.scenario,
         sweep_scalars=args.sweep_scalars,
         dickson_cap=args.dickson_cap,
         fmt=args.fmt,
@@ -196,7 +190,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         sweep = " --sweep-scalars" if args.sweep_scalars else ""
         parser.error(
             f"suite {args.suite} plans no check at primes {','.join(map(str, primes))} "
-            f"with --scenario {args.scenario} --dickson-cap {args.dickson_cap}{sweep}"
+            f"with --dickson-cap {args.dickson_cap}{sweep}"
         )
     return config
 

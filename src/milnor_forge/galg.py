@@ -197,9 +197,6 @@ class AlgebraContext:
         unit: Monomial = (0,) * len(self.generators)
         return Element(self, {unit: c})
 
-    def one(self) -> "Element":
-        return self.scalar(1)
-
     def generator(self, name: str) -> "Element":
         return self.monomial_element({name: 1})
 

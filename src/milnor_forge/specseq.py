@@ -50,7 +50,7 @@ from .galg import (
     signed_leibniz,
 )
 from .milnor import job_rank3_context, key_class, milnor_q, two_classes
-from .report import FAIL, PASS, Check, Job, note
+from .report import FAIL, PASS, Check, Job, always, at_two, note, odd
 
 
 class DifferentialError(Exception):
@@ -680,41 +680,13 @@ def _bpu(job: Job) -> ScenarioResult:
     return job.shared("bpu", lambda: run_scenario(scenario_bpu(job.prime)))
 
 
-def _bg1_planned(prime: int, config) -> bool:
-    return config.scenario in ("all", "bg1")
-
-
-def _bg1_odd(prime: int, config) -> bool:
-    return prime != 2 and _bg1_planned(prime, config)
-
-
-def _bg1_two(prime: int, config) -> bool:
-    return prime == 2 and _bg1_planned(prime, config)
-
-
 def _sweep_planned(prime: int, config) -> bool:
     # the sweep runs by default at l = 3, where it is four scenarios
-    return _bg1_odd(prime, config) and (config.sweep_scalars or prime == 3)
+    return prime != 2 and (config.sweep_scalars or prime == 3)
 
 
-def _bpu_planned(prime: int, config) -> bool:
-    return prime != 2 and config.scenario in ("all", "bpu")
-
-
-def _bpu_three(prime: int, config) -> bool:
-    return prime == 3 and _bpu_planned(prime, config)
-
-
-def _iota_planned(prime: int, config) -> bool:
-    return config.scenario == "all"
-
-
-def _iota_two(prime: int, config) -> bool:
-    return prime == 2 and _iota_planned(prime, config)
-
-
-def _iota_odd(prime: int, config) -> bool:
-    return prime != 2 and _iota_planned(prime, config)
+def _at_three(prime: int, config) -> bool:
+    return prime == 3
 
 
 # total-degree dimensions of the quotient-group scenario, both parities
@@ -953,12 +925,12 @@ def _q1_nonzero(job: Job) -> tuple[str, str]:
 
 
 CHECKS = (
-    Check("ss.bg1.dims", _bg1_planned, _bg1_dims),
-    Check("ss.bg1.pages", _bg1_planned, lambda job: (PASS, page_table(_bg1(job)))),
-    Check("ss.bg1.classes", _bg1_planned, _bg1_classes),
-    Check("ss.bg1.e3_structure", _bg1_odd, _e3_structure),
-    Check("ss.bg1.d3_square", _bg1_two, _d3_square),
-    Check("ss.bg1.permanence_note", _bg1_two, note(
+    Check("ss.bg1.dims", always, _bg1_dims),
+    Check("ss.bg1.pages", always, lambda job: (PASS, page_table(_bg1(job)))),
+    Check("ss.bg1.classes", always, _bg1_classes),
+    Check("ss.bg1.e3_structure", odd, _e3_structure),
+    Check("ss.bg1.d3_square", at_two, _d3_square),
+    Check("ss.bg1.permanence_note", at_two, note(
         "z1^4 is declared permanent by the rational degree-4 "
         "dimension (external input); without it the page-4 "
         "dimensions are only an upper bound for H^4"
@@ -966,19 +938,19 @@ CHECKS = (
     Check("ss.bg1.scalar_sweep", _sweep_planned, _scalar_sweep),
     # engine health on the same scenario: monotone dims, rank bookkeeping,
     # stability under a wider truncation (d o d = 0 is checked on every turn)
-    Check("ss.engine.monotone_euler", _bg1_planned, _monotone_euler),
-    Check("ss.engine.stability", _bg1_planned, _stability),
-    Check("ss.bpu.e4_dims_bnz", _bpu_planned, _bpu_branch_nonzero),
-    Check("ss.bpu.e4_dims_bz", _bpu_planned, _bpu_branch_zero),
-    Check("ss.bpu.pages", _bpu_planned, lambda job: (PASS, page_table(_bpu(job)))),
-    Check("ss.bpu.e4_span_note", _bpu_planned, note(
+    Check("ss.engine.monotone_euler", always, _monotone_euler),
+    Check("ss.engine.stability", always, _stability),
+    Check("ss.bpu.e4_dims_bnz", odd, _bpu_branch_nonzero),
+    Check("ss.bpu.e4_dims_bz", odd, _bpu_branch_zero),
+    Check("ss.bpu.pages", odd, lambda job: (PASS, page_table(_bpu(job)))),
+    Check("ss.bpu.e4_span_note", odd, note(
         "the prose span of the page-4 term omits y2^3 up to degree 6; "
         "the stated five-class form (with the cube) is what the "
         "computation confirms"
     )),
-    Check("ss.bpu.u7_bookkeeping", _bpu_three, _u7_bookkeeping),
-    Check("ss.iota.h4_rank", _iota_planned, _h4_rank),
-    Check("ss.iota.leading_term", _iota_two, _leading_term_two),
-    Check("ss.iota.leading_term", _iota_odd, _leading_term_odd),
-    Check("ss.iota.q1_nonzero", _iota_planned, _q1_nonzero),
+    Check("ss.bpu.u7_bookkeeping", _at_three, _u7_bookkeeping),
+    Check("ss.iota.h4_rank", always, _h4_rank),
+    Check("ss.iota.leading_term", at_two, _leading_term_two),
+    Check("ss.iota.leading_term", odd, _leading_term_odd),
+    Check("ss.iota.q1_nonzero", always, _q1_nonzero),
 )

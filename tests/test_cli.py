@@ -84,6 +84,14 @@ class TestParsing:
             parse_config(["all", "--primes", ""])
         assert err.value.code == 2
 
+    def test_scenario_option_is_gone(self, capsys):
+        # the ss suite always runs every scenario
+        with pytest.raises(SystemExit) as err:
+            parse_config(["ss", "--scenario", "bg1"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --scenario bg1" in capsys.readouterr().err
+        assert "--scenario" not in cli.build_parser().format_help()
+
 
 class TestMain:
     def test_all_at_three_passes(self, capsys):
@@ -93,25 +101,25 @@ class TestMain:
         assert len(passes) >= 20
 
     def test_ss_scenario_at_two_reports_dims(self, capsys):
-        assert main(["ss", "--primes", "2", "--scenario", "bg1"]) == 0
+        assert main(["ss", "--primes", "2"]) == 0
         out = capsys.readouterr().out
-        assert "(1, 0, 1, 1, 2)" in out
+        assert re.search(r"^PASS ss\.bg1\.dims +l=2 .*\(1, 0, 1, 1, 2\)", out, re.M)
 
     def test_nonprime_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["matrices", "--primes", "4"])
         assert err.value.code == 2
 
-    def test_run_that_plans_no_check_is_a_usage_error(self, capsys):
-        # bpu is odd-only and the iota checks need --scenario all, so at l = 2
-        # the ss suite plans nothing; an empty stream would read as a pass
+    def test_run_that_plans_no_check_is_a_usage_error(self, capsys, monkeypatch):
+        # every suite plans a check at every prime, so an empty suite stands
+        # in for a plan with nothing in it; an empty stream would read as a pass
+        monkeypatch.setitem(cli.REGISTRY, "ss", ())
         with pytest.raises(SystemExit) as err:
-            main(["ss", "--scenario", "bpu", "--primes", "2", "--format", "json"])
+            main(["ss", "--primes", "2", "--format", "json"])
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "suite ss plans no check at primes 2 with --scenario bpu" in captured.err
-        assert main(["ss", "--scenario", "bpu", "--primes", "2,3"]) == 0
+        assert "suite ss plans no check at primes 2 with --dickson-cap 7\n" in captured.err
 
     def test_failure_exit_code(self, monkeypatch):
         failing = Check("matrices.fail", always, lambda job: ("fail", "boom"))
@@ -205,8 +213,8 @@ class TestRegistry:
     @pytest.mark.parametrize("options", [
         {},
         {"sweep_scalars": True, "dickson_cap": 31},
-        {"scenario": "bg1"},
-        {"scenario": "bpu", "dickson_cap": 0},
+        {"dickson_cap": 0},
+        {"sweep_scalars": True, "dickson_cap": 0},
     ])
     def test_at_most_one_entry_per_id_runs_at_a_prime(self, options):
         primes = tuple(p for p in range(2, 102) if all(p % q for q in range(2, p)))
@@ -276,7 +284,7 @@ PINNED_PLANS = {
         ss.iota.leading_term 17 pass
         ss.iota.q1_nonzero 17 pass
     """,
-    "ss --scenario bg1 --primes 2,3": """
+    "ss --primes 2,3": """
         ss.bg1.classes 2 pass
         ss.bg1.classes 3 pass
         ss.bg1.d3_square 2 pass
@@ -287,12 +295,32 @@ PINNED_PLANS = {
         ss.bg1.pages 3 pass
         ss.bg1.permanence_note 2 note
         ss.bg1.scalar_sweep 3 pass
+        ss.bpu.e4_dims_bnz 3 pass
+        ss.bpu.e4_dims_bz 3 pass
+        ss.bpu.e4_span_note 3 note
+        ss.bpu.pages 3 pass
+        ss.bpu.u7_bookkeeping 3 pass
         ss.engine.monotone_euler 2 pass
         ss.engine.monotone_euler 3 pass
         ss.engine.stability 2 pass
         ss.engine.stability 3 pass
+        ss.iota.h4_rank 2 pass
+        ss.iota.h4_rank 3 pass
+        ss.iota.leading_term 2 pass
+        ss.iota.leading_term 3 pass
+        ss.iota.q1_nonzero 2 pass
+        ss.iota.q1_nonzero 3 pass
     """,
-    "ss --scenario bpu --primes 3,5": """
+    "ss --primes 3,5": """
+        ss.bg1.classes 3 pass
+        ss.bg1.classes 5 pass
+        ss.bg1.dims 3 pass
+        ss.bg1.dims 5 pass
+        ss.bg1.e3_structure 3 pass
+        ss.bg1.e3_structure 5 pass
+        ss.bg1.pages 3 pass
+        ss.bg1.pages 5 pass
+        ss.bg1.scalar_sweep 3 pass
         ss.bpu.e4_dims_bnz 3 pass
         ss.bpu.e4_dims_bnz 5 pass
         ss.bpu.e4_dims_bz 3 pass
@@ -302,6 +330,16 @@ PINNED_PLANS = {
         ss.bpu.pages 3 pass
         ss.bpu.pages 5 pass
         ss.bpu.u7_bookkeeping 3 pass
+        ss.engine.monotone_euler 3 pass
+        ss.engine.monotone_euler 5 pass
+        ss.engine.stability 3 pass
+        ss.engine.stability 5 pass
+        ss.iota.h4_rank 3 pass
+        ss.iota.h4_rank 5 pass
+        ss.iota.leading_term 3 pass
+        ss.iota.leading_term 5 pass
+        ss.iota.q1_nonzero 3 pass
+        ss.iota.q1_nonzero 5 pass
     """,
     "milnor --primes 11 --dickson-cap 11": """
         milnor.dickson_mui.degrees 11 pass

@@ -109,7 +109,7 @@ class TestMultiply:
 
     def test_context_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(CONTEXTS[(3, 3)].one(), CONTEXTS[(5, 3)].one())
+            multiply(CONTEXTS[(3, 3)].scalar(1), CONTEXTS[(5, 3)].scalar(1))
 
     def test_squares_allowed_at_two(self):
         ctx = CONTEXTS[(2, 3)]
@@ -259,7 +259,7 @@ class TestElement:
         assert CONTEXTS[(3, 3)].zero().render() == "0"
 
     def test_render_unit(self):
-        assert CONTEXTS[(3, 3)].one().render() == "1*1"
+        assert CONTEXTS[(3, 3)].scalar(1).render() == "1*1"
 
 
 class TestLinearSubstitution:
@@ -309,7 +309,7 @@ class TestLinearSubstitution:
     def test_inhomogeneous_image_rejected(self):
         ctx = CONTEXTS[(3, 3)]
         with pytest.raises(ValueError, match=r"^image of x2 must be homogeneous of degree 2$"):
-            linear_substitution(ctx, {"x2": ctx.generator("x2") + ctx.one()})
+            linear_substitution(ctx, {"x2": ctx.generator("x2") + ctx.scalar(1)})
 
     def test_degree_mismatch_rejected(self):
         ctx = CONTEXTS[(3, 3)]
@@ -322,7 +322,7 @@ class TestLinearSubstitution:
         gens = [GeneratorSpec("w", 3, "odd"), GeneratorSpec("u", 3, "odd"),
                 GeneratorSpec("v", 1, "odd"), GeneratorSpec("s", 2, "even")]
         ctx = AlgebraContext(3, gens, 8)
-        bad = multiply(multiply(ctx.generator("v"), ctx.generator("s")), ctx.one())
+        bad = multiply(multiply(ctx.generator("v"), ctx.generator("s")), ctx.scalar(1))
         with pytest.raises(
             ValueError,
             match=r"^image of odd generator w must be a combination of odd generators$",
@@ -351,7 +351,7 @@ class TestLinearSubstitution:
             "linear": {"x1": g("y1") - g("x1"), "y2": g("x2").scale(2) + g("z2")},
             "non-linear even image": {"x2": m({"x1": 1, "y1": 1}) + g("y2")},
             "zero image": {"z1": ctx.zero(), "z2": ctx.zero()},
-            "inhomogeneous": {"x1": g("y1"), "x2": g("x2") + ctx.one()},
+            "inhomogeneous": {"x1": g("y1"), "x2": g("x2") + ctx.scalar(1)},
             "unknown name": {"x1": g("x1"), "w1": g("x1")},
         }[case]
 

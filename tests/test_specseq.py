@@ -276,7 +276,7 @@ class TestFirstScenarioOdd:
 
     def test_checks_pass(self, job_records):
         for prime in (3, 5):
-            assert_all_pass(job_records("ss", prime, "ss.bg1.", scenario="bg1"))
+            assert_all_pass(job_records("ss", prime, "ss.bg1."))
 
 
 class TestScenarioBuilders:
@@ -335,7 +335,7 @@ class TestFirstScenarioTwo:
             run_scenario(strict)
 
     def test_checks_pass(self, job_records):
-        assert_all_pass(job_records("ss", 2, "ss.bg1.", scenario="bg1"))
+        assert_all_pass(job_records("ss", 2, "ss.bg1."))
 
 
 class TestSecondScenario:
@@ -370,7 +370,7 @@ class TestSecondScenario:
 
     def test_checks_pass(self, job_records):
         for prime in (3, 5):
-            assert_all_pass(job_records("ss", prime, "ss.bpu.", scenario="bpu"))
+            assert_all_pass(job_records("ss", prime, "ss.bpu."))
 
     def test_rejects_two(self):
         with pytest.raises(ValueError):
@@ -402,7 +402,7 @@ class TestChainCheck:
 
     @pytest.mark.parametrize("prime", (2, 3, 5, 7))
     def test_engine_invariants(self, prime, job_records):
-        assert_all_pass(job_records("ss", prime, "ss.engine.", scenario="bg1"))
+        assert_all_pass(job_records("ss", prime, "ss.engine."))
 
 
 @given(st.sampled_from((3, 5)), st.data())
@@ -616,7 +616,7 @@ def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_rec
         return result
 
     monkeypatch.setattr(specseq, "run_scenario", wrong_when_alpha1_is_two)
-    [record] = job_records("ss", 3, "ss.bg1.scalar_sweep", scenario="bg1")
+    [record] = job_records("ss", 3, "ss.bg1.scalar_sweep")
     assert record.status == FAIL
     assert record.details == "dims [1, 0, 1, 1, 3] at scalars (2,1)"
 

@@ -125,7 +125,7 @@ def evaluate(images, el):
     ctx = el.context
     total = ctx.zero()
     for mono, coeff in el.terms.items():
-        product = ctx.one()
+        product = ctx.scalar(1)
         for e, g in zip(mono, ctx.generators):
             for _ in range(e):
                 product = multiply(product, images[g.name])
