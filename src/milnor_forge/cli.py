@@ -10,9 +10,12 @@ pass.  ``REGISTRY`` holds every check of every suite as
 a ``report.Check`` entry, kept by the module the check belongs to; an
 entry's predicate alone decides at which primes, and under which options,
 its check runs.  A run plans one job per (suite, prime) pair with the
-entries whose predicate holds, and runs the jobs one after another in the
-calling thread.  Each check runs inside ``run_check``, so its ``elapsed_ms``
-includes everything it builds, and an exception becomes that check's own
+entries whose predicate holds.  The ``verify`` process (``script``, also
+behind ``python -m milnor_forge``) runs the jobs on one worker process per
+available CPU; library calls of ``run`` and ``main`` run them one after
+another in the calling thread.  Each check runs inside ``run_check`` in the
+process that runs its job, so its ``elapsed_ms`` is its own time there,
+including everything it builds, and an exception becomes that check's own
 ``fail`` record.  What several checks of one job use is built by the first
 of them and kept in the job's memo (``Job.shared``) until the job ends.
 Records are emitted in canonical (check_id, prime) order.
@@ -21,6 +24,7 @@ Records are emitted in canonical (check_id, prime) order.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
@@ -94,14 +98,134 @@ def plan(config: RunConfig) -> list[tuple[int, list[Check]]]:
     ]
 
 
-def run(config: RunConfig) -> list[CheckReport]:
+def run_job(prime: int, checks: list[Check], config: RunConfig) -> list[CheckReport]:
+    job = Job(prime, config)  # shared by this job's checks only
+    return [run_check(c.check_id, prime, partial(c.body, job)) for c in checks]
+
+
+def run(config: RunConfig, workers: int = 1) -> list[CheckReport]:
+    """Every record of the run, sorted.  With ``workers`` > 1 the jobs are
+    shared with forked worker processes (see ``run_forked``); any job whose
+    records did not come back from them runs here, in plan order."""
+    jobs = plan(config)
+    workers = min(workers, len(jobs))
+    done = run_forked(jobs, config, workers) if workers > 1 else {}
     reports: list[CheckReport] = []
-    for prime, checks in plan(config):
-        job = Job(prime, config)  # shared by this job's checks only
-        for check in checks:
-            reports.append(run_check(check.check_id, prime, partial(check.body, job)))
+    for index, (prime, checks) in enumerate(jobs):
+        reports.extend(done[index] if index in done else run_job(prime, checks, config))
     reports.sort(key=lambda r: (r.check_id, r.prime))
     return reports
+
+
+def run_forked(
+    jobs: list[tuple[int, list[Check]]], config: RunConfig, workers: int
+) -> dict[int, list[CheckReport]]:
+    """Run ``jobs`` on this process and ``workers`` - 1 forked children; the
+    records of each job that finished, by its index.
+
+    Every process takes job indices from one queue, a pipe filled before
+    the first fork.  A child sends each job's records back on its own pipe
+    as one length-prefixed ``marshal`` message, and this process reads what
+    has arrived between its own jobs, so no child waits long on a full pipe.
+    A child leaves by ``os._exit``: it never returns into the caller's stack
+    and never flushes stdio buffers it inherited.  Every child is reaped
+    before this returns, and killed first if this process raises.  A job
+    whose message is missing or cut short (its child died) is not in the
+    result, and neither is a job the queue had no room for.  Forking is safe
+    only in a process with one thread, such as the ``verify`` process.
+    """
+    import gc
+    import marshal
+    import select
+    import signal
+
+    queue, feed = os.pipe()
+    os.set_blocking(feed, False)
+    indices = b"".join(i.to_bytes(4, "little") for i in range(len(jobs)))
+    try:
+        for start in range(0, len(indices), select.PIPE_BUF):
+            # at most PIPE_BUF bytes: the write takes all of them or none
+            os.write(feed, indices[start:start + select.PIPE_BUF])
+    except BlockingIOError:
+        pass  # the jobs left out run after the workers are done
+    os.close(feed)
+
+    def taken():
+        while len(index := os.read(queue, 4)) == 4:
+            yield int.from_bytes(index, "little")
+
+    done: dict[int, list[CheckReport]] = {}
+    children: list[int] = []
+    inbox: dict[int, bytearray] = {}  # a child's result pipe -> what it sent
+    reading: set[int] = set()  # the result pipes not yet at end of file
+
+    def drain(fd: int) -> None:
+        """Take what ``fd`` holds without waiting; close it at end of file."""
+        try:
+            while chunk := os.read(fd, 1 << 16):
+                inbox[fd] += chunk
+        except BlockingIOError:
+            return
+        reading.discard(fd)
+        os.close(fd)
+
+    # objects that exist now are left out of garbage collection until the
+    # workers are done: a collection would write to every one of them, and
+    # each page written after the fork is copied
+    gc.freeze()
+    try:
+        for _ in range(workers - 1):
+            fd, out = os.pipe()
+            inbox[fd] = bytearray()
+            reading.add(fd)
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: run with the workers there are
+                os.close(out)
+                break
+            if pid == 0:
+                try:
+                    for index in taken():
+                        message = marshal.dumps((index, [
+                            (r.check_id, r.prime, r.status, r.details, r.elapsed_ms)
+                            for r in run_job(*jobs[index], config)
+                        ]))
+                        data = memoryview(len(message).to_bytes(4, "little") + message)
+                        while data:
+                            data = data[os.write(out, data):]
+                finally:
+                    os._exit(0)
+            children.append(pid)
+            os.close(out)
+            os.set_blocking(fd, False)
+        for index in taken():
+            done[index] = run_job(*jobs[index], config)
+            for fd in list(reading):
+                drain(fd)
+        while reading:
+            for fd in select.select(list(reading), [], [])[0]:
+                drain(fd)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+        for fd in reading:
+            os.close(fd)
+        os.close(queue)
+        gc.unfreeze()
+    for data in inbox.values():
+        at = 0
+        while at + 4 <= len(data):
+            end = at + 4 + int.from_bytes(data[at:at + 4], "little")
+            if end > len(data):
+                break  # cut short: its child died while sending it
+            index, records = marshal.loads(data[at + 4:end])
+            done[index] = [CheckReport(*record) for record in records]
+            at = end
+    return done
 
 
 def report_json(reports: list[CheckReport]) -> str:
@@ -138,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
             f"Default primes: {','.join(str(p) for p in DEFAULT_PRIMES)}. "
             "The rank-2 modular-generator product check is capped at "
             f"{DICKSON_DEFAULT_CAP} by default (raise with --dickson-cap). "
-            "Suites run one after another in one thread."
+            "The (suite, prime) jobs run on one worker process per available CPU; "
+            "elapsed_ms is each check's own time in the process that ran it."
         ),
     )
     parser.add_argument("suite", choices=SUITES + ("all",), help="check suite to run")
@@ -195,9 +320,24 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     return config
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, workers: int = 1) -> int:
     config = parse_config(argv)
-    reports = run(config)
+    reports = run(config, workers)
     out = report_json(reports) if config.fmt == "json" else report_text(reports)
     sys.stdout.write(out)
     return 0 if not any(r.failed for r in reports) else 1
+
+
+def available_workers() -> int:
+    """One worker per CPU this process may run on; 1 where ``os.fork`` does
+    not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def script() -> int:
+    """The ``verify`` process: ``main`` on one worker per available CPU."""
+    return main(workers=available_workers())

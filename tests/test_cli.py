@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import select
 import subprocess
 import sys
 import threading
@@ -202,6 +203,137 @@ class TestRunLoop:
         timed = [r.elapsed_ms for r in reports if r.check_id.startswith("invariants.closure.")]
         assert len(timed) == 3 and max(timed) >= 30
         assert not any(r.failed for r in reports)
+
+
+def without_elapsed(reports):
+    return [(r.check_id, r.prime, r.status, r.details) for r in reports]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """``run(config, workers)`` with forked worker processes."""
+
+    def test_parallel_equals_sequential(self, full_run):
+        assert without_elapsed(run(RunConfig(), workers=2)) == without_elapsed(full_run)
+        sweep = RunConfig(suites=("ss",), sweep_scalars=True)
+        assert without_elapsed(run(sweep, workers=2)) == without_elapsed(run(sweep))
+        assert_no_child_left()
+
+    def test_failing_check_through_the_parallel_path(self, monkeypatch, capsys):
+        failing = Check("matrices.fail", lambda prime, config: prime == 5,
+                        lambda job: ("fail", "boom"))
+        monkeypatch.setitem(cli.REGISTRY, "matrices", cli.REGISTRY["matrices"] + (failing,))
+        argv = ["matrices", "--format", "json"]
+
+        def records():
+            lines = capsys.readouterr().out.splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                    for line in lines]
+
+        assert main(argv) == 1
+        sequential = records()
+        assert main(argv, workers=2) == 1
+        assert records() == sequential
+        assert {"check_id": "matrices.fail", "prime": 5, "status": "fail",
+                "details": "boom"} in sequential
+
+    def test_one_worker_or_one_job_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run(RunConfig(primes=(2, 3), suites=("matrices",)), workers=1)
+        assert run(RunConfig(primes=(3,), suites=("milnor",)), workers=4)
+
+    def probe_in_every_suite(self, monkeypatch, body):
+        for suite in cli.SUITES:
+            monkeypatch.setitem(cli.REGISTRY, suite, (Check(f"{suite}.probe", always, body),))
+
+    def test_a_dying_worker_loses_no_record(self, monkeypatch):
+        parent = os.getpid()
+        died, dying = os.pipe()
+        waited = []
+
+        def probe(job):
+            if os.getpid() != parent:
+                os.write(dying, b"x")
+                os._exit(3)
+            if not waited:  # hold the first job until a child has died in one
+                waited.append(select.select([died], [], [], 30)[0])
+            return "pass", f"l={job.prime}"
+
+        self.probe_in_every_suite(monkeypatch, probe)
+        try:
+            reports = run(RunConfig(primes=(2, 3)), workers=2)
+        finally:
+            os.close(died)
+            os.close(dying)
+        assert waited == [[died]]
+        assert without_elapsed(reports) == sorted(
+            (f"{s}.probe", p, "pass", f"l={p}") for s in cli.SUITES for p in (2, 3)
+        )
+        assert_no_child_left()
+
+    def test_interrupt_in_the_parent_leaves_no_child(self, monkeypatch):
+        parent = os.getpid()
+        started, starting = os.pipe()
+
+        def probe(job):
+            if os.getpid() != parent:
+                os.write(starting, b"x")
+                time.sleep(10)
+                return "pass", ""
+            select.select([started], [], [], 30)
+            raise KeyboardInterrupt
+
+        self.probe_in_every_suite(monkeypatch, probe)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run(RunConfig(primes=(2, 3)), workers=2)
+        finally:
+            os.close(started)
+            os.close(starting)
+        assert time.perf_counter() - start < 5  # the sleeping child was killed
+        assert_no_child_left()
+
+    def test_large_outputs_come_back_whole(self, monkeypatch):
+        parent = os.getpid()
+        tally, tallying = os.pipe()
+
+        def probe(job):
+            if os.getpid() != parent:
+                os.write(tallying, b"x")
+            time.sleep(0.001)
+            return "pass", f"{job.prime}:" + "xyz"[job.prime % 3] * 10_000
+
+        self.probe_in_every_suite(monkeypatch, probe)
+        # 124 jobs: the 31 primes below 128 in each suite
+        primes = tuple(p for p in range(2, 128) if all(p % q for q in range(2, p)))
+        config = RunConfig(primes=primes)
+        try:
+            sequential = run(config)
+            parallel = run(config, workers=2)
+            in_child = len(os.read(tally, 1000)) if select.select([tally], [], [], 0)[0] else 0
+        finally:
+            os.close(tally)
+            os.close(tallying)
+        assert sum(len(r.details) for r in sequential) > 1_000_000
+        assert without_elapsed(parallel) == without_elapsed(sequential)
+        # more 10 kB results than a 64 kB pipe holds: the parent read them
+        # while it ran its own jobs, so the child did not wait for the end
+        assert in_child > 12
+        assert_no_child_left()
+
+    def test_available_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli.available_workers() == 3
+        monkeypatch.delattr(os, "fork")
+        assert cli.available_workers() == 1
 
 
 class TestRegistry:
