@@ -12,13 +12,15 @@ entry's predicate alone decides at which primes, and under which options,
 its check runs.  A run plans one job per (suite, prime) pair with the
 entries whose predicate holds.  The ``verify`` process (``script``, also
 behind ``python -m milnor_forge``) runs the jobs on one worker process per
-available CPU; library calls of ``run`` and ``main`` run them one after
-another in the calling thread.  Each check runs inside ``run_check`` in the
-process that runs its job, so its ``elapsed_ms`` is its own time there,
-including everything it builds, and an exception becomes that check's own
-``fail`` record.  What several checks of one job use is built by the first
-of them and kept in the job's memo (``Job.shared``) until the job ends.
-Records are emitted in canonical (check_id, prime) order.
+available CPU: each forked worker sends the records of all its jobs back in
+one message once the job queue is empty, and takes no job once the
+``verify`` process is gone.  Library calls of ``run`` and ``main`` run the
+jobs one after another in the calling thread.  Each check runs inside
+``run_check`` in the process that runs its job, so its ``elapsed_ms`` is its
+own time there, including everything it builds, and an exception becomes
+that check's own ``fail`` record.  What several checks of one job use is
+built by the first of them and kept in the job's memo (``Job.shared``) until
+the job ends.  Records are emitted in canonical (check_id, prime) order.
 """
 
 from __future__ import annotations
@@ -28,9 +30,18 @@ import os
 import sys
 from functools import partial
 
-from . import cyclo, invariants, milnor, specseq
-from .ffla import FieldMatrix, is_prime, nullspace, rref
-from .report import FAIL, PASS, Check, CheckReport, Job, always, run_check
+from . import cyclo, ffla, invariants, milnor, specseq
+from .ffla import is_prime, nullspace, rref
+from .report import Check, CheckReport, Job, run_check
+
+# ``nullspace`` and ``rref`` are re-exported: perfbench's tracer tests check
+# that its patch reaches names another module imported by value, here
+__all__ = [
+    "SUITES", "DEFAULT_PRIMES", "DEFAULT_SEED", "DICKSON_DEFAULT_CAP", "RunConfig",
+    "REGISTRY", "plan", "run_job", "run", "run_forked", "report_json", "report_text",
+    "build_parser", "parse_config", "main", "available_workers", "script",
+    "nullspace", "rref",
+]
 
 SUITES = ("matrices", "milnor", "invariants", "ss")
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -58,31 +69,9 @@ class RunConfig:
         self.seed = seed
 
 
-def rank_nullity(job: Job) -> tuple[str, str]:
-    prime = job.prime
-    rng = job.rng(1000003)
-    for _ in range(20):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = FieldMatrix(
-            [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)],
-            prime,
-        )
-        rank, reduced = rref(m)
-        kernel = nullspace(m)
-        if rank + len(kernel) != cols:
-            return FAIL, f"rank {rank} + nullity {len(kernel)} != {cols}"
-        if reduced.rank() != rank:
-            return FAIL, "rref changed the rank"
-        for v in kernel:
-            if any(m.apply(v)):
-                return FAIL, "nullspace vector not annihilated"
-    return PASS, "rank-nullity and exact kernels on 20 seeded random matrices"
-
-
 # suite -> its checks, in the order a job runs them
 REGISTRY: dict[str, tuple[Check, ...]] = {
-    "matrices": cyclo.CHECKS + (Check("matrices.ffla.rank_nullity", always, rank_nullity),),
+    "matrices": cyclo.CHECKS + ffla.CHECKS,
     "milnor": milnor.CHECKS,
     "invariants": invariants.CHECKS,
     "ss": specseq.CHECKS,
@@ -124,15 +113,18 @@ def run_forked(
     records of each job that finished, by its index.
 
     Every process takes job indices from one queue, a pipe filled before
-    the first fork.  A child sends each job's records back on its own pipe
-    as one length-prefixed ``marshal`` message, and this process reads what
-    has arrived between its own jobs, so no child waits long on a full pipe.
-    A child leaves by ``os._exit``: it never returns into the caller's stack
-    and never flushes stdio buffers it inherited.  Every child is reaped
-    before this returns, and killed first if this process raises.  A job
-    whose message is missing or cut short (its child died) is not in the
-    result, and neither is a job the queue had no room for.  Forking is safe
-    only in a process with one thread, such as the ``verify`` process.
+    the first fork.  A child keeps its records until the queue is empty,
+    then sends them all on its own pipe as one length-prefixed ``marshal``
+    message and leaves by ``os._exit``: it never returns into the caller's
+    stack and never flushes stdio buffers it inherited.  This process runs
+    jobs too, then reads each child's pipe to end of file, one child after
+    another.  A child holds no read end of a result pipe and takes no job
+    once this process is gone, so an orphaned child stops: its write fails
+    on the pipe no one reads.  Every child is reaped before this returns,
+    and killed first if this process raises.  The jobs of a child whose
+    message is missing or cut short (it died) are not in the result, and
+    neither is a job the queue had no room for.  Forking is safe only in a
+    process with one thread, such as the ``verify`` process.
     """
     import gc
     import marshal
@@ -155,20 +147,8 @@ def run_forked(
             yield int.from_bytes(index, "little")
 
     done: dict[int, list[CheckReport]] = {}
-    children: list[int] = []
-    inbox: dict[int, bytearray] = {}  # a child's result pipe -> what it sent
-    reading: set[int] = set()  # the result pipes not yet at end of file
-
-    def drain(fd: int) -> None:
-        """Take what ``fd`` holds without waiting; close it at end of file."""
-        try:
-            while chunk := os.read(fd, 1 << 16):
-                inbox[fd] += chunk
-        except BlockingIOError:
-            return
-        reading.discard(fd)
-        os.close(fd)
-
+    children: dict[int, int] = {}  # a child's pid -> the read end of its result pipe
+    parent = os.getpid()
     # objects that exist now are left out of garbage collection until the
     # workers are done: a collection would write to every one of them, and
     # each page written after the fork is copied
@@ -176,55 +156,53 @@ def run_forked(
     try:
         for _ in range(workers - 1):
             fd, out = os.pipe()
-            inbox[fd] = bytearray()
-            reading.add(fd)
             try:
                 pid = os.fork()
             except OSError:  # no more processes: run with the workers there are
+                os.close(fd)
                 os.close(out)
                 break
             if pid == 0:
                 try:
+                    # with no read end left here, a write fails once this
+                    # process's parent, the one reader, is gone
+                    for read_end in (fd, *children.values()):
+                        os.close(read_end)
+                    kept = []
                     for index in taken():
-                        message = marshal.dumps((index, [
+                        if os.getppid() != parent:
+                            break  # orphaned: no one is left to read the records
+                        kept.append((index, [
                             (r.check_id, r.prime, r.status, r.details, r.elapsed_ms)
                             for r in run_job(*jobs[index], config)
                         ]))
-                        data = memoryview(len(message).to_bytes(4, "little") + message)
-                        while data:
-                            data = data[os.write(out, data):]
+                    message = marshal.dumps(kept)
+                    data = memoryview(len(message).to_bytes(4, "little") + message)
+                    while data:
+                        data = data[os.write(out, data):]
                 finally:
                     os._exit(0)
-            children.append(pid)
+            children[pid] = fd
             os.close(out)
-            os.set_blocking(fd, False)
         for index in taken():
             done[index] = run_job(*jobs[index], config)
-            for fd in list(reading):
-                drain(fd)
-        while reading:
-            for fd in select.select(list(reading), [], [])[0]:
-                drain(fd)
+        messages = [b"".join(iter(partial(os.read, fd, 1 << 16), b""))
+                    for fd in children.values()]
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid in children:
+        for pid, fd in children.items():
             os.waitpid(pid, 0)
-        for fd in reading:
             os.close(fd)
         os.close(queue)
         gc.unfreeze()
-    for data in inbox.values():
-        at = 0
-        while at + 4 <= len(data):
-            end = at + 4 + int.from_bytes(data[at:at + 4], "little")
-            if end > len(data):
-                break  # cut short: its child died while sending it
-            index, records = marshal.loads(data[at + 4:end])
-            done[index] = [CheckReport(*record) for record in records]
-            at = end
+    for data in messages:
+        # a length other than the prefix's: its child died before it sent all
+        if int.from_bytes(data[:4], "little") == len(data) - 4:
+            for index, records in marshal.loads(data[4:]):
+                done[index] = [CheckReport(*record) for record in records]
     return done
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from operator import index, mul
 from typing import Iterable, Sequence
 
+from .report import FAIL, PASS, Check, Job, always
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -267,3 +269,28 @@ def in_span(vector: Sequence[int], basis: Sequence[Sequence[int]], modulus: int)
 
 def spans_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int) -> bool:
     return row_space_basis(a, modulus) == row_space_basis(b, modulus)
+
+
+def _rank_nullity(job: Job) -> tuple[str, str]:
+    prime = job.prime
+    rng = job.rng(1000003)
+    for _ in range(20):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = FieldMatrix(
+            [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)],
+            prime,
+        )
+        rank, reduced = rref(m)
+        kernel = nullspace(m)
+        if rank + len(kernel) != cols:
+            return FAIL, f"rank {rank} + nullity {len(kernel)} != {cols}"
+        if reduced.rank() != rank:
+            return FAIL, "rref changed the rank"
+        for v in kernel:
+            if any(m.apply(v)):
+                return FAIL, "nullspace vector not annihilated"
+    return PASS, "rank-nullity and exact kernels on 20 seeded random matrices"
+
+
+CHECKS = (Check("matrices.ffla.rank_nullity", always, _rank_nullity),)

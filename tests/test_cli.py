@@ -2,6 +2,7 @@ import json
 import os
 import re
 import select
+import signal
 import subprocess
 import sys
 import threading
@@ -324,10 +325,87 @@ class TestWorkers:
             os.close(tallying)
         assert sum(len(r.details) for r in sequential) > 1_000_000
         assert without_elapsed(parallel) == without_elapsed(sequential)
-        # more 10 kB results than a 64 kB pipe holds: the parent read them
-        # while it ran its own jobs, so the child did not wait for the end
+        # more 10 kB results than a 64 kB pipe holds: the child kept them
+        # while it took jobs, and sent them once the queue was empty
         assert in_child > 12
         assert_no_child_left()
+
+    def test_a_message_cut_short_loses_no_record(self, monkeypatch):
+        parent = os.getpid()
+        cut, cutting = os.pipe()
+        write = os.write
+        waited = []
+
+        def cut_short(fd, data):
+            if os.getpid() != parent and len(data) > 8:
+                write(cutting, b"x")
+                write(fd, data[:len(data) // 2])
+                os._exit(3)
+            return write(fd, data)
+
+        def probe(job):
+            if os.getpid() == parent and not waited:
+                # hold the first job until a child has cut its message short
+                waited.append(select.select([cut], [], [], 30)[0])
+            return "pass", f"l={job.prime}"
+
+        monkeypatch.setattr(os, "write", cut_short)
+        self.probe_in_every_suite(monkeypatch, probe)
+        try:
+            reports = run(RunConfig(primes=(2, 3)), workers=2)
+        finally:
+            os.close(cut)
+            os.close(cutting)
+        assert waited == [[cut]]
+        assert without_elapsed(reports) == sorted(
+            (f"{s}.probe", p, "pass", f"l={p}") for s in cli.SUITES for p in (2, 3)
+        )
+        assert_no_child_left()
+
+    def test_an_orphaned_worker_stops(self):
+        tally, tallying = os.pipe()
+        code = "\n".join([
+            "import os, sys, time",
+            "from milnor_forge import cli",
+            "from milnor_forge.report import Check, always",
+            "parent, tally = os.getpid(), int(sys.argv[1])",
+            "def probe(job):",
+            "    if os.getpid() != parent:",
+            "        os.write(tally, b'x')",
+            "    time.sleep(0.2)",
+            "    return 'pass', 'x' * 70_000",
+            "for suite in cli.SUITES:",
+            "    cli.REGISTRY[suite] = (Check(suite + '.probe', always, probe),)",
+            "cli.run(cli.RunConfig(primes=(2, 3, 5, 7, 11, 13)), workers=2)",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        verify = subprocess.Popen(
+            [sys.executable, "-c", code, str(tallying)], env=env,
+            pass_fds=(tallying,), start_new_session=True,
+        )
+        os.close(tallying)
+        started, ended = 0, False
+        try:
+            if select.select([tally], [], [], 30)[0]:  # the child started a job
+                verify.kill()
+                verify.wait()
+                # end of file: every holder of the tally's write end has exited
+                deadline = time.monotonic() + 5
+                while not ended and select.select(
+                    [tally], [], [], max(0, deadline - time.monotonic())
+                )[0]:
+                    chunk = os.read(tally, 100)
+                    started += len(chunk)
+                    ended = not chunk
+        finally:
+            try:
+                os.killpg(verify.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            verify.wait()
+            os.close(tally)
+        assert ended
+        assert 1 <= started <= 2
 
     def test_available_workers(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
