@@ -180,9 +180,15 @@ def preimage(
     """The combinations of ``vectors`` whose image lies in the span of ``modulo``,
     where ``images[i]`` is the image of ``vectors[i]``: ``sum x_i vectors[i]``
     for each (x, y) in the ``nullspace`` of ``[images | modulo]``, zero ones
-    left out.  A basis when ``vectors`` and ``modulo`` are each independent."""
+    left out.  A basis when ``vectors`` and ``modulo`` are each independent.
+    The images and ``modulo`` rows must share one length, and the vectors
+    another, or ``ValueError`` is raised."""
     if len(images) != len(vectors):
         raise ValueError("one image per vector")
+    if len({len(row) for row in (*images, *modulo)}) > 1:
+        raise ValueError("images and modulo rows differ in length")
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors differ in length")
     if not vectors:
         return []
     columns = [*images, *modulo]

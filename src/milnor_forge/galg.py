@@ -28,32 +28,29 @@ class TruncationOverflowError(Exception):
 class GeneratorSpec:
     """One algebra generator.
 
-    ``parity`` is ``"odd"`` for exterior generators (odd prime, odd degree)
-    and ``"even"`` otherwise.  ``bockstein_partner`` names the degree+1
-    generator equal to the Bockstein of this one; at l = 2 a degree-1
-    generator is its own partner (the Bockstein squares it).
-    ``bidegree`` is the (p, q) placement used by spectral-sequence contexts.
+    It carries no parity: a context over an odd prime makes its odd-degree
+    generators exterior, and every other generator is polynomial.
+    ``bockstein_partner`` names the degree+1 generator equal to the
+    Bockstein of this one; at l = 2 a degree-1 generator is its own partner
+    (the Bockstein squares it).  ``bidegree`` is the (p, q) placement used by
+    spectral-sequence contexts.
     """
 
-    __slots__ = ("name", "degree", "parity", "bidegree", "bockstein_partner")
+    __slots__ = ("name", "degree", "bidegree", "bockstein_partner")
 
     def __init__(
         self,
         name: str,
         degree: int,
-        parity: str = "even",
         bidegree: tuple[int, int] | None = None,
         bockstein_partner: str | None = None,
     ):
         if degree <= 0:
             raise ValueError("generator degree must be positive")
-        if parity not in ("even", "odd"):
-            raise ValueError("parity must be 'even' or 'odd'")
         if bidegree is not None and sum(bidegree) != degree:
             raise ValueError(f"bidegree {bidegree} does not sum to {degree}")
         self.name = name
         self.degree = degree
-        self.parity = parity
         self.bidegree = bidegree
         self.bockstein_partner = bockstein_partner
 
@@ -61,26 +58,27 @@ class GeneratorSpec:
 class AlgebraContext:
     """Immutable generator data plus the working truncation degree.
 
-    Five memos fill lazily.  Three are bounded by the finite set of monomials
+    The odd (exterior) generators are those of odd degree at an odd prime;
+    ``_odd_positions`` lists their positions and ``_odd_units`` their unit
+    monomials.
+
+    Four memos fill lazily.  Three are bounded by the finite set of monomials
     of degree at most ``top_degree``: the basis per degree, the degree of each
     such monomial, and ``_merge_monomials`` of each pair whose product degree
     is within the truncation (``_product`` keys it by left, then right).
-    ``_support_memo`` holds ``_image_support`` of each generator that
-    ``linear_substitution`` has seen, at most one entry per generator.  ``_row_images`` is
-    ``invariants.induced_action``'s image pair of each matrix row it has met
-    (the image of a degree-1 generator and of its Bockstein partner), at most
-    l^n entries for n degree-1 generators.
+    ``_row_images`` is ``invariants.induced_action``'s image pair of each
+    matrix row it has met (the image of a degree-1 generator and of its
+    Bockstein partner), at most l^n entries for n degree-1 generators.
     ``_action_layout`` is the unit monomials of the degree-1 generators and
     their Bockstein partners, set by ``invariants.induced_action`` on its
     first successful call and never on a failed one, so a generator above the
-    truncation raises on every call.  ``_odd_units`` holds the unit monomial
-    of every odd generator.
+    truncation raises on every call.
     """
 
     __slots__ = (
         "prime", "generators", "top_degree", "annihilator_pairs",
         "_index", "_degrees", "_odd_positions", "_odd_units",
-        "_basis_cache", "_degree_memo", "_merge_memo", "_support_memo",
+        "_basis_cache", "_degree_memo", "_merge_memo",
         "_row_images", "_action_layout",
     )
 
@@ -101,12 +99,6 @@ class AlgebraContext:
         self._index = {g.name: i for i, g in enumerate(self.generators)}
         self._degrees = tuple(g.degree for g in self.generators)
         for g in self.generators:
-            expected = "even" if prime == 2 else ("odd" if g.degree % 2 else "even")
-            if g.parity != expected:
-                raise ValueError(
-                    f"generator {g.name}: parity {g.parity} inconsistent with "
-                    f"degree {g.degree} at prime {prime}"
-                )
             if g.bockstein_partner is not None:
                 partner = g.bockstein_partner
                 if partner not in self._index:
@@ -117,7 +109,7 @@ class AlgebraContext:
                 elif self.generators[self._index[partner]].degree != g.degree + 1:
                     raise ValueError("Bockstein partner must have degree + 1")
         self._odd_positions = tuple(
-            i for i, g in enumerate(self.generators) if g.parity == "odd"
+            i for i, g in enumerate(self.generators) if prime % 2 and g.degree % 2
         )
         n = len(self.generators)
         self._odd_units = frozenset(
@@ -131,7 +123,6 @@ class AlgebraContext:
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._degree_memo: dict[Monomial, int] = {}
         self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
-        self._support_memo: dict[str, frozenset[Monomial]] = {}
         self._row_images: dict[tuple[int, ...], tuple[Element, Element | None]] = {}
         self._action_layout = None
 
@@ -162,31 +153,13 @@ class AlgebraContext:
         return p, q
 
     def monomial_killed(self, mono: Monomial) -> bool:
-        if self.prime != 2:
-            for i in self._odd_positions:
-                if mono[i] > 1:
-                    return True
+        for i in self._odd_positions:
+            if mono[i] > 1:
+                return True
         for a, b in self.annihilator_pairs:
             if mono[a] and mono[b]:
                 return True
         return False
-
-    def _image_support(self, name: str) -> frozenset[Monomial]:
-        """The monomials a validated image of generator ``name`` may hold: the
-        unit monomials of the odd generators of its degree when it is odd,
-        else the basis of its degree (none above the truncation).  Kept in
-        ``_support_memo``; an unknown name raises ``KeyError``."""
-        spec = self.spec(name)
-        if spec.parity == "odd":
-            support = frozenset(
-                u for u in self._odd_units if self.monomial_degree(u) == spec.degree
-            )
-        elif spec.degree <= self.top_degree:
-            support = frozenset(self.basis_of_degree(spec.degree))
-        else:
-            support = frozenset()
-        self._support_memo[name] = support
-        return support
 
     # -- element constructors --------------------------------------------------
 
@@ -239,7 +212,7 @@ class AlgebraContext:
                 return
             deg = self._degrees[pos]
             max_e = remaining // deg
-            if self.prime != 2 and pos in self._odd_positions:
+            if pos in self._odd_positions:
                 max_e = min(max_e, 1)
             for e in range(max_e + 1):
                 prefix.append(e)
@@ -379,20 +352,15 @@ class Element:
 def _merge_monomials(ctx: AlgebraContext, left: Monomial, right: Monomial):
     """Merge two monomials into canonical order.
 
-    Returns (sign, merged) or None when the product vanishes (exterior square
-    or annihilator pair).  The sign counts transpositions of odd generators:
-    each right-factor odd generator moves left past every later-positioned
-    odd generator of the left factor.
+    Returns (sign, merged) or None when ``monomial_killed`` kills the product
+    (exterior square or annihilator pair).  The sign counts transpositions of
+    odd generators: each right-factor odd generator moves left past every
+    later-positioned odd generator of the left factor.
     """
     merged = tuple(a + b for a, b in zip(left, right))
-    if ctx.prime == 2:
-        return (1, merged) if not ctx.monomial_killed(merged) else None
-    odd = ctx._odd_positions
-    for i in odd:
-        if merged[i] > 1:
-            return None
-    if any(merged[a] and merged[b] for a, b in ctx.annihilator_pairs):
+    if ctx.monomial_killed(merged):
         return None
+    odd = ctx._odd_positions
     inversions = 0
     for ai, i in enumerate(odd):
         if right[i]:
@@ -576,29 +544,21 @@ def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> A
     Every image must be homogeneous of its generator's degree (a zero image
     is accepted); images of odd generators must be linear combinations of
     odd generators (so exterior squares stay zero).  Unlisted generators map
-    to themselves.  An image whose monomials all lie in the context's
-    ``_image_support`` of its generator passes by that one set-inclusion
-    test.  Any other image is checked monomial by monomial, degrees first:
-    that raises the error, or accepts what the support leaves out but the
-    rule allows (a monomial above the truncation, for one).
+    to themselves.  Each image is checked monomial by monomial, degrees
+    first.  An unknown generator name raises ``KeyError``, ahead of the
+    ``ValueError`` for an image from another context.
     """
-    supports = ctx._support_memo
+    odd_prime = ctx.prime % 2
     for name, img in images.items():
-        support = supports.get(name)
-        if support is None:
-            support = ctx._image_support(name)
+        degree = ctx.spec(name).degree
         if img.context is not ctx:
             raise ValueError("image belongs to a different context")
-        if img.terms.keys() <= support:
-            continue
-        spec = ctx.spec(name)
-        degree = spec.degree
         for mono in img.terms:
             if ctx.monomial_degree(mono) != degree:
                 raise ValueError(
                     f"image of {name} must be homogeneous of degree {degree}"
                 )
-        if spec.parity == "odd":
+        if odd_prime and degree % 2:
             for mono in img.terms:
                 # exactly one nonzero exponent, equal to 1, at an odd generator
                 if mono not in ctx._odd_units:
@@ -629,14 +589,10 @@ def elementary_abelian_context(prime: int, rank: int, top_degree: int) -> Algebr
     gens: list[GeneratorSpec] = []
     for letter in _LETTERS[:rank]:
         if prime == 2:
-            gens.append(
-                GeneratorSpec(f"{letter}1", 1, "even", bockstein_partner=f"{letter}1")
-            )
+            gens.append(GeneratorSpec(f"{letter}1", 1, bockstein_partner=f"{letter}1"))
         else:
-            gens.append(
-                GeneratorSpec(f"{letter}1", 1, "odd", bockstein_partner=f"{letter}2")
-            )
-            gens.append(GeneratorSpec(f"{letter}2", 2, "even"))
+            gens.append(GeneratorSpec(f"{letter}1", 1, bockstein_partner=f"{letter}2"))
+            gens.append(GeneratorSpec(f"{letter}2", 2))
     return AlgebraContext(prime, gens, top_degree)
 
 

@@ -3,7 +3,9 @@
 An invariant subspace is what a list of induced maps all fix
 (``fixed_vectors``, which cuts the degree down map by map with
 ``ffla.preimage``).  No averaging is available (the group order is divisible
-by the characteristic), so the generators *and their inverses* are applied.
+by the characteristic).  The invariants of the group are the vectors every
+generator fixes, since a vector fixed by g is fixed by g^-1, so only the
+generators are applied.
 The small-prime closure oracle runs the same routine on every element of a
 full breadth-first enumeration of the group, each through its own validated
 ``induced_action``: its independence from the generator-based answer lies in
@@ -212,15 +214,17 @@ def invariant_subspace(
 ) -> list[Element]:
     """Basis of the degree-d invariants under the generated group.
 
-    The vectors fixed by every generator and every inverse
-    (``fixed_vectors``); the output is re-checked for invariance under every
-    generator, with the generators' maps already built for the cut.
+    The vectors fixed by every generator (``fixed_vectors``), one induced
+    map per generator; a vector fixed by g is fixed by g^-1, so these are
+    the invariants of the whole group.  The output is re-checked for
+    invariance under every generator, with the maps already built for the
+    cut.
     """
-    gens = list(w.generators) if isinstance(w, WeylPresentation) else list(w)
-    maps = [induced_action(a, ctx) for a in gens + [g.inverse() for g in gens]]
+    gens = w.generators if isinstance(w, WeylPresentation) else w
+    maps = [induced_action(a, ctx) for a in gens]
     out = fixed_vectors(ctx, d, maps)
     for el in out:
-        for f in maps[: len(gens)]:
+        for f in maps:
             if f(el) != el:
                 raise AssertionError("computed invariant moved by a generator")
     return out
@@ -308,8 +312,8 @@ def _h4_block_diagonal(job: Job) -> tuple[str, str]:
 def _sign_note(job: Job) -> tuple[str, str]:
     # The displayed values of (1 - f*) on the three subgroup invariants are
     # internally inconsistent: one matches z -> x + z, two match z -> z - x.
-    # Both conventions are computed and reported; the invariants are cut by
-    # the inverses too, so the invariant result is convention-independent.
+    # Both conventions are computed and reported; a vector fixed by f is
+    # fixed by f^-1, so the invariant result is convention-independent.
     ctx = job_rank3_context(job)
     shear_zx = job_weyl(job).generators[2]
     f_plus = induced_action(shear_zx, ctx)
@@ -484,9 +488,9 @@ def _closure_subspace(job: Job) -> tuple[str, str]:
     The recomputation is ``fixed_vectors`` over every enumerated element g,
     in enumeration order, each applied through its own validated
     ``induced_action``, never composed from others; the generator-based
-    answer applies only the generators and their inverses.  A map's images
-    are the context's ``_row_images`` of its rows, and applying it
-    (``AlgebraMap.__call__``) multiplies each monomial's factor images.
+    answer applies only the generators.  A map's images are the context's
+    ``_row_images`` of its rows, and applying it (``AlgebraMap.__call__``)
+    multiplies each monomial's factor images.
     """
     _, elements = _closure(job)
     ctx = job_rank3_context(job)

@@ -192,6 +192,11 @@ class SSPage:
     def nonzero_bidegrees(self):
         return [key for key, comp in self.components.items() if comp.dim > 0]
 
+    def _check(self, *elements: Element) -> None:
+        for element in elements:
+            if element.context is not self.context:
+                raise ValueError("element belongs to a different context")
+
     def _component_of(self, element: Element) -> tuple[tuple[int, int], PageComponent]:
         bidegrees = {self.context.monomial_bidegree(m) for m in element.terms}
         if len(bidegrees) != 1:
@@ -203,6 +208,7 @@ class SSPage:
         return key, comp
 
     def class_is_nonzero(self, element: Element) -> bool:
+        self._check(element)
         if element.is_zero():
             return False
         _, comp = self._component_of(element)
@@ -213,6 +219,7 @@ class SSPage:
         )
 
     def classes_equal(self, a: Element, b: Element) -> bool:
+        self._check(a, b)
         diff = a - b
         if diff.is_zero():
             return True
@@ -529,12 +536,12 @@ def scenario_bg1(
         return scenario_bg1_two(slack)
     target = 4
     gens = [
-        GeneratorSpec("v2l", 2, "even", (2, 0)),
-        GeneratorSpec("v2r", 2, "even", (2, 0)),
-        GeneratorSpec("v3l", 3, "odd", (3, 0)),
-        GeneratorSpec("v3r", 3, "odd", (3, 0)),
-        GeneratorSpec("z1", 1, "odd", (0, 1)),
-        GeneratorSpec("z2", 2, "even", (0, 2)),
+        GeneratorSpec("v2l", 2, (2, 0)),
+        GeneratorSpec("v2r", 2, (2, 0)),
+        GeneratorSpec("v3l", 3, (3, 0)),
+        GeneratorSpec("v3r", 3, (3, 0)),
+        GeneratorSpec("z1", 1, (0, 1)),
+        GeneratorSpec("z2", 2, (0, 2)),
     ]
     ctx = AlgebraContext(
         prime, gens, target + 3 + slack,
@@ -572,11 +579,11 @@ def scenario_bg1_two(slack: int = 0) -> Scenario:
     ``scenario_bg1``."""
     target = 4
     gens = [
-        GeneratorSpec("a2", 2, "even", (2, 0)),
-        GeneratorSpec("a3", 3, "even", (3, 0)),
-        GeneratorSpec("b2", 2, "even", (2, 0)),
-        GeneratorSpec("b3", 3, "even", (3, 0)),
-        GeneratorSpec("z1", 1, "even", (0, 1)),
+        GeneratorSpec("a2", 2, (2, 0)),
+        GeneratorSpec("a3", 3, (3, 0)),
+        GeneratorSpec("b2", 2, (2, 0)),
+        GeneratorSpec("b3", 3, (3, 0)),
+        GeneratorSpec("z1", 1, (0, 1)),
     ]
     ctx = AlgebraContext(2, gens, target + 3 + slack)
     named = {
@@ -608,13 +615,13 @@ def scenario_bpu(prime: int, beta_prime_zero: bool = False) -> Scenario:
         raise ValueError("the page-3 scenario is defined for odd primes")
     target = 6
     gens = [
-        GeneratorSpec("u3", 3, "odd", (3, 0)),
-        GeneratorSpec("y2", 2, "even", (0, 2)),
-        GeneratorSpec("y4", 4, "even", (0, 4)),
-        GeneratorSpec("y6", 6, "even", (0, 6)),
+        GeneratorSpec("u3", 3, (3, 0)),
+        GeneratorSpec("y2", 2, (0, 2)),
+        GeneratorSpec("y4", 4, (0, 4)),
+        GeneratorSpec("y6", 6, (0, 6)),
     ]
     if prime == 3:
-        gens.append(GeneratorSpec("u7", 7, "odd", (7, 0)))
+        gens.append(GeneratorSpec("u7", 7, (7, 0)))
     ctx = AlgebraContext(prime, gens, target + 3)
     u3 = ctx.generator("u3")
     y2 = ctx.generator("y2")

@@ -179,6 +179,18 @@ class TestPreimage:
         with pytest.raises(ValueError):
             preimage([(1, 0)], [], 3)
 
+    @pytest.mark.parametrize(
+        "vectors, images, modulo",
+        [
+            ([(1, 0), (0, 1)], [(1, 2), (3,)], ()),  # ragged images
+            ([(1, 0), (0, 1, 4)], [(1, 2), (3, 4)], ()),  # ragged vectors
+            ([(1, 0)], [(1, 2)], [(3,)]),  # modulo rows shorter than the images
+        ],
+    )
+    def test_ragged_input_raises(self, vectors, images, modulo):
+        with pytest.raises(ValueError, match="differ in length"):
+            preimage(vectors, images, 5, modulo)
+
 
 class TestMatrixOps:
     def test_inverse(self):

@@ -27,7 +27,7 @@ def series_coefficients(ctx, upto):
     times prod 1/(1 - t^d) over even generators, truncated."""
     coeffs = [1] + [0] * upto
     for g in ctx.generators:
-        if ctx.prime != 2 and g.parity == "odd":
+        if ctx.prime != 2 and g.degree % 2:
             new = list(coeffs)
             for n in range(upto, g.degree - 1, -1):
                 new[n] = (new[n] + coeffs[n - g.degree])
@@ -116,6 +116,17 @@ class TestMultiply:
         x1 = ctx.generator("x1")
         assert multiply(x1, x1) == ctx.monomial_element({"x1": 2})
 
+    @pytest.mark.parametrize(
+        "prime, degree, exterior",
+        [(3, 3, True), (5, 1, True), (3, 2, False), (2, 1, False), (2, 3, False)],
+    )
+    def test_parity_from_degree_and_prime(self, prime, degree, exterior):
+        # a generator is exterior exactly when its degree and the prime are odd
+        ctx = AlgebraContext(prime, [GeneratorSpec("g", degree)], 2 * degree)
+        g = ctx.generator("g")
+        assert multiply(g, g).is_zero() == exterior
+        assert len(ctx.basis_of_degree(2 * degree)) == (not exterior)
+
 
 class TestBasisOfDegree:
     def test_degree_four_odd(self):
@@ -147,9 +158,9 @@ class TestBasisOfDegree:
 class TestAnnihilatorPairs:
     def test_pair_kills_product(self):
         gens = [
-            GeneratorSpec("a", 2, "even"),
-            GeneratorSpec("b", 3, "odd"),
-            GeneratorSpec("c", 2, "even"),
+            GeneratorSpec("a", 2),
+            GeneratorSpec("b", 3),
+            GeneratorSpec("c", 2),
         ]
         ctx = AlgebraContext(3, gens, 8, annihilator_pairs=[("a", "b")])
         a, b, c = ctx.generator("a"), ctx.generator("b"), ctx.generator("c")
@@ -158,7 +169,7 @@ class TestAnnihilatorPairs:
         assert not multiply(c, b).is_zero()
 
     def test_pair_pruned_from_basis(self):
-        gens = [GeneratorSpec("a", 2, "even"), GeneratorSpec("b", 2, "even")]
+        gens = [GeneratorSpec("a", 2), GeneratorSpec("b", 2)]
         ctx = AlgebraContext(3, gens, 8, annihilator_pairs=[("a", "b")])
         assert len(ctx.basis_of_degree(4)) == 2  # a^2 and b^2 only
 
@@ -241,7 +252,7 @@ class TestElement:
         assert Element(ctx, {(2, 0, 0, 0): 1}) == ctx.monomial_element({"x1": 2}) == ctx.zero()
         f = linear_substitution(ctx, {"x2": Element(ctx, {(2, 0, 0, 0): 1})})
         assert f(ctx.generator("x2")).is_zero()
-        gens = [GeneratorSpec("a", 2, "even"), GeneratorSpec("b", 2, "even")]
+        gens = [GeneratorSpec("a", 2), GeneratorSpec("b", 2)]
         paired = AlgebraContext(3, gens, 8, annihilator_pairs=[("a", "b")])
         assert Element(paired, {(1, 1): 1}).is_zero()
         assert Element(paired, {(2, 0): 1}).render() == "1*a^2"
@@ -319,8 +330,8 @@ class TestLinearSubstitution:
     def test_odd_image_must_be_linear_in_odd(self):
         # x1*y1*z1 is homogeneous of degree 3 but not a combination of odd
         # generators, so it cannot be the image of a degree-1 generator
-        gens = [GeneratorSpec("w", 3, "odd"), GeneratorSpec("u", 3, "odd"),
-                GeneratorSpec("v", 1, "odd"), GeneratorSpec("s", 2, "even")]
+        gens = [GeneratorSpec("w", 3), GeneratorSpec("u", 3),
+                GeneratorSpec("v", 1), GeneratorSpec("s", 2)]
         ctx = AlgebraContext(3, gens, 8)
         bad = multiply(multiply(ctx.generator("v"), ctx.generator("s")), ctx.scalar(1))
         with pytest.raises(
@@ -335,8 +346,8 @@ class TestLinearSubstitution:
     def images(case):
         """``(context, images)`` for one row of the decision table."""
         if case in ("odd combination", "odd generator outside the odd units"):
-            gens = [GeneratorSpec("w", 3, "odd"), GeneratorSpec("u", 3, "odd"),
-                    GeneratorSpec("v", 1, "odd"), GeneratorSpec("s", 2, "even")]
+            gens = [GeneratorSpec("w", 3), GeneratorSpec("u", 3),
+                    GeneratorSpec("v", 1), GeneratorSpec("s", 2)]
             ctx = AlgebraContext(3, gens, 8)
             g = ctx.generator
             w = g("u") - g("w") if case == "odd combination" else multiply(g("v"), g("s"))
@@ -445,7 +456,7 @@ class TestSignedLeibniz:
     def test_power_rule(self):
         # a rule on z^2 sends z^n to (n // 2) * z^(n - 2) * image, and z to 0
         ctx = AlgebraContext(
-            2, [GeneratorSpec("a", 3, "even"), GeneratorSpec("z", 1, "even")], 8
+            2, [GeneratorSpec("a", 3), GeneratorSpec("z", 1)], 8
         )
         m = ctx.monomial_element
         rules = {ctx.position("z"): (2, m({"a": 1}))}
@@ -470,18 +481,18 @@ def bubble_sign_oracle(ctx, left, right):
     seq = []
     for mono in (left, right):
         for e, g in zip(mono, ctx.generators):
-            seq.extend([(ctx.position(g.name), g.parity)] * e)
+            odd = ctx.prime != 2 and g.degree % 2 == 1
+            seq.extend([(ctx.position(g.name), odd)] * e)
     sign = 1
     for i in range(len(seq)):
         for j in range(len(seq) - 1 - i):
             if seq[j][0] > seq[j + 1][0]:
-                if ctx.prime != 2 and seq[j][1] == "odd" and seq[j + 1][1] == "odd":
+                if seq[j][1] and seq[j + 1][1]:
                     sign = -sign
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
-    if ctx.prime != 2:
-        for a, b in zip(seq, seq[1:]):
-            if a == b and a[1] == "odd":
-                return 0
+    for a, b in zip(seq, seq[1:]):
+        if a == b and a[1]:
+            return 0
     return sign
 
 

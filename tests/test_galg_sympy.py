@@ -17,7 +17,7 @@ CTXS = {p: elementary_abelian_context(p, 3, TOP) for p in (2, 3, 5)}
 
 
 def polynomial_positions(ctx):
-    return [i for i, g in enumerate(ctx.generators) if g.parity == "even"]
+    return [i for i, g in enumerate(ctx.generators) if ctx.prime == 2 or g.degree % 2 == 0]
 
 
 @st.composite

@@ -97,9 +97,9 @@ class TestInducedAction:
 
     def test_partners_on_some_generators_only_are_rejected(self):
         gens = [
-            GeneratorSpec("x1", 1, "odd", bockstein_partner="x2"),
-            GeneratorSpec("x2", 2, "even"),
-            GeneratorSpec("y1", 1, "odd"),
+            GeneratorSpec("x1", 1, bockstein_partner="x2"),
+            GeneratorSpec("x2", 2),
+            GeneratorSpec("y1", 1),
         ]
         ctx = AlgebraContext(3, gens, 4)
         for _ in range(2):
@@ -167,8 +167,9 @@ class TestInvariantDimensions:
         # a map that fixes every vector forms no coordinates
         assert len(invariants.fixed_vectors(ctx, 4, [AlgebraMap(ctx, {})])) == 15
 
-    def test_one_induced_map_per_generator_and_inverse(self, monkeypatch):
-        # the closing invariance re-check reuses the generators' maps
+    def test_one_induced_map_per_generator(self, monkeypatch):
+        # no inverse is applied, and the closing invariance re-check reuses
+        # the generators' maps
         calls = []
         real = invariants.induced_action
 
@@ -179,7 +180,18 @@ class TestInvariantDimensions:
         monkeypatch.setattr(invariants, "induced_action", counted)
         ctx = elementary_abelian_context(5, 3, 8)
         assert len(invariant_subspace(ctx, 4, weyl_generators(5))) == 1
-        assert len(calls) == 6
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("subgroup", ("w", "w0"))
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("prime", (2, 3, 5, 7))
+    def test_generators_alone_give_the_inverse_closed_answer(self, prime, d, subgroup):
+        # reference: the vectors fixed by every generator and every inverse
+        ctx = elementary_abelian_context(prime, 3, 4)
+        gens = weyl_generators(prime).generators
+        gens = {"w": gens, "w0": gens[:2]}[subgroup]
+        both = [induced_action(a, ctx) for a in (*gens, *(g.inverse() for g in gens))]
+        assert invariant_subspace(ctx, d, gens) == invariants.fixed_vectors(ctx, d, both)
 
     @pytest.mark.parametrize("prime", (2, 3, 5))
     def test_inverse_generators_same_subspace(self, prime):

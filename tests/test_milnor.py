@@ -189,7 +189,7 @@ class TestDerivationValidation:
     def test_requires_partners(self):
         from milnor_forge.galg import AlgebraContext, GeneratorSpec
 
-        ctx = AlgebraContext(3, [GeneratorSpec("w", 1, "odd")], 6)
+        ctx = AlgebraContext(3, [GeneratorSpec("w", 1)], 6)
         with pytest.raises(ValueError):
             milnor_q(0, ctx)
 

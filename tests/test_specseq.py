@@ -58,7 +58,7 @@ class TestKoszulToyCases:
         # the homology is one-dimensional, concentrated in degree zero
         ctx = AlgebraContext(
             5,
-            [GeneratorSpec("y", 2, "even", (2, 0)), GeneratorSpec("x", 1, "odd", (0, 1))],
+            [GeneratorSpec("y", 2, (2, 0)), GeneratorSpec("x", 1, (0, 1))],
             8,
         )
         d2 = DifferentialSpec.build(2, ctx, {"x": ctx.generator("y")})
@@ -70,7 +70,7 @@ class TestKoszulToyCases:
         # polynomial algebra on the square of the fiber class
         ctx = AlgebraContext(
             2,
-            [GeneratorSpec("y", 2, "even", (2, 0)), GeneratorSpec("x", 1, "even", (0, 1))],
+            [GeneratorSpec("y", 2, (2, 0)), GeneratorSpec("x", 1, (0, 1))],
             8,
         )
         d2 = DifferentialSpec.build(2, ctx, {"x": ctx.generator("y")})
@@ -110,9 +110,9 @@ class TestPageMechanics:
 
     def test_dd_nonzero_rejected_with_witness(self):
         gens = [
-            GeneratorSpec("a2", 2, "even", (2, 0)),
-            GeneratorSpec("w1", 1, "odd", (0, 1)),
-            GeneratorSpec("w2", 2, "even", (0, 2)),
+            GeneratorSpec("a2", 2, (2, 0)),
+            GeneratorSpec("w1", 1, (0, 1)),
+            GeneratorSpec("w2", 2, (0, 2)),
         ]
         ctx = AlgebraContext(3, gens, 6)
         bad = DifferentialSpec.build(
@@ -154,6 +154,19 @@ class TestPageMechanics:
         a3b2 = multiply(sc.named["a3"], b2)
         assert not a3b2.is_zero()
         assert not page3.class_is_nonzero(a3b2)
+
+    def test_page_queries_reject_an_element_of_another_context(self):
+        # the same generators with a wider truncation: the monomials would
+        # read as valid coordinates against this page's basis
+        sc = scenario_bg1(3)
+        page, own = run_scenario(sc).final, sc.named["b2"]
+        b2 = scenario_bg1(3, slack=2).named["b2"]
+        assert page.class_is_nonzero(own) and page.classes_equal(own, own)
+        with pytest.raises(ValueError, match="^element belongs to a different context$"):
+            page.class_is_nonzero(b2)
+        for a, b in ((b2, b2.context.zero()), (b2, b2), (own, b2)):
+            with pytest.raises(ValueError, match="^element belongs to a different context$"):
+                page.classes_equal(a, b)
 
 
 def brute_force_turn_dims(sc, dspec):
@@ -218,10 +231,10 @@ def test_second_turn_matches_restructured_first_turn_odd():
     for prime in (3, 5):
         original = run_scenario(scenario_bg1(prime))
         fresh_gens = [
-            GeneratorSpec("b2", 2, "even", (2, 0)),
-            GeneratorSpec("a3", 3, "odd", (3, 0)),
-            GeneratorSpec("b3", 3, "odd", (3, 0)),
-            GeneratorSpec("z2", 2, "even", (0, 2)),
+            GeneratorSpec("b2", 2, (2, 0)),
+            GeneratorSpec("a3", 3, (3, 0)),
+            GeneratorSpec("b3", 3, (3, 0)),
+            GeneratorSpec("z2", 2, (0, 2)),
         ]
         ctx = AlgebraContext(
             prime, fresh_gens, 7,
@@ -239,10 +252,10 @@ def test_second_turn_matches_restructured_first_turn_odd():
 def test_second_turn_matches_restructured_first_turn_two():
     original = run_scenario(scenario_bg1_two())
     fresh_gens = [
-        GeneratorSpec("b2", 2, "even", (2, 0)),
-        GeneratorSpec("a3", 3, "even", (3, 0)),
-        GeneratorSpec("b3", 3, "even", (3, 0)),
-        GeneratorSpec("w", 2, "even", (0, 2)),  # the class of the fiber square
+        GeneratorSpec("b2", 2, (2, 0)),
+        GeneratorSpec("a3", 3, (3, 0)),
+        GeneratorSpec("b3", 3, (3, 0)),
+        GeneratorSpec("w", 2, (0, 2)),  # the class of the fiber square
     ]
     ctx = AlgebraContext(2, fresh_gens, 7)
     d3 = DifferentialSpec.build(3, ctx, {"w": ctx.generator("a3")})
@@ -283,7 +296,7 @@ class TestScenarioBuilders:
     def test_bg1_at_two_is_the_characteristic_two_scenario(self):
         sc, two = scenario_bg1(2), scenario_bg1_two()
         fields = lambda ctx: [
-            (g.name, g.degree, g.parity, g.bidegree, g.bockstein_partner) for g in ctx.generators
+            (g.name, g.degree, g.bidegree, g.bockstein_partner) for g in ctx.generators
         ]
         assert fields(sc.context) == fields(two.context)
         assert sc.context.top_degree == two.context.top_degree
@@ -460,8 +473,8 @@ class TestTurnPageErrors:
         # d(w2) = a2*w1 and d(w1) = a2, so d d(w2) = a2^2; the first failing
         # monomial in degree order is w2, before a2*w2 and w1*w2
         ctx = self.context(
-            ("a2", 2, "even", (2, 0)), ("w1", 1, "odd", (0, 1)),
-            ("w2", 2, "even", (0, 2)), top=6,
+            ("a2", 2, (2, 0)), ("w1", 1, (0, 1)),
+            ("w2", 2, (0, 2)), top=6,
         )
         a2, w1 = ctx.generator("a2"), ctx.generator("w1")
         bad = DifferentialSpec(2, {"w1": (1, a2), "w2": (1, multiply(a2, w1))})
@@ -471,7 +484,7 @@ class TestTurnPageErrors:
 
     def test_image_escapes_tracked_range(self):
         # d(y) = x lands at (4, -1), below the first quadrant
-        ctx = self.context(("y", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)))
+        ctx = self.context(("y", 2, (2, 0)), ("x", 1, (0, 1)))
         bad = DifferentialSpec(2, {"y": (1, ctx.generator("x"))})
         with pytest.raises(DifferentialError) as err:
             turn_page(initial_page(ctx), bad)
@@ -480,7 +493,7 @@ class TestTurnPageErrors:
     def test_image_leaves_component_basis(self):
         # d(x) = w sits at (0, 2), not at the target bidegree (2, 0)
         ctx = self.context(
-            ("y", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)), ("w", 2, "even", (0, 2)),
+            ("y", 2, (2, 0)), ("x", 1, (0, 1)), ("w", 2, (0, 2)),
         )
         bad = DifferentialSpec(2, {"x": (1, ctx.generator("w"))})
         with pytest.raises(DifferentialError) as err:
@@ -488,7 +501,7 @@ class TestTurnPageErrors:
         assert str(err.value) == "differential image at (2, 0) leaves the component basis"
 
     def test_image_not_a_cycle_representative(self):
-        ctx = self.context(("y", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)))
+        ctx = self.context(("y", 2, (2, 0)), ("x", 1, (0, 1)))
         d2 = DifferentialSpec.build(2, ctx, {"x": ctx.generator("y")})
         page = self.with_component(initial_page(ctx), (2, 0), [], [])
         with pytest.raises(DifferentialError) as err:
@@ -498,7 +511,7 @@ class TestTurnPageErrors:
     def test_boundary_not_a_cycle(self):
         # y2 is listed as a boundary at (2, 0) but not as a cycle
         ctx = self.context(
-            ("y1", 2, "even", (2, 0)), ("y2", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)),
+            ("y1", 2, (2, 0)), ("y2", 2, (2, 0)), ("x", 1, (0, 1)),
         )
         y1, y2 = ctx.generator("y1"), ctx.generator("y2")
         d2 = DifferentialSpec.build(2, ctx, {"x": y1})
@@ -510,7 +523,7 @@ class TestTurnPageErrors:
     def test_page_dimension_grew(self):
         # two zero boundary rows understate the old dimension at (2, 0)
         ctx = self.context(
-            ("y1", 2, "even", (2, 0)), ("y2", 2, "even", (2, 0)), ("x", 1, "odd", (0, 1)),
+            ("y1", 2, (2, 0)), ("y2", 2, (2, 0)), ("x", 1, (0, 1)),
         )
         y1, y2 = ctx.generator("y1"), ctx.generator("y2")
         d2 = DifferentialSpec.build(2, ctx, {"x": y1})

@@ -148,7 +148,7 @@ def homogeneous_images(draw, ctx):
     drawn coefficients (combinations of odd generators for odd ones)."""
     images = {}
     for g in ctx.generators:
-        if g.parity == "odd":
+        if ctx.prime != 2 and g.degree % 2:
             support = sorted(ctx._odd_units & set(ctx.basis_of_degree(g.degree)))
         else:
             support = ctx.basis_of_degree(g.degree)
