@@ -14,7 +14,10 @@ entries whose predicate holds.  The ``verify`` process (``script``, also
 behind ``python -m milnor_forge``) runs the jobs on one worker process per
 available CPU: each forked worker sends the records of all its jobs back in
 one message once the job queue is empty, and takes no job once the
-``verify`` process is gone.  Library calls of ``run`` and ``main`` run the
+``verify`` process is gone; the jobs that run the closure oracle are queued
+first, largest prime first, and the rest in plan order.  Once the records
+are written, the ``verify`` process freezes its heap, so that its shutdown
+does not walk every object again.  Library calls of ``run`` and ``main`` run the
 jobs one after another in the calling thread.  Each check runs inside
 ``run_check`` in the process that runs its job, so its ``elapsed_ms`` is its
 own time there, including everything it builds, and an exception becomes
@@ -113,7 +116,11 @@ def run_forked(
     records of each job that finished, by its index.
 
     Every process takes job indices from one queue, a pipe filled before
-    the first fork.  A child keeps its records until the queue is empty,
+    the first fork.  The jobs that run the closure oracle (the checks whose
+    predicate is ``invariants.enumerable``) go in first, largest prime
+    first: each enumerates a group of l^2 (l^3 - l) elements, and at l = 5
+    that job is the longest of a default run.  Every other job follows in
+    plan order.  A child keeps its records until the queue is empty,
     then sends them all on its own pipe as one length-prefixed ``marshal``
     message and leaves by ``os._exit``: it never returns into the caller's
     stack and never flushes stdio buffers it inherited.  This process runs
@@ -131,9 +138,15 @@ def run_forked(
     import select
     import signal
 
+    closure = sorted(
+        (i for i, (_, checks) in enumerate(jobs)
+         if any(c.runs_at is invariants.enumerable for c in checks)),
+        key=lambda i: -jobs[i][0],
+    )
+    order = closure + [i for i in range(len(jobs)) if i not in closure]
     queue, feed = os.pipe()
     os.set_blocking(feed, False)
-    indices = b"".join(i.to_bytes(4, "little") for i in range(len(jobs)))
+    indices = b"".join(i.to_bytes(4, "little") for i in order)
     try:
         for start in range(0, len(indices), select.PIPE_BUF):
             # at most PIPE_BUF bytes: the write takes all of them or none
@@ -317,5 +330,14 @@ def available_workers() -> int:
 
 
 def script() -> int:
-    """The ``verify`` process: ``main`` on one worker per available CPU."""
-    return main(workers=available_workers())
+    """The ``verify`` process: ``main`` on one worker per available CPU.
+
+    Once ``main`` returns, the heap is frozen (``gc.freeze``), so that the
+    interpreter's shutdown does not walk every object for one more
+    collection.  The process still exits the usual way, so atexit handlers
+    and a profiler's report run."""
+    import gc
+
+    code = main(workers=available_workers())
+    gc.freeze()
+    return code

@@ -111,6 +111,8 @@ class FieldMatrix:
         return f"FieldMatrix[{body}] mod {self.modulus}"
 
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
+        if not isinstance(other, FieldMatrix):
+            return NotImplemented
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
         if self.cols != other.rows:
@@ -124,6 +126,7 @@ class FieldMatrix:
         return FieldMatrix._trusted(out, p)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
+        vector = integers(vector)
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch")
         p = self.modulus
@@ -274,6 +277,10 @@ def in_span(vector: Sequence[int], basis: Sequence[Sequence[int]], modulus: int)
 
 
 def spans_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], modulus: int) -> bool:
+    """Whether ``a`` and ``b`` span one subspace; ``ValueError`` unless every
+    vector on both sides has one length (either side may be empty)."""
+    if len({len(v) for v in (*a, *b)}) > 1:
+        raise ValueError("vectors differ in length")
     return row_space_basis(a, modulus) == row_space_basis(b, modulus)
 
 

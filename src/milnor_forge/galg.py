@@ -505,9 +505,10 @@ class AlgebraMap:
         """Apply the map: the sum over monomials of coeff * f(monomial).
 
         f(m) is the product, in generator order, of the powers f(g)^e of the
-        factors g^e of m, so no sign arises.  Each power is formed in a loop,
-        one product per step, and kept on the map.  The constant monomial
-        maps to itself.
+        factors g^e of m, so no sign arises.  A first power is the image's
+        own terms, read directly; each higher power is formed in a loop, one
+        product per step, and kept on the map (``_power``).  The constant
+        monomial maps to itself.
 
         Every product is exact, as in ``multiply``: a surviving term pair
         past the truncation raises ``TruncationOverflowError``, which no
@@ -518,18 +519,20 @@ class AlgebraMap:
         if element.context is not ctx:
             raise ValueError("element belongs to a different context")
         p = ctx.prime
+        first = self._image_terms
         out: dict[Monomial, int] = {}
         for mono, c in element.terms.items():
             image = None
             for i, e in enumerate(mono):
                 if e:
-                    power = self._power(i, e)
+                    power = first[i] if e == 1 else self._power(i, e)
                     image = power if image is None else _product(ctx, image, power, False)
             _accumulate(out, {mono: 1} if image is None else image, c, p)
         return Element._trusted(ctx, out)
 
     def _power(self, i: int, e: int) -> dict[Monomial, int]:
-        """f(g_i)^e for e >= 1, from the powers kept on the map."""
+        """f(g_i)^e for e >= 1, from the powers kept on the map; ``__call__``
+        asks it only for e >= 2."""
         powers = self._powers.get(i)
         if powers is None:
             powers = self._powers[i] = [self._image_terms[i]]

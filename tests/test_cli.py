@@ -224,6 +224,45 @@ class TestWorkers:
         assert without_elapsed(run(sweep, workers=2)) == without_elapsed(run(sweep))
         assert_no_child_left()
 
+    def test_closure_jobs_are_queued_first(self, monkeypatch):
+        # every queue read, its 4-byte job index included, happens while one
+        # token is held, so the tally lists the indices in the order the
+        # workers took them
+        tally, tallying = os.pipe()
+        token, giving = os.pipe()
+        os.write(giving, b"x")
+        read = os.read
+
+        def tallied_read(fd, n):
+            if n != 4:
+                return read(fd, n)
+            read(token, 1)
+            try:
+                data = read(fd, n)
+                if len(data) == 4:
+                    os.write(tallying, data)
+            finally:
+                os.write(giving, b"x")
+            return data
+
+        config = RunConfig()
+        jobs = cli.plan(config)
+        monkeypatch.setattr(cli, "run_job", lambda prime, checks, config: [])
+        monkeypatch.setattr(os, "read", tallied_read)
+        try:
+            run(config, workers=2)
+            data = read(tally, 1000)
+        finally:
+            for fd in (tally, tallying, token, giving):
+                os.close(fd)
+        taken = [int.from_bytes(data[i:i + 4], "little") for i in range(0, len(data), 4)]
+        suites = [suite for suite in config.suites for _ in config.primes]
+        closure = [(suites[i], jobs[i][0]) for i in taken[:3]]
+        assert closure == [("invariants", 5), ("invariants", 3), ("invariants", 2)]
+        # every other job follows in plan order, each taken once
+        assert taken[3:] == [i for i in range(len(jobs)) if i not in taken[:3]]
+        assert_no_child_left()
+
     def test_failing_check_through_the_parallel_path(self, monkeypatch, capsys):
         failing = Check("matrices.fail", lambda prime, config: prime == 5,
                         lambda job: ("fail", "boom"))
@@ -806,14 +845,19 @@ class TestFullRun:
         assert stripped(full_run) == stripped(second)
 
 
-def fresh_python(args, **env):
+def fresh_process(args, **env):
     """Run ``python <args>`` in a new interpreter that imports this checkout's
-    package; its stdout, after asserting it exited 0."""
+    package, and return the finished process."""
     package_root = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(package_root), **env}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def fresh_python(args, **env):
+    """``fresh_process``'s stdout, after asserting it exited 0."""
+    done = fresh_process(args, **env)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -827,6 +871,28 @@ class TestFreshProcess:
             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
         )
         assert fresh_python(["-S", "-c", code]) == "[]\n"
+
+    def test_profiler_report_is_written(self, tmp_path):
+        # the verify process exits the usual way, so cProfile writes its report
+        out = tmp_path / "verify.prof"
+        fresh_python(["-m", "cProfile", "-o", str(out), "-m", "milnor_forge",
+                      "matrices", "--primes", "2"])
+        assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("script, code, said", [
+        (["-m", "milnor_forge", "matrices", "--primes", "4"], 2, "4 is not prime"),
+        (["-c", "\n".join([
+            "from milnor_forge import cli",
+            "from milnor_forge.report import Check, always",
+            "cli.REGISTRY['matrices'] = (Check('matrices.probe', always,",
+            "                                  lambda job: ('fail', 'probe')),)",
+            "raise SystemExit(cli.script())",
+        ]), "matrices", "--primes", "2,3"], 1, "FAIL matrices.probe l=3"),
+    ], ids=("usage-error", "failing-check"))
+    def test_exit_codes(self, script, code, said):
+        done = fresh_process(script)
+        assert done.returncode == code, done.stderr
+        assert said in done.stdout + done.stderr
 
     @pytest.mark.parametrize("fmt", ("json", "text"))
     def test_records_do_not_depend_on_the_hash_seed(self, fmt):

@@ -204,6 +204,22 @@ class TestMatrixOps:
     def test_apply(self):
         m = FieldMatrix([[1, 2], [3, 4]], 5)
         assert m.apply((1, 1)) == (3, 2)
+        assert m.apply((True, 6)) == (3, 2)
+
+    def test_apply_rejects_non_integers(self):
+        m = FieldMatrix([[1, 2], [3, 4]], 5)
+        with pytest.raises(TypeError):
+            m.apply((1.5, 2))
+        with pytest.raises(TypeError):
+            m.apply(("1", 2))
+
+    @pytest.mark.parametrize("other", (3, 2.0, ((1,),), None))
+    def test_product_with_a_non_matrix_is_a_type_error(self, other):
+        m = FieldMatrix([[1]], 5)
+        with pytest.raises(TypeError):
+            m * other
+        with pytest.raises(TypeError):
+            other * m
 
 
 @given(field_matrices())
@@ -262,6 +278,29 @@ class TestRowSpaceBasisInput:
     def test_no_vectors_give_empty_basis(self):
         assert row_space_basis([], 5) == []
         assert row_space_basis(iter(()), 5) == []
+
+
+class TestSpansEqual:
+    def test_equal_and_unequal_spans(self):
+        assert spans_equal([(1, 2), (2, 4)], [(3, 1)], 5)
+        assert not spans_equal([(1, 0)], [(0, 1)], 5)
+        assert spans_equal([], [(0, 0)], 5)
+        assert spans_equal([], [], 5)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([(1, 2)], [(1, 2, 3)]),  # one length on each side, not the same one
+            ([(1, 2), (1, 2, 3)], [(1, 2)]),  # ragged on one side
+            ([], [(1, 2), (1,)]),  # ragged against an empty side
+            ([(0, 0, 0)], [(0, 0)]),  # zero vectors are checked too
+        ],
+    )
+    def test_mismatched_lengths_raise(self, a, b):
+        with pytest.raises(ValueError):
+            spans_equal(a, b, 5)
+        with pytest.raises(ValueError):
+            spans_equal(b, a, 5)
 
 
 def test_non_integer_entries_are_rejected():

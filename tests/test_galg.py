@@ -422,6 +422,32 @@ class TestLinearSubstitution:
         assert f(m({"x2": 9})) == m({"x2": 9}) + m({"y2": 9})
         assert f(m({"x2": 9, "y1": 1})) == m({"x2": 9, "y1": 1}) + m({"y1": 1, "y2": 9})
 
+    @pytest.mark.parametrize("prime", (2, 3, 5))
+    def test_monomials_map_to_products_of_image_powers(self, prime):
+        # each basis monomial with exponents 0..3 maps to the product, in
+        # generator order, of its factors' images, multiplied out one factor
+        # at a time; the first power of an image is read without a product
+        ctx = elementary_abelian_context(prime, 3, 12)
+        g = ctx.generator
+        if prime == 2:
+            images = {"x1": g("x1") + g("y1"), "z1": g("x1") + g("y1") + g("z1")}
+        else:
+            images = {"y1": g("y1") - g("x1"), "z1": g("x1") + g("z1"),
+                      "x2": g("x2") + g("y2"), "z2": g("x2") + g("z2").scale(2)}
+        f = linear_substitution(ctx, images)
+        seen = 0
+        for d in range(ctx.top_degree + 1):
+            for mono in ctx.basis_of_degree(d):
+                if max(mono, default=0) > 3:
+                    continue
+                want = ctx.scalar(1)
+                for spec, e in zip(ctx.generators, mono):
+                    for _ in range(e):
+                        want = multiply(want, f.images[spec.name])
+                assert f(Element(ctx, {mono: 1})) == want
+                seen += 1
+        assert seen > 50
+
     def test_one_product_per_factor_and_powers_kept(self, monkeypatch):
         # Q0(x1 y1 z1) = x2 y1 z1 - x1 y2 z1 + x1 y1 z2 at l = 5: three
         # monomials of three factors cost two products each, on every
