@@ -228,7 +228,7 @@ class _Echelon:
 
     __slots__ = ("modulus", "rows")
 
-    def __init__(self, modulus: int, vectors: Iterable[Sequence[int]] = ()):
+    def __init__(self, modulus: int, vectors: Iterable[Sequence[int]]):
         self.modulus = modulus
         self.rows: dict[int, list[int]] = {}
         for v in vectors:

@@ -117,6 +117,8 @@ class AlgebraContext:
         )
         pairs = set()
         for a, b in annihilator_pairs:
+            if a == b:
+                raise ValueError(f"annihilator pair names {a} twice")
             ia, ib = self._index[a], self._index[b]
             pairs.add((min(ia, ib), max(ia, ib)))
         self.annihilator_pairs = frozenset(pairs)
@@ -422,10 +424,11 @@ def multiply(a: Element, b: Element, truncate: bool = False) -> Element:
     """Bilinear Koszul-signed product of two elements of one context.
 
     Exact mode raises ``TruncationOverflowError`` when a surviving term would
-    exceed the truncation degree; truncating mode silently drops such terms
-    (used only by the spectral-sequence engine, where pages are degreewise).
+    exceed the truncation degree; truncating mode silently drops such terms.
     The work is ``_product``'s, which ``signed_leibniz`` and
-    ``AlgebraMap.__call__`` call directly on raw term dicts.
+    ``AlgebraMap.__call__`` call directly on raw term dicts: the
+    spectral-sequence engine and the Milnor derivations reach the truncating
+    mode through ``signed_leibniz``.
     """
     a._check(b)
     return Element._trusted(a.context, _product(a.context, a.terms, b.terms, truncate))
@@ -599,11 +602,12 @@ def elementary_abelian_context(prime: int, rank: int, top_degree: int) -> Algebr
     return AlgebraContext(prime, gens, top_degree)
 
 
-def random_element(ctx: AlgebraContext, rng, max_degree: int, max_terms: int = 4) -> Element:
-    """Seeded random element, used by the sampled CLI checks."""
+def random_element(ctx: AlgebraContext, rng, max_degree: int) -> Element:
+    """Seeded random element of at most four terms, used by the sampled CLI
+    checks."""
     max_degree = min(max_degree, ctx.top_degree)
     out = ctx.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         d = rng.randint(0, max_degree)
         basis = ctx.basis_of_degree(d)
         if not basis:

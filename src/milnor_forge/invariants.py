@@ -383,8 +383,12 @@ def _dickson_fixed(job: Job) -> tuple[str, str]:
     return PASS, f"{names} fixed by both shear generators"
 
 
-def group_closure(w: WeylPresentation, cap: int = 10**6) -> list[FieldMatrix]:
-    """Breadth-first closure of the generated matrix group.
+CLOSURE_CAP = 10**6
+
+
+def group_closure(w: WeylPresentation) -> list[FieldMatrix]:
+    """Breadth-first closure of the generated matrix group; it raises
+    ``RuntimeError`` once it has found more than ``CLOSURE_CAP`` elements.
 
     Each round forms a * b for every generator a and every element b found
     in the round before, and keeps the new ones in order of discovery; the
@@ -432,8 +436,8 @@ def group_closure(w: WeylPresentation, cap: int = 10**6) -> list[FieldMatrix]:
                 if c not in seen:
                     seen[c] = None
                     new.append(c)
-                    if len(seen) > cap:
-                        raise RuntimeError(f"closure exceeded cap {cap}")
+                    if len(seen) > CLOSURE_CAP:
+                        raise RuntimeError(f"closure exceeded cap {CLOSURE_CAP}")
         frontier = new
     seen.setdefault(FieldMatrix.identity(w.rank, p).entries)
     return [FieldMatrix._trusted(entries, p) for entries in seen]

@@ -9,10 +9,13 @@ linear algebra keeps one echelon basis per subspace and reduces each vector
 against it once; a component whose subspaces the turn leaves alone carries
 over to the next page unchanged.
 
-Differentials are given on page generators.  A page generator is a power of
-an ambient generator (power 1 except for the characteristic-2 scenario where
-the page-3 class is the square of the fiber generator); the signed Leibniz
-extension is applied per monomial.  Each turn builds one table of d on every
+A turn's differential (``DifferentialSpec``) is its page, its context and its
+images, fixed when it is built: the images are given on page generators and
+belong to that context, and ``turn_page`` takes only a page of that context.
+A page generator is a power of an ambient generator (power 1 except for the
+characteristic-2 scenario where the page-3 class is the square of the fiber
+generator); the signed Leibniz extension is applied per monomial, by rules
+the differential builds once.  Each turn builds one table of d on every
 ambient basis monomial (``verify_dd_zero``), checks d o d = 0 on it, and reads
 each representative's image off it as the same combination of rows.
 
@@ -25,14 +28,15 @@ drops it after.
 ``run_scenario`` may take a memo of pages (``turns``): the initial page by its
 context object, and each turned page by its input page by value (the context
 object, the page number and the components, ``SSPage.key``) and its
-differential by value (``DifferentialSpec.key``).  A miss calls ``turn_page``,
-so d o d = 0 is checked on every turn computed; a hit returns the page that
-turn made.  One ``(ss, prime)`` job keeps one memo in ``Job.shared``, for the
-bg1 scenario and the scalar sweep, which run on one context; the other
-scenarios build contexts of their own.  Each pair of the sweep runs its own
-differentials through it, so each distinct (page, differential) of the job
-turns once.  The memo only compares values; the hits come from the scenario:
-every alpha1 gives the same page 3, and d3 depends only on alpha2.
+differential by value (the page, the context object and the images,
+``DifferentialSpec.key``).  A miss calls ``turn_page``, so d o d = 0 is
+checked on every turn computed; a hit returns the page that turn made.  One
+``(ss, prime)`` job keeps one memo in ``Job.shared``, for the bg1 scenario
+and the scalar sweep, which run on one context; the other scenarios build
+contexts of their own.  Each pair of the sweep runs its own differentials
+through it, so each distinct (page, differential) of the job turns once.
+The memo only compares values; the hits come from the scenario: every alpha1
+gives the same page 3, and d3 depends only on alpha2.
 """
 
 from __future__ import annotations
@@ -58,18 +62,26 @@ class DifferentialError(Exception):
 
 
 class DifferentialSpec:
-    """Images of page generators under d_r.
+    """The page-r differential d_r of one context, given on page generators.
 
     ``images`` maps generator name to (power, image): the differential is
-    defined on the page class generator^power and extended by Leibniz.
-    Unlisted generators map to zero.
+    defined on the page class generator^power and extended by the signed
+    Leibniz rule.  Unlisted generators map to zero.  Every image belongs to
+    ``context``, which is checked here, and the rules ``signed_leibniz``
+    reads, keyed by generator position, are built here once.
     """
 
-    __slots__ = ("page", "images")
+    __slots__ = ("page", "context", "images", "_rules")
 
-    def __init__(self, page: int, images: dict[str, tuple[int, Element]]):
+    def __init__(
+        self, page: int, context: AlgebraContext, images: dict[str, tuple[int, Element]]
+    ):
+        if any(img.context is not context for _, img in images.values()):
+            raise ValueError("image belongs to a different context")
         self.page = page
+        self.context = context
         self.images = images
+        self._rules = {context.position(name): rule for name, rule in images.items()}
 
     @classmethod
     def build(
@@ -98,27 +110,19 @@ class DifferentialSpec:
                         f"image of {name}^{power} has wrong bidegree; expected {want}"
                     )
             table[name] = (power, img)
-        return cls(page, table)
+        return cls(page, ctx, table)
 
-    def apply(self, ctx: AlgebraContext, element: Element) -> Element:
-        """Signed Leibniz extension, truncating above the working degree.
-
-        ``element`` and every image must belong to ``ctx``; an empty spec
-        applies in any context."""
-        if element.context is not ctx:
+    def apply(self, element: Element) -> Element:
+        """Signed Leibniz extension, truncating above the working degree."""
+        if element.context is not self.context:
             raise ValueError("element belongs to a different context")
-        rules = {}
-        for name, rule in self.images.items():
-            if rule[1].context is not ctx:
-                raise ValueError("element belongs to a different context")
-            rules[ctx.position(name)] = rule
-        return signed_leibniz(element, rules, truncate=True)
+        return signed_leibniz(element, self._rules, truncate=True)
 
     def key(self) -> tuple:
-        """The differential by value: its page and, per generator, the name,
-        the power and the image's context object and terms."""
-        return self.page, tuple(
-            (name, power, img.context, tuple(sorted(img.terms.items())))
+        """The differential by value: its page, its context object and, per
+        generator, the name, the power and the image's terms."""
+        return self.page, self.context, tuple(
+            (name, power, tuple(sorted(img.terms.items())))
             for name, (power, img) in sorted(self.images.items())
         )
 
@@ -245,12 +249,14 @@ def initial_page(ctx: AlgebraContext) -> SSPage:
     return SSPage(2, ctx, components)
 
 
-def verify_dd_zero(ctx: AlgebraContext, dspec: DifferentialSpec) -> dict[Monomial, Element]:
-    """d of every ambient basis monomial up to the truncation (one
-    ``dspec.apply`` each), after checking d o d = 0 on each monomial: by
-    linearity d(d(m)) is the table's combination over the terms of d(m)."""
+def verify_dd_zero(dspec: DifferentialSpec) -> dict[Monomial, Element]:
+    """d of every ambient basis monomial of the differential's context up to
+    the truncation (one ``dspec.apply`` each), after checking d o d = 0 on
+    each monomial: by linearity d(d(m)) is the table's combination over the
+    terms of d(m)."""
+    ctx = dspec.context
     monos = [m for d in range(ctx.top_degree + 1) for m in ctx.basis_of_degree(d)]
-    table = {m: dspec.apply(ctx, Element._trusted(ctx, {m: 1})) for m in monos}
+    table = {m: dspec.apply(Element._trusted(ctx, {m: 1})) for m in monos}
     for mono in monos:
         twice = _combine(table, table[mono].terms.items(), ctx.prime)
         if twice:
@@ -288,8 +294,10 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
     if dspec.page != page.r:
         raise ValueError(f"differential is for page {dspec.page}, page is {page.r}")
     ctx = page.context
+    if dspec.context is not ctx:
+        raise ValueError("differential belongs to a different context")
     p = ctx.prime
-    table = verify_dd_zero(ctx, dspec)
+    table = verify_dd_zero(dspec)
     r = page.r
     shift = (r, 1 - r)
 
@@ -450,7 +458,7 @@ def run_scenario(
     pages = [page]
     for dspec in sorted(sc.differentials, key=lambda d: d.page):
         while page.r < dspec.page:
-            page = _turn(page, DifferentialSpec(page.r, {}), turns)
+            page = _turn(page, DifferentialSpec(page.r, page.context, {}), turns)
             pages.append(page)
         page = _turn(page, dspec, turns)
         pages.append(page)
@@ -752,14 +760,14 @@ def _d3_square(job: Job) -> tuple[str, str]:
     z1sq = sc.context.monomial_element({"z1": 2})
     if not page3.class_is_nonzero(z1sq):
         return FAIL, "z1^2 does not survive to page 3"
-    image = sc.differentials[1].apply(sc.context, z1sq)
+    image = sc.differentials[1].apply(z1sq)
     if not page3.classes_equal(image, sc.named["a3"]):
         return FAIL, f"d3(z1^2) = {image.render()}, expected a3"
     return PASS, "z1^2 survives to page 3 and d3(z1^2) = a3"
 
 
 def scalar_sweep_results(
-    solved: ScenarioResult, turns: dict[Hashable, SSPage] | None = None
+    solved: ScenarioResult, turns: dict[Hashable, SSPage]
 ) -> Iterator[tuple[int, int, ScenarioResult]]:
     """``(alpha1, alpha2, result)`` for every nonzero scalar pair of the odd
     bg1 scenario, alpha1 outer and alpha2 inner, each pair solved when it is
@@ -767,9 +775,8 @@ def scalar_sweep_results(
 
     ``solved`` is the (1, 1) result; every other pair is turned with its own
     differentials on that result's ambient algebra, through the memo of pages
-    ``turns`` (``run_scenario``).  Without ``turns`` the sweep keeps its own.
+    ``turns`` (``run_scenario``).
     """
-    turns = {} if turns is None else turns
     sc = solved.scenario
     for a1 in range(1, sc.prime):
         for a2 in range(1, sc.prime):

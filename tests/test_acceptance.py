@@ -282,7 +282,7 @@ def test_criterion_10f_dd_zero():
         sc = rng.choice(scenarios)
         el = random_element(sc.context, rng, 6)
         for dspec in sc.differentials:
-            assert dspec.apply(sc.context, dspec.apply(sc.context, el)).is_zero()
+            assert dspec.apply(dspec.apply(el)).is_zero()
     report(10, f"(f) d o d = 0 on scenario elements, {CASES} cases")
 
 

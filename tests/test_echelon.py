@@ -117,7 +117,7 @@ def test_row_space_basis_is_sympy_rref(query):
 @given(st.sampled_from(PRIMES), st.integers(1, 5), st.data())
 def test_echelon_rows_stay_fully_reduced(p, n, data):
     vectors = data.draw(vector_lists(p, n, max_size=7))
-    span = _Echelon(p)
+    span = _Echelon(p, [])
     for i, vec in enumerate(vectors):
         span.insert(vec)
         # after every insert: a 1 at each row's pivot, zeros before it and

@@ -173,6 +173,13 @@ class TestAnnihilatorPairs:
         ctx = AlgebraContext(3, gens, 8, annihilator_pairs=[("a", "b")])
         assert len(ctx.basis_of_degree(4)) == 2  # a^2 and b^2 only
 
+    def test_pair_naming_one_generator_twice_rejected(self):
+        # such a pair would kill every monomial containing the generator,
+        # the generator itself included
+        gens = [GeneratorSpec("a", 2), GeneratorSpec("b", 2)]
+        with pytest.raises(ValueError, match="^annihilator pair names a twice$"):
+            AlgebraContext(3, gens, 6, annihilator_pairs=[("a", "a")])
+
 
 class TestElement:
     def test_homogeneous_degree(self):

@@ -346,9 +346,10 @@ class TestClosureOracle:
             for m in elements:
                 assert (a.matrix * m).entries in index
 
-    def test_cap_is_enforced(self):
+    def test_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(invariants, "CLOSURE_CAP", 10)
         with pytest.raises(RuntimeError, match=r"^closure exceeded cap 10$"):
-            group_closure(weyl_generators(3), cap=10)
+            group_closure(weyl_generators(3))
 
     def test_enumeration_at_seven_matches_shape_predicate(self):
         # the oracle's checks stay fenced to l <= 5; the enumeration itself

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from milnor_forge import cli, specseq
-from milnor_forge.galg import AlgebraContext, Element, GeneratorSpec, multiply
+from milnor_forge.galg import AlgebraContext, Element, GeneratorSpec, multiply, signed_leibniz
 from milnor_forge.report import FAIL
 from milnor_forge.specseq import (
     DifferentialError,
@@ -82,31 +82,50 @@ class TestPageMechanics:
     def test_zero_differential_keeps_dims(self):
         sc = scenario_bg1(3)
         page = initial_page(sc.context)
-        turned = turn_page(page, DifferentialSpec(2, {}))
+        turned = turn_page(page, DifferentialSpec(2, sc.context, {}))
         upto = sc.context.top_degree
         assert turned.dims_by_total_degree(upto) == page.dims_by_total_degree(upto)
         assert turned.r == 3
 
     def test_apply_rejects_another_context(self):
-        # d2 of one scenario on z1 of a wider one: the element, or else the
-        # images, belong to a context other than the one it is applied in
+        # d2 of one scenario on z1 of a wider one: the element belongs to a
+        # context other than the differential's, and a differential cannot
+        # be built on one context with the images of another
         sc, wide = scenario_bg1(3), scenario_bg1(3, slack=2)
         d2 = sc.differentials[0]
         z1 = wide.context.generator("z1")
-        for ctx in (sc.context, wide.context):
-            with pytest.raises(ValueError, match="element belongs to a different context"):
-                d2.apply(ctx, z1)
-        own = d2.apply(sc.context, sc.context.generator("z1"))
+        with pytest.raises(ValueError, match="element belongs to a different context"):
+            d2.apply(z1)
+        with pytest.raises(ValueError, match="image belongs to a different context"):
+            DifferentialSpec(2, wide.context, d2.images)
+        own = d2.apply(sc.context.generator("z1"))
         assert own.context is sc.context and own.render() == "1*v2r + 2*v2l"
-        # a spec with no images carries no context of its own
-        empty = DifferentialSpec(2, {}).apply(wide.context, z1)
+        # a spec with no images is bound to the context it is built on
+        empty = DifferentialSpec(2, wide.context, {}).apply(z1)
         assert empty.context is wide.context and empty.is_zero()
+        with pytest.raises(ValueError, match="element belongs to a different context"):
+            DifferentialSpec(2, sc.context, {}).apply(z1)
 
     def test_page_number_mismatch(self):
         sc = scenario_bg1(3)
         page = initial_page(sc.context)
         with pytest.raises(ValueError):
-            turn_page(page, DifferentialSpec(3, {}))
+            turn_page(page, DifferentialSpec(3, sc.context, {}))
+
+    def test_differential_of_another_context_rejected(self, monkeypatch):
+        # an equal scenario on another context object: its differentials, the
+        # zero one too, are turned on no page but their own context's, and
+        # the rejection comes before any table of d is built
+        sc, other = scenario_bg1(3), scenario_bg1(3)
+        page = initial_page(sc.context)
+
+        def no_table(dspec):
+            raise AssertionError("a table of d was built")
+
+        monkeypatch.setattr(specseq, "verify_dd_zero", no_table)
+        for dspec in (DifferentialSpec(2, other.context, {}), other.differentials[0]):
+            with pytest.raises(ValueError, match="^differential belongs to a different context$"):
+                turn_page(page, dspec)
 
     def test_dd_nonzero_rejected_with_witness(self):
         gens = [
@@ -121,7 +140,7 @@ class TestPageMechanics:
              "w2": multiply(ctx.generator("a2"), ctx.generator("w1"))},
         )
         with pytest.raises(DifferentialError) as err:
-            verify_dd_zero(ctx, bad)
+            verify_dd_zero(bad)
         assert str(err.value) == "d o d != 0 on w2: 1*a2^2"
 
     def test_bidegree_validation(self):
@@ -189,7 +208,7 @@ def brute_force_turn_dims(sc, dspec):
             return 0
         rows = []
         for mono in sources:
-            image = dspec.apply(ctx, Element(ctx, {mono: 1}))
+            image = dspec.apply(Element(ctx, {mono: 1}))
             rows.append([image.terms.get(t, 0) for t in targets])
         if not any(any(row) for row in rows):
             return 0
@@ -216,7 +235,7 @@ def test_first_turn_matches_rank_oracle(prime):
 def test_second_scenario_turn_matches_rank_oracle():
     for prime, branch in ((3, False), (3, True), (5, False)):
         sc = scenario_bpu(prime, branch)
-        page3 = turn_page(initial_page(sc.context), DifferentialSpec(2, {}))
+        page3 = turn_page(initial_page(sc.context), DifferentialSpec(2, sc.context, {}))
         dspec = sc.differentials[0]
         oracle = brute_force_turn_dims(sc, dspec)
         page4 = turn_page(page3, dspec)
@@ -243,7 +262,7 @@ def test_second_turn_matches_restructured_first_turn_odd():
         d3 = DifferentialSpec.build(
             3, ctx, {"z2": ctx.generator("a3").scale(-1)}
         )
-        page = turn_page(initial_page(ctx), DifferentialSpec(2, {}))
+        page = turn_page(initial_page(ctx), DifferentialSpec(2, ctx, {}))
         page4 = turn_page(page, d3)
         # the fresh presentation is only faithful through degree 6
         assert page4.dims_by_total_degree(5) == original.final.dims_by_total_degree(5)
@@ -259,7 +278,7 @@ def test_second_turn_matches_restructured_first_turn_two():
     ]
     ctx = AlgebraContext(2, fresh_gens, 7)
     d3 = DifferentialSpec.build(3, ctx, {"w": ctx.generator("a3")})
-    page = turn_page(initial_page(ctx), DifferentialSpec(2, {}))
+    page = turn_page(initial_page(ctx), DifferentialSpec(2, ctx, {}))
     page4 = turn_page(page, d3)
     assert page4.dims_by_total_degree(5) == original.final.dims_by_total_degree(5)
 
@@ -322,7 +341,7 @@ class TestFirstScenarioTwo:
         page3 = turn_page(initial_page(sc.context), sc.differentials[0])
         z1sq = sc.context.monomial_element({"z1": 2})
         assert page3.class_is_nonzero(z1sq)
-        image = sc.differentials[1].apply(sc.context, z1sq)
+        image = sc.differentials[1].apply(z1sq)
         assert page3.classes_equal(image, sc.named["a3"])
 
     def test_odd_powers_die_on_page_three(self):
@@ -366,7 +385,7 @@ class TestSecondScenario:
     def test_dd_zero_both_branches(self):
         for branch in (False, True):
             sc = scenario_bpu(3, beta_prime_zero=branch)
-            verify_dd_zero(sc.context, sc.differentials[0])
+            verify_dd_zero(sc.differentials[0])
 
     def test_starting_page_dims(self):
         # module basis up to degree 7: 1, y2, y2^2, y2^3, y4, y2*y4, y6 on the
@@ -445,7 +464,31 @@ def test_dd_zero_on_random_elements(prime, data):
             coeff = data.draw(st.integers(1, prime - 1)) if prime > 2 else 1
             el = el + Element(ctx, {mono: coeff})
     for dspec in sc.differentials:
-        assert dspec.apply(ctx, dspec.apply(ctx, el)).is_zero()
+        assert dspec.apply(dspec.apply(el)).is_zero()
+
+
+@given(st.sampled_from((2, 3, 5, 7)), st.data())
+def test_apply_is_signed_leibniz_with_rules_built_per_call(prime, data):
+    # the rules a differential keeps from its construction are the ones the
+    # images and the context's generator positions give on every call
+    if prime == 2:
+        scenarios = [scenario_bg1_two()]
+    else:
+        alphas = data.draw(st.tuples(st.integers(1, prime - 1), st.integers(1, prime - 1)))
+        scenarios = [scenario_bg1(prime, *alphas), scenario_bpu(prime, data.draw(st.booleans()))]
+    powers = set()
+    for sc in scenarios:
+        ctx = sc.context
+        monos = [m for d in range(ctx.top_degree + 1) for m in ctx.basis_of_degree(d)]
+        el = ctx.zero()
+        for mono in data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4)):
+            el = el + Element(ctx, {mono: data.draw(st.integers(1, max(1, prime - 1)))})
+        for dspec in sc.differentials:
+            rules = {ctx.position(name): rule for name, rule in dspec.images.items()}
+            powers |= {power for power, _ in rules.values()}
+            assert dspec.apply(el) == signed_leibniz(el, rules, truncate=True)
+    # at l = 2 the page-3 differential is given on the square of z1
+    assert powers == ({1, 2} if prime == 2 else {1})
 
 
 class TestTurnPageErrors:
@@ -477,7 +520,7 @@ class TestTurnPageErrors:
             ("w2", 2, (0, 2)), top=6,
         )
         a2, w1 = ctx.generator("a2"), ctx.generator("w1")
-        bad = DifferentialSpec(2, {"w1": (1, a2), "w2": (1, multiply(a2, w1))})
+        bad = DifferentialSpec(2, ctx, {"w1": (1, a2), "w2": (1, multiply(a2, w1))})
         with pytest.raises(DifferentialError) as err:
             turn_page(initial_page(ctx), bad)
         assert str(err.value) == "d o d != 0 on w2: 1*a2^2"
@@ -485,7 +528,7 @@ class TestTurnPageErrors:
     def test_image_escapes_tracked_range(self):
         # d(y) = x lands at (4, -1), below the first quadrant
         ctx = self.context(("y", 2, (2, 0)), ("x", 1, (0, 1)))
-        bad = DifferentialSpec(2, {"y": (1, ctx.generator("x"))})
+        bad = DifferentialSpec(2, ctx, {"y": (1, ctx.generator("x"))})
         with pytest.raises(DifferentialError) as err:
             turn_page(initial_page(ctx), bad)
         assert str(err.value) == "differential image escapes the tracked range at (4, -1)"
@@ -495,7 +538,7 @@ class TestTurnPageErrors:
         ctx = self.context(
             ("y", 2, (2, 0)), ("x", 1, (0, 1)), ("w", 2, (0, 2)),
         )
-        bad = DifferentialSpec(2, {"x": (1, ctx.generator("w"))})
+        bad = DifferentialSpec(2, ctx, {"x": (1, ctx.generator("w"))})
         with pytest.raises(DifferentialError) as err:
             turn_page(initial_page(ctx), bad)
         assert str(err.value) == "differential image at (2, 0) leaves the component basis"
@@ -546,7 +589,7 @@ def test_table_combination_is_apply(data):
     # d is linear: the table row combination over an element's terms is d of it
     sc, dspec = data.draw(st.sampled_from(_all_differentials()))
     ctx = sc.context
-    table = verify_dd_zero(ctx, dspec)
+    table = verify_dd_zero(dspec)
     monos = [m for d in range(ctx.top_degree + 1) for m in ctx.basis_of_degree(d)]
     assert list(table) == monos
     el = ctx.zero()
@@ -555,7 +598,7 @@ def test_table_combination_is_apply(data):
     combined = ctx.zero()
     for mono, coeff in el.terms.items():
         combined = combined + table[mono].scale(coeff)
-    assert combined == dspec.apply(ctx, el)
+    assert combined == dspec.apply(el)
 
 
 def count_sweep_calls(monkeypatch, prime, runs=1):
@@ -645,7 +688,7 @@ def snapshot(result):
 def test_sweep_tree_matches_each_pair_solved_from_scratch(prime):
     solved = run_scenario(scenario_bg1(prime))
     visited = []
-    for a1, a2, result in specseq.scalar_sweep_results(solved):
+    for a1, a2, result in specseq.scalar_sweep_results(solved, {}):
         visited.append((a1, a2))
         assert snapshot(result) == snapshot(run_scenario(scenario_bg1(prime, a1, a2)))
     assert visited == list(itertools.product(range(1, prime), repeat=2))
@@ -718,8 +761,8 @@ class TestTurnMemo:
         assert snapshot(result) == snapshot(run_scenario(scenario_bg1(self.PRIME, slack=slack)))
 
     def test_zero_differential_on_another_context_misses(self, turns, computed):
-        # the zero d2 carries no context of its own; the page's context tells
-        # the two runs apart
+        # each run's zero d2 is bound to its own context, as its pages are, so
+        # the context tells the two runs apart
         one, other = scenario_bg1(self.PRIME), scenario_bg1(self.PRIME)
         for sc in (one, other):
             d3_only = with_differentials(sc, sc.differentials[1:], certify=False)

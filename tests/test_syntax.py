@@ -1,8 +1,8 @@
 """Static checks on the package's sources, with the stdlib ``ast`` module
 only.  The package declares ``requires-python = ">=3.10"``: every module of
 it parses as Python 3.10, whichever interpreter runs the tests.  No module
-other than ``__init__.py`` (which re-exports) imports a name at module level
-that it never uses, and no line is longer than ``MAX_LINE`` characters."""
+imports a name at module level that it never uses, and no line is longer
+than ``MAX_LINE`` characters."""
 
 import ast
 from pathlib import Path
@@ -54,9 +54,7 @@ def test_module_lines_fit(path):
     assert long == [], f"lines longer than {MAX_LINE} characters: {long}"
 
 
-@pytest.mark.parametrize(
-    "path", [path for path in MODULES if path.name != "__init__.py"], ids=lambda path: path.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
