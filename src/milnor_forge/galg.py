@@ -68,7 +68,8 @@ class AlgebraContext:
     is within the truncation (``_product`` keys it by left, then right).
     ``_row_images`` is ``invariants.induced_action``'s image pair of each
     matrix row it has met (the image of a degree-1 generator and of its
-    Bockstein partner), at most l^n entries for n degree-1 generators.
+    Bockstein partner), each pair checked by ``check_image`` before it
+    enters, at most l^n entries for n degree-1 generators.
     ``_action_layout`` is the unit monomials of the degree-1 generators and
     their Bockstein partners, set by ``invariants.induced_action`` on its
     first successful call and never on a failed one, so a generator above the
@@ -544,34 +545,40 @@ class AlgebraMap:
         return powers[e - 1]
 
 
+def check_image(ctx: AlgebraContext, name: str, img: Element) -> None:
+    """The rule for one generator image of an endomorphism of ``ctx``.
+
+    The image must belong to ``ctx`` and be homogeneous of the generator's
+    degree (a zero image is accepted); an odd generator's image must be a
+    linear combination of odd generators (so exterior squares stay zero).
+    The image is checked monomial by monomial, degrees first.  An unknown
+    generator name raises ``KeyError``, ahead of the ``ValueError`` for an
+    image from another context.
+    """
+    degree = ctx.spec(name).degree
+    if img.context is not ctx:
+        raise ValueError("image belongs to a different context")
+    for mono in img.terms:
+        if ctx.monomial_degree(mono) != degree:
+            raise ValueError(f"image of {name} must be homogeneous of degree {degree}")
+    if ctx.prime % 2 and degree % 2:
+        for mono in img.terms:
+            # exactly one nonzero exponent, equal to 1, at an odd generator
+            if mono not in ctx._odd_units:
+                raise ValueError(
+                    f"image of odd generator {name} must be a combination "
+                    f"of odd generators"
+                )
+
+
 def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> AlgebraMap:
     """Validated construction of the endomorphism sending generators to images.
 
-    Every image must be homogeneous of its generator's degree (a zero image
-    is accepted); images of odd generators must be linear combinations of
-    odd generators (so exterior squares stay zero).  Unlisted generators map
-    to themselves.  Each image is checked monomial by monomial, degrees
-    first.  An unknown generator name raises ``KeyError``, ahead of the
-    ``ValueError`` for an image from another context.
+    Each image, in order, must pass ``check_image``.  Unlisted generators
+    map to themselves.
     """
-    odd_prime = ctx.prime % 2
     for name, img in images.items():
-        degree = ctx.spec(name).degree
-        if img.context is not ctx:
-            raise ValueError("image belongs to a different context")
-        for mono in img.terms:
-            if ctx.monomial_degree(mono) != degree:
-                raise ValueError(
-                    f"image of {name} must be homogeneous of degree {degree}"
-                )
-        if odd_prime and degree % 2:
-            for mono in img.terms:
-                # exactly one nonzero exponent, equal to 1, at an odd generator
-                if mono not in ctx._odd_units:
-                    raise ValueError(
-                        f"image of odd generator {name} must be a combination "
-                        f"of odd generators"
-                    )
+        check_image(ctx, name, img)
     return AlgebraMap(ctx, images)
 
 

@@ -7,9 +7,9 @@ by the characteristic).  The invariants of the group are the vectors every
 generator fixes, since a vector fixed by g is fixed by g^-1, so only the
 generators are applied.
 The small-prime closure oracle runs the same routine on every element of a
-full breadth-first enumeration of the group, each through its own validated
-``induced_action``: its independence from the generator-based answer lies in
-which maps it applies, not in separate linear algebra.
+full breadth-first enumeration of the group, each through its own
+``induced_action`` map: its independence from the generator-based answer
+lies in which maps it applies, not in separate linear algebra.
 Each job computes a subgroup's invariants once (``job_invariants``), and the
 dimension-and-span claim of the degree-4 checks has one implementation
 (``span_claim``).
@@ -26,8 +26,8 @@ from .galg import (
     AlgebraMap,
     Element,
     Monomial,
+    check_image,
     elementary_abelian_context,
-    linear_substitution,
     multiply,
     random_element,
 )
@@ -144,9 +144,11 @@ def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> A
     context's ``_action_layout``, built on the first call that gets past the
     rank and modulus checks and kept only once it is complete.  The two
     images a row gives (sum_i M[j][i] e_i and the same sum over the
-    partners) do not depend on j, so each distinct row's pair is built once
-    per context and kept in its ``_row_images``; every call still builds
-    and validates its own map through ``linear_substitution``.
+    partners) do not depend on j, so each distinct row's pair is built and
+    validated by ``galg.check_image`` once per context, then kept in its
+    ``_row_images``; a pair that fails is never kept, so every call with
+    that row raises.  Every call checks its matrix's shape and modulus and
+    builds a map of its own from the kept images.
     """
     m = action.matrix if isinstance(action, ActionMatrix) else action
     layout = ctx._action_layout
@@ -168,15 +170,19 @@ def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> A
         pair = row_images.get(row)
         if pair is None:
             # sum_i row[i] * e_i over distinct generators, with reduced coefficients
-            pair = row_images[row] = (
+            pair = (
                 Element._trusted(ctx, {u: c for u, c in zip(units, row) if c}),
                 Element._trusted(ctx, {u: c for u, c in zip(partner_units, row) if c})
                 if partner_units else None,
             )
+            check_image(ctx, name, pair[0])
+            if partner is not None:
+                check_image(ctx, partner, pair[1])
+            row_images[row] = pair
         images[name] = pair[0]
         if partner is not None:
             images[partner] = pair[1]
-    return linear_substitution(ctx, images)
+    return AlgebraMap(ctx, images)
 
 
 def fixed_vectors(ctx: AlgebraContext, d: int, maps: Iterable[AlgebraMap]) -> list[Element]:
@@ -491,11 +497,12 @@ def _closure_subspace(job: Job) -> tuple[str, str]:
     independence lies in the enumerated side.
 
     The recomputation is ``fixed_vectors`` over every enumerated element g,
-    in enumeration order, each applied through its own validated
-    ``induced_action``, never composed from others; the generator-based
-    answer applies only the generators.  A map's images are the context's
-    ``_row_images`` of its rows, and applying it (``AlgebraMap.__call__``)
-    multiplies each monomial's factor images.
+    in enumeration order, each applied through its own ``induced_action``
+    map, never composed from others; the generator-based answer applies
+    only the generators.  A map's images are the context's ``_row_images``
+    of its rows, each row's pair validated once, when it is first met, and
+    applying it (``AlgebraMap.__call__``) multiplies each monomial's factor
+    images.
     """
     _, elements = _closure(job)
     ctx = job_rank3_context(job)

@@ -15,9 +15,10 @@ belong to that context, and ``turn_page`` takes only a page of that context.
 A page generator is a power of an ambient generator (power 1 except for the
 characteristic-2 scenario where the page-3 class is the square of the fiber
 generator); the signed Leibniz extension is applied per monomial, by rules
-the differential builds once.  Each turn builds one table of d on every
-ambient basis monomial (``verify_dd_zero``), checks d o d = 0 on it, and reads
-each representative's image off it as the same combination of rows.
+the differential builds once.  Each turn of a nonzero differential builds
+one table of d on every ambient basis monomial (``verify_dd_zero``), checks
+d o d = 0 on it, and reads each representative's image off it as the same
+combination of rows; a zero differential carries the page over.
 
 Each scenario that several checks of one ``(ss, prime)`` job read is solved
 once, by the first of them, and kept in the job's memo (``Job.shared``); a
@@ -30,11 +31,12 @@ context object, and each turned page by its input page by value (the context
 object, the page number and the components, ``SSPage.key``) and its
 differential by value (the page, the context object and the images,
 ``DifferentialSpec.key``).  A miss calls ``turn_page``, so d o d = 0 is
-checked on every turn computed; a hit returns the page that turn made.  One
-``(ss, prime)`` job keeps one memo in ``Job.shared``, for the bg1 scenario
-and the scalar sweep, which run on one context; the other scenarios build
-contexts of their own.  Each pair of the sweep runs its own differentials
-through it, so each distinct (page, differential) of the job turns once.
+checked on every turn of a nonzero differential computed; a hit returns the
+page that turn made.  One ``(ss, prime)`` job keeps one memo in
+``Job.shared``, for the bg1 scenario and the scalar sweep, which run on one
+context; the other scenarios build contexts of their own.  Each pair of the
+sweep runs its own differentials through it, so each distinct (page,
+differential) of the job turns once.
 The memo only compares values; the hits come from the scenario: every alpha1
 gives the same page 3, and d3 depends only on alpha2.
 """
@@ -290,12 +292,19 @@ def _complement(
 
 
 def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
-    """Degreewise homology with respect to the page differential."""
+    """Degreewise homology with respect to the page differential.
+
+    A differential whose every image is zero carries the page over as it
+    is, with no table of d and no turn ranks.
+    """
     if dspec.page != page.r:
         raise ValueError(f"differential is for page {dspec.page}, page is {page.r}")
     ctx = page.context
     if dspec.context is not ctx:
         raise ValueError("differential belongs to a different context")
+    if all(img.is_zero() for _, img in dspec.images.values()):
+        # a zero differential kills nothing and every class is a cycle
+        return SSPage(page.r + 1, ctx, dict(page.components))
     p = ctx.prime
     table = verify_dd_zero(dspec)
     r = page.r
@@ -948,7 +957,7 @@ CHECKS = (
     )),
     Check("ss.bg1.scalar_sweep", _sweep_planned, _scalar_sweep),
     # engine health on the same scenario: monotone dims, rank bookkeeping,
-    # stability under a wider truncation (d o d = 0 is checked on every turn)
+    # stability under a wider truncation (d o d = 0 is checked on every nonzero turn)
     Check("ss.engine.monotone_euler", always, _monotone_euler),
     Check("ss.engine.stability", always, _stability),
     Check("ss.bpu.e4_dims_bnz", odd, _bpu_branch_nonzero),

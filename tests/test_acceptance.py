@@ -145,6 +145,7 @@ def test_criterion_07_group_closure_oracle(job_records):
     with Stopwatch() as sw:
         for prime in (2, 3, 5):
             assert_all_pass(job_records("invariants", prime, "invariants.closure."))
+    assert sw.elapsed < 1.0
     report(7, "closure enumeration matches generators and shape predicate", sw.elapsed)
 
 

@@ -119,6 +119,44 @@ class TestInducedAction:
         g = induced_action(weyl_generators(5).generators[0], wide)
         assert g(wide.generator("x2")) == wide.generator("x2") + wide.generator("y2")
 
+    def test_each_distinct_row_is_validated_once(self, monkeypatch):
+        # over the 216 enumerated matrices at l = 3, the image rule runs on
+        # each distinct row's image and partner image once, when the row is
+        # first met, and on nothing else
+        ctx = elementary_abelian_context(3, 3, 8)
+        checked = []
+        real = invariants.check_image
+        monkeypatch.setattr(
+            invariants, "check_image",
+            lambda ctx, name, img: checked.append(img) or real(ctx, name, img),
+        )
+        elements = group_closure(weyl_generators(3))
+        for m in elements:
+            induced_action(m, ctx)
+        rows = {row for m in elements for row in m.entries}
+        assert len(elements) == 216
+        assert len(checked) == 2 * len(rows) == 2 * len(ctx._row_images)
+        kept = [img for pair in ctx._row_images.values() for img in pair]
+        assert {id(img) for img in checked} == {id(img) for img in kept}
+
+    def test_a_pair_that_fails_the_rule_is_never_kept(self, monkeypatch):
+        # partner images built from the degree-1 units instead of the
+        # partners' own: every call raises for the first partner image, and
+        # no row's pair is kept
+        real = invariants._action_layout
+
+        def swapped(ctx):
+            names, partners, units, _ = real(ctx)
+            return names, partners, units, units
+
+        monkeypatch.setattr(invariants, "_action_layout", swapped)
+        ctx = elementary_abelian_context(3, 3, 8)
+        for m in [FieldMatrix.identity(3, 3), *group_closure(weyl_generators(3))[:3]]:
+            with pytest.raises(ValueError) as raised:
+                induced_action(m, ctx)
+            assert raised.value.args == ("image of x2 must be homogeneous of degree 2",)
+            assert ctx._row_images == {}
+
 
 class TestInvariantDimensions:
     @pytest.mark.parametrize("prime", (3, 5, 7, 11))

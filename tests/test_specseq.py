@@ -87,6 +87,29 @@ class TestPageMechanics:
         assert turned.dims_by_total_degree(upto) == page.dims_by_total_degree(upto)
         assert turned.r == 3
 
+    def test_zero_turn_carries_every_component_over(self, monkeypatch):
+        # a differential whose images are all zero, listed or not, keeps
+        # every component of a page that a real d2 made, records no ranks
+        # and builds no table of d; a zero spec of the wrong page or context
+        # is still refused
+        sc, other = scenario_bg1(3), scenario_bg1(3)
+        page3 = turn_page(initial_page(sc.context), sc.differentials[0])
+        assert page3.turn_ranks
+
+        def no_table(dspec):
+            raise AssertionError("a table of d was built")
+
+        monkeypatch.setattr(specseq, "verify_dd_zero", no_table)
+        for images in ({}, {"z1": (1, sc.context.zero())}):
+            turned = turn_page(page3, DifferentialSpec(3, sc.context, images))
+            assert turned.r == 4 and turned.context is sc.context
+            assert turned.components == page3.components
+            assert turned.turn_ranks == {}
+        with pytest.raises(ValueError, match="^differential is for page 2, page is 3$"):
+            turn_page(page3, DifferentialSpec(2, sc.context, {}))
+        with pytest.raises(ValueError, match="^differential belongs to a different context$"):
+            turn_page(page3, DifferentialSpec(3, other.context, {}))
+
     def test_apply_rejects_another_context(self):
         # d2 of one scenario on z1 of a wider one: the element belongs to a
         # context other than the differential's, and a differential cannot
@@ -635,17 +658,20 @@ def test_sweep_at_seven_checks_every_turn(monkeypatch):
     # differential) once: the page-2 turns of the 5 other alpha1 (their d2
     # differs), and the page-3 turns of the 5 other alpha2 (every alpha1
     # gives the same page 3, so d3 decides).  That is 8 + 2(l - 2) = 18
-    # turns, and every turn still checks d o d once.
+    # turns, and every turn but the two zero d2 still checks d o d once.
     [calls] = count_sweep_calls(monkeypatch, 7)
-    assert calls["turn_page"] == calls["verify_dd_zero"] == 18
+    assert calls["turn_page"] == 18
+    assert calls["verify_dd_zero"] == 16
     assert calls["apply"] <= 2804
 
 
 def test_sweep_at_eleven(monkeypatch, capsys):
-    # 8 + 2(l - 2) turns at l = 11, each checking d o d once
+    # 8 + 2(l - 2) turns at l = 11, each but the two zero d2 checking
+    # d o d once
     [calls] = count_sweep_calls(monkeypatch, 11)
     assert "all 100 nonzero scalar pairs" in capsys.readouterr().out
-    assert calls["turn_page"] == calls["verify_dd_zero"] == 26
+    assert calls["turn_page"] == 26
+    assert calls["verify_dd_zero"] == 24
 
 
 def test_turn_memo_does_not_outlive_the_job(monkeypatch):
@@ -654,7 +680,7 @@ def test_turn_memo_does_not_outlive_the_job(monkeypatch):
     monkeypatch.setattr(specseq, "scenario_bg1", functools.cache(specseq.scenario_bg1))
     first, second = count_sweep_calls(monkeypatch, 7, runs=2)
     assert first["turn_page"] == second["turn_page"] == 18
-    assert first["verify_dd_zero"] == second["verify_dd_zero"] == 18
+    assert first["verify_dd_zero"] == second["verify_dd_zero"] == 16
 
 
 def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_records):
