@@ -169,10 +169,6 @@ class AlgebraContext:
     def zero(self) -> "Element":
         return Element(self, {})
 
-    def scalar(self, c: int) -> "Element":
-        unit: Monomial = (0,) * len(self.generators)
-        return Element(self, {unit: c})
-
     def generator(self, name: str) -> "Element":
         return self.monomial_element({name: 1})
 

@@ -1,5 +1,9 @@
 """Matrix-group actions on the cohomology of elementary abelian groups.
 
+A group is given by its generators, plain ``FieldMatrix`` values acting on
+the degree-1 generators; ``weyl_generators`` and ``sl2_generators`` return
+them as label -> matrix, and the checks name a generator by its label.  The
+prime is the matrices' modulus, and the rank their row count.
 An invariant subspace is what a list of induced maps all fix
 (``fixed_vectors``, which cuts the degree down map by map with
 ``ffla.preimage``).  No averaging is available (the group order is divisible
@@ -17,6 +21,8 @@ dimension-and-span claim of the degree-4 checks has one implementation
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import ffla
@@ -35,78 +41,46 @@ from .milnor import job_rank3_context, key_class, milnor_q, rank2_formulas, two_
 from .report import FAIL, NOTE, PASS, Check, Job, always, at_two, odd
 
 
-class ActionMatrix:
-    """An invertible matrix acting on the degree-1 generators."""
-
-    __slots__ = ("matrix", "label")
-
-    def __init__(self, matrix: FieldMatrix, label: str):
-        n = matrix.rows
-        if matrix.cols != n:
-            raise ValueError("action matrix must be square")
-        if matrix.rank() != n:
-            raise ValueError(f"action matrix {label} is singular")
-        self.matrix = matrix
-        self.label = label
-
-    def inverse(self) -> "ActionMatrix":
-        return ActionMatrix(self.matrix.inverse(), f"{self.label}^-1")
-
-
-class WeylPresentation:
-    """Generators of the acting subgroup, plus its closed-form membership test."""
-
-    __slots__ = ("prime", "generators", "rank")
-
-    def __init__(self, prime: int, generators: tuple[ActionMatrix, ...], rank: int):
-        self.prime = prime
-        self.generators = generators
-        self.rank = rank
-
-    def shape_member(self, m: FieldMatrix) -> bool:
-        """Last basis vector fixed up to lower terms: third column (0,0,1),
-        top-left 2x2 block of determinant 1, bottom row otherwise free."""
-        if self.rank != 3:
-            raise ValueError("shape predicate defined for rank 3")
-        p = self.prime
-        if m[0, 2] != 0 or m[1, 2] != 0 or m[2, 2] != 1:
-            return False
-        det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % p
-        return det == 1
-
-    def shape_count(self) -> int:
-        """Independent count of the shape predicate: l^2 choices of bottom row
-        times the brute-force count of 2x2 determinant-1 blocks."""
-        p = self.prime
-        sl2 = 0
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    for d in range(p):
-                        if (a * d - b * c) % p == 1:
-                            sl2 += 1
-        return p * p * sl2
-
-
-def weyl_generators(prime: int) -> WeylPresentation:
-    """The three unipotent generators of the acting subgroup (all primes)."""
+def weyl_generators(prime: int) -> dict[str, FieldMatrix]:
+    """The three unipotent generators of the acting subgroup (all primes),
+    label -> matrix, in the order the checks draw them."""
     check_prime(prime)
-    mats = (
-        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], "shear_xy"),
-        ([[1, 0, 0], [1, 1, 0], [0, 0, 1]], "shear_yx"),
-        ([[1, 0, 0], [0, 1, 0], [1, 0, 1]], "shear_zx"),
-    )
-    gens = tuple(ActionMatrix(FieldMatrix(rows, prime), label) for rows, label in mats)
-    return WeylPresentation(prime, gens, 3)
+    return {
+        "shear_xy": FieldMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], prime),
+        "shear_yx": FieldMatrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]], prime),
+        "shear_zx": FieldMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]], prime),
+    }
 
 
-def sl2_generators(prime: int) -> tuple[ActionMatrix, ActionMatrix]:
-    """The two shears generating the rank-2 special linear group."""
+def sl2_generators(prime: int) -> dict[str, FieldMatrix]:
+    """The two shears generating the rank-2 special linear group, label -> matrix."""
     check_prime(prime)
-    return (
-        ActionMatrix(FieldMatrix([[1, 1], [0, 1]], prime), "shear_xy"),
-        ActionMatrix(FieldMatrix([[1, 0], [1, 1]], prime), "shear_yx"),
-    )
+    return {
+        "shear_xy": FieldMatrix([[1, 1], [0, 1]], prime),
+        "shear_yx": FieldMatrix([[1, 0], [1, 1]], prime),
+    }
+
+
+def shape_member(m: FieldMatrix) -> bool:
+    """Whether the rank-3 matrix has the acting subgroup's shape: last basis
+    vector fixed up to lower terms (third column (0,0,1)), top-left 2x2 block
+    of determinant 1, bottom row otherwise free."""
+    if m[0, 2] != 0 or m[1, 2] != 0 or m[2, 2] != 1:
+        return False
+    return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % m.modulus == 1
+
+
+def shape_count(prime: int) -> int:
+    """Independent count of the shape predicate: l^2 choices of bottom row
+    times the brute-force count of 2x2 determinant-1 blocks."""
+    sl2 = 0
+    for a in range(prime):
+        for b in range(prime):
+            for c in range(prime):
+                for d in range(prime):
+                    if (a * d - b * c) % prime == 1:
+                        sl2 += 1
+    return prime * prime * sl2
 
 
 def _action_layout(ctx: AlgebraContext):
@@ -135,7 +109,7 @@ def _unit_monomial(ctx: AlgebraContext, name: str) -> Monomial:
     return mono
 
 
-def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> AlgebraMap:
+def induced_action(m: FieldMatrix, ctx: AlgebraContext) -> AlgebraMap:
     """The algebra endomorphism induced by a matrix acting on degree-1 generators.
 
     Convention: with generator row (e_1 .. e_n), the map sends
@@ -148,9 +122,9 @@ def induced_action(action: ActionMatrix | FieldMatrix, ctx: AlgebraContext) -> A
     validated by ``galg.check_image`` once per context, then kept in its
     ``_row_images``; a pair that fails is never kept, so every call with
     that row raises.  Every call checks its matrix's shape and modulus and
-    builds a map of its own from the kept images.
+    builds a map of its own from the kept images; whether M is invertible is
+    ``invariant_subspace``'s check.
     """
-    m = action.matrix if isinstance(action, ActionMatrix) else action
     layout = ctx._action_layout
     if layout is None:
         n = sum(1 for g in ctx.generators if g.degree == 1)
@@ -216,18 +190,23 @@ def fixed_vectors(ctx: AlgebraContext, d: int, maps: Iterable[AlgebraMap]) -> li
 
 
 def invariant_subspace(
-    ctx: AlgebraContext, d: int, w: WeylPresentation | Sequence[ActionMatrix]
+    ctx: AlgebraContext, d: int, gens: Sequence[FieldMatrix]
 ) -> list[Element]:
-    """Basis of the degree-d invariants under the generated group.
+    """Basis of the degree-d invariants under the group the matrices ``gens``
+    generate.
 
     The vectors fixed by every generator (``fixed_vectors``), one induced
     map per generator; a vector fixed by g is fixed by g^-1, so these are
-    the invariants of the whole group.  The output is re-checked for
-    invariance under every generator, with the maps already built for the
-    cut.
+    the invariants of the whole group.  That needs every generator
+    invertible: a singular one raises ``ValueError``.  The output is
+    re-checked for invariance under every generator, with the maps already
+    built for the cut.
     """
-    gens = w.generators if isinstance(w, WeylPresentation) else w
-    maps = [induced_action(a, ctx) for a in gens]
+    maps = []
+    for m in gens:
+        if m.rank() != m.rows:
+            raise ValueError(f"generator {m} is singular")
+        maps.append(induced_action(m, ctx))
     out = fixed_vectors(ctx, d, maps)
     for el in out:
         for f in maps:
@@ -259,8 +238,8 @@ def _degree_coordinates(el: Element, d: int, basis: Sequence[Monomial]) -> tuple
 # checks
 
 
-def job_weyl(job: Job) -> WeylPresentation:
-    """The acting subgroup's generators, built once per job."""
+def job_weyl(job: Job) -> dict[str, FieldMatrix]:
+    """The acting subgroup's labelled generators, built once per job."""
     return job.shared("weyl", lambda: weyl_generators(job.prime))
 
 
@@ -268,8 +247,8 @@ def job_invariants(job: Job, d: int, subgroup: str) -> list[Element]:
     """The degree-d invariants on the job's rank-3 context, computed once per
     job: ``"w"`` is the acting subgroup, ``"w0"`` its block-diagonal subgroup
     (the first two generators)."""
-    w = job_weyl(job)
-    acting = {"w": w, "w0": w.generators[:2]}[subgroup]
+    gens = tuple(job_weyl(job).values())
+    acting = {"w": gens, "w0": gens[:2]}[subgroup]
     ctx = job_rank3_context(job)
     return job.shared(("invariants", d, subgroup), lambda: invariant_subspace(ctx, d, acting))
 
@@ -321,7 +300,7 @@ def _sign_note(job: Job) -> tuple[str, str]:
     # Both conventions are computed and reported; a vector fixed by f is
     # fixed by f^-1, so the invariant result is convention-independent.
     ctx = job_rank3_context(job)
-    shear_zx = job_weyl(job).generators[2]
+    shear_zx = job_weyl(job)["shear_zx"]
     f_plus = induced_action(shear_zx, ctx)
     f_minus = induced_action(shear_zx.inverse(), ctx)
     m = ctx.monomial_element
@@ -380,11 +359,11 @@ def _dickson_fixed(job: Job) -> tuple[str, str]:
             ("x1*y1", ctx.monomial_element({"x1": 1, "y1": 1})),
             *rank2_formulas(ctx).items(),
         ]
-    for gen in sl2_generators(prime):
+    for gen_label, gen in sl2_generators(prime).items():
         f = induced_action(gen, ctx)
         for label, el in targets:
             if f(el) != el:
-                return FAIL, f"{label} moved by {gen.label}"
+                return FAIL, f"{label} moved by {gen_label}"
     names = ", ".join(label for label, _ in targets)
     return PASS, f"{names} fixed by both shear generators"
 
@@ -392,9 +371,10 @@ def _dickson_fixed(job: Job) -> tuple[str, str]:
 CLOSURE_CAP = 10**6
 
 
-def group_closure(w: WeylPresentation) -> list[FieldMatrix]:
-    """Breadth-first closure of the generated matrix group; it raises
-    ``RuntimeError`` once it has found more than ``CLOSURE_CAP`` elements.
+def group_closure(gens: Sequence[FieldMatrix]) -> list[FieldMatrix]:
+    """Breadth-first closure of the group the square matrices ``gens``
+    generate, all over one prime; it raises ``RuntimeError`` once it has
+    found more than ``CLOSURE_CAP`` elements.
 
     Each round forms a * b for every generator a and every element b found
     in the round before, and keeps the new ones in order of discovery; the
@@ -402,24 +382,11 @@ def group_closure(w: WeylPresentation) -> list[FieldMatrix]:
     row tuples: row i of a * b is the combination of b's rows picked out by
     the nonzero entries of row i of a.  A row of a that is a single 1 picks
     one row of b as it is; every other combination is kept in a table that
-    lives for this call only.  Each element becomes a ``FieldMatrix`` once,
-    at the end.
+    lives for this call only.  The prime is the generators' modulus, and
+    the identity's size their row count.  Each element becomes a
+    ``FieldMatrix`` once, at the end.
     """
-    p = w.prime
-    gens = [a.matrix.entries for a in w.generators]
-    # per generator, per row: the index of the one row it picks, or the
-    # (index, coefficient) pairs of its nonzero entries
-    plans = []
-    for a in gens:
-        plan = []
-        for row in a:
-            support = tuple((j, c) for j, c in enumerate(row) if c)
-            if len(support) == 1 and support[0][1] == 1:
-                plan.append(support[0][0])
-            else:
-                plan.append(support)
-        plans.append(plan)
-    n = len(gens[0][0])
+    p, n = gens[0].modulus, gens[0].rows
     combos: dict[tuple, tuple[int, ...]] = {}
 
     def combine(support: tuple[tuple[int, int], ...], b: tuple) -> tuple[int, ...]:
@@ -432,32 +399,42 @@ def group_closure(w: WeylPresentation) -> list[FieldMatrix]:
             )
         return row
 
-    seen = dict.fromkeys(gens)
-    frontier = list(gens)
+    # per generator, per row: the function that forms that row of a * b from b
+    plans = []
+    for a in gens:
+        plan = []
+        for row in a.entries:
+            support = tuple((j, c) for j, c in enumerate(row) if c)
+            if len(support) == 1 and support[0][1] == 1:
+                plan.append(itemgetter(support[0][0]))
+            else:
+                plan.append(partial(combine, support))
+        plans.append(plan)
+    seen = dict.fromkeys(a.entries for a in gens)
+    frontier = list(seen)
     while frontier:
         new = []
         for plan in plans:
             for b in frontier:
-                c = tuple([b[x] if isinstance(x, int) else combine(x, b) for x in plan])
+                c = tuple([row_of(b) for row_of in plan])
                 if c not in seen:
                     seen[c] = None
                     new.append(c)
                     if len(seen) > CLOSURE_CAP:
                         raise RuntimeError(f"closure exceeded cap {CLOSURE_CAP}")
         frontier = new
-    seen.setdefault(FieldMatrix.identity(w.rank, p).entries)
+    seen.setdefault(FieldMatrix.identity(n, p).entries)
     return [FieldMatrix._trusted(entries, p) for entries in seen]
 
 
-def group_closure_oracle(prime: int) -> tuple[WeylPresentation, list[FieldMatrix]]:
-    """The closure oracle's input: the acting subgroup's generators and the
-    full enumeration of the group they generate.
+def group_closure_oracle(prime: int) -> list[FieldMatrix]:
+    """The closure oracle's input: the full enumeration of the group the
+    acting subgroup's generator matrices (``weyl_generators``) generate.
 
     The oracle's checks compare the enumeration's order against the
     shape-predicate count, and recompute the invariants from the full list.
     """
-    w = weyl_generators(prime)
-    return w, group_closure(w)
+    return group_closure(tuple(weyl_generators(prime).values()))
 
 
 def enumerable(prime: int, config) -> bool:
@@ -466,13 +443,13 @@ def enumerable(prime: int, config) -> bool:
     return prime <= 5
 
 
-def _closure(job: Job) -> tuple[WeylPresentation, list[FieldMatrix]]:
+def _closure(job: Job) -> list[FieldMatrix]:
     return job.shared("closure", lambda: group_closure_oracle(job.prime))
 
 
 def _closure_order(job: Job) -> tuple[str, str]:
     prime = job.prime
-    _, elements = _closure(job)
+    elements = _closure(job)
     expected_order = prime * prime * (prime**3 - prime)
     if len(elements) == expected_order:
         return PASS, f"|W| = {len(elements)} = l^2 (l^3 - l)"
@@ -480,11 +457,11 @@ def _closure_order(job: Job) -> tuple[str, str]:
 
 
 def _closure_shape(job: Job) -> tuple[str, str]:
-    w, elements = _closure(job)
-    bad = [m for m in elements if not w.shape_member(m)]
+    elements = _closure(job)
+    bad = [m for m in elements if not shape_member(m)]
     if bad:
         return FAIL, f"{len(bad)} enumerated elements violate the shape predicate"
-    count = w.shape_count()
+    count = shape_count(job.prime)
     if count != len(elements):
         return FAIL, f"shape-predicate count {count} != closure order {len(elements)}"
     return PASS, f"all {len(elements)} elements match the shape predicate"
@@ -504,7 +481,7 @@ def _closure_subspace(job: Job) -> tuple[str, str]:
     applying it (``AlgebraMap.__call__``) multiplies each monomial's factor
     images.
     """
-    _, elements = _closure(job)
+    elements = _closure(job)
     ctx = job_rank3_context(job)
     basis = ctx.basis_of_degree(4)
     gen_vectors = [el.coordinates(basis) for el in job_invariants(job, 4, "w")]
@@ -522,13 +499,13 @@ def _q0_compat(job: Job) -> tuple[str, str]:
     rng = job.rng(31337)
     ctx = job_rank3_context(job)
     q0 = milnor_q(0, ctx)
-    gens = job_weyl(job).generators
+    gens = list(job_weyl(job).items())
     for _ in range(10):
-        action = rng.choice(gens)
+        label, action = rng.choice(gens)
         f = induced_action(action, ctx)
         el = random_element(ctx, rng, 6)
         if f(q0(el)) != q0(f(el)):
-            return FAIL, f"action {action.label} does not commute with Q0"
+            return FAIL, f"action {label} does not commute with Q0"
     return PASS, "induced actions commute with Q0 on 10 seeded random elements"
 
 

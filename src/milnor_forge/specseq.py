@@ -431,7 +431,7 @@ class Scenario:
 
 
 class ScenarioResult:
-    __slots__ = ("scenario", "pages", "final", "dims", "collapse_certified", "annotations")
+    __slots__ = ("scenario", "pages", "final", "dims", "annotations")
 
     def __init__(
         self,
@@ -439,14 +439,12 @@ class ScenarioResult:
         pages: list[SSPage],
         final: SSPage,
         dims: list[int],
-        collapse_certified: bool,
         annotations: list[str],
     ):
         self.scenario = scenario
         self.pages = pages
         self.final = final
         self.dims = dims
-        self.collapse_certified = collapse_certified
         self.annotations = annotations
 
 
@@ -454,6 +452,8 @@ def run_scenario(
     sc: Scenario, turns: dict[Hashable, SSPage] | None = None
 ) -> ScenarioResult:
     """Turn the scenario's pages, then certify and read off its dimensions.
+    A failed certification raises, so a result's collapse is certified
+    exactly when its ``scenario.certify`` is set.
 
     ``turns`` is a memo of pages: the initial page by its context, and each
     turned page by its input page and differential (``SSPage.key``,
@@ -475,7 +475,7 @@ def run_scenario(
     if sc.certify:
         _certify_collapse(sc, page, annotations)
     dims = page.dims_by_total_degree(sc.target_degree)
-    return ScenarioResult(sc, pages, page, dims, sc.certify, annotations)
+    return ScenarioResult(sc, pages, page, dims, annotations)
 
 
 def _turn(page: SSPage, dspec: DifferentialSpec, turns: dict[Hashable, SSPage]) -> SSPage:

@@ -109,7 +109,10 @@ class TestMultiply:
 
     def test_context_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(CONTEXTS[(3, 3)].scalar(1), CONTEXTS[(5, 3)].scalar(1))
+            multiply(
+                CONTEXTS[(3, 3)].monomial_element({}, 1),
+                CONTEXTS[(5, 3)].monomial_element({}, 1),
+            )
 
     def test_squares_allowed_at_two(self):
         ctx = CONTEXTS[(2, 3)]
@@ -220,8 +223,6 @@ class TestElement:
         with pytest.raises(TypeError):
             ctx.monomial_element({"x2": 1}, coeff=0.5)
         with pytest.raises(TypeError):
-            ctx.scalar(1.5)
-        with pytest.raises(TypeError):
             ctx.generator("x1").scale(2.0)
         assert Element(ctx, {x1: True}).render() == "1*x1"
         assert ctx.monomial_element({"x2": True}, coeff=4).render() == "1*x2"
@@ -277,7 +278,7 @@ class TestElement:
         assert CONTEXTS[(3, 3)].zero().render() == "0"
 
     def test_render_unit(self):
-        assert CONTEXTS[(3, 3)].scalar(1).render() == "1*1"
+        assert CONTEXTS[(3, 3)].monomial_element({}, 1).render() == "1*1"
 
 
 class TestLinearSubstitution:
@@ -327,7 +328,9 @@ class TestLinearSubstitution:
     def test_inhomogeneous_image_rejected(self):
         ctx = CONTEXTS[(3, 3)]
         with pytest.raises(ValueError, match=r"^image of x2 must be homogeneous of degree 2$"):
-            linear_substitution(ctx, {"x2": ctx.generator("x2") + ctx.scalar(1)})
+            linear_substitution(
+                ctx, {"x2": ctx.generator("x2") + ctx.monomial_element({}, 1)}
+            )
 
     def test_degree_mismatch_rejected(self):
         ctx = CONTEXTS[(3, 3)]
@@ -340,7 +343,8 @@ class TestLinearSubstitution:
         gens = [GeneratorSpec("w", 3), GeneratorSpec("u", 3),
                 GeneratorSpec("v", 1), GeneratorSpec("s", 2)]
         ctx = AlgebraContext(3, gens, 8)
-        bad = multiply(multiply(ctx.generator("v"), ctx.generator("s")), ctx.scalar(1))
+        one = ctx.monomial_element({}, 1)
+        bad = multiply(multiply(ctx.generator("v"), ctx.generator("s")), one)
         with pytest.raises(
             ValueError,
             match=r"^image of odd generator w must be a combination of odd generators$",
@@ -369,7 +373,7 @@ class TestLinearSubstitution:
             "linear": {"x1": g("y1") - g("x1"), "y2": g("x2").scale(2) + g("z2")},
             "non-linear even image": {"x2": m({"x1": 1, "y1": 1}) + g("y2")},
             "zero image": {"z1": ctx.zero(), "z2": ctx.zero()},
-            "inhomogeneous": {"x1": g("y1"), "x2": g("x2") + ctx.scalar(1)},
+            "inhomogeneous": {"x1": g("y1"), "x2": g("x2") + ctx.monomial_element({}, 1)},
             "unknown name": {"x1": g("x1"), "w1": g("x1")},
         }[case]
 
@@ -447,7 +451,7 @@ class TestLinearSubstitution:
             for mono in ctx.basis_of_degree(d):
                 if max(mono, default=0) > 3:
                     continue
-                want = ctx.scalar(1)
+                want = ctx.monomial_element({}, 1)
                 for spec, e in zip(ctx.generators, mono):
                     for _ in range(e):
                         want = multiply(want, f.images[spec.name])

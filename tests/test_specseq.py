@@ -311,7 +311,7 @@ class TestFirstScenarioOdd:
     def test_final_dims(self, prime):
         result = run_scenario(scenario_bg1(prime))
         assert result.dims == [1, 0, 1, 1, 2]
-        assert result.collapse_certified
+        assert result.scenario.certify
 
     def test_page3_matches_module_oracle(self):
         sc = scenario_bg1(3)
@@ -356,7 +356,7 @@ class TestFirstScenarioTwo:
     def test_final_dims(self):
         result = run_scenario(scenario_bg1_two())
         assert result.dims == [1, 0, 1, 1, 2]
-        assert result.collapse_certified
+        assert result.scenario.certify
         assert any("external input" in a for a in result.annotations)
 
     def test_square_survives_and_transgresses(self):
@@ -381,7 +381,7 @@ class TestFirstScenarioTwo:
         )
         result = run_scenario(bound)
         assert result.dims[4] == 2  # upper bound for the degree-4 dimension
-        assert not result.collapse_certified
+        assert result.scenario is bound and not bound.certify
         strict = Scenario(
             sc.name, 2, sc.context, sc.differentials, sc.target_degree, sc.named,
             permanent=[], certify=True,
@@ -693,7 +693,7 @@ def test_sweep_pair_with_wrong_dims_fails_and_names_scalars(monkeypatch, job_rec
         if sc.differentials[0].images["z1"][1] == sc.named["a2"].scale(-2):
             return specseq.ScenarioResult(
                 result.scenario, result.pages, result.final, [1, 0, 1, 1, 3],
-                result.collapse_certified, result.annotations,
+                result.annotations,
             )
         return result
 
@@ -707,7 +707,7 @@ def snapshot(result):
     """What a result carries: dims, every page's components (basis, cycles,
     boundaries) and turn ranks, certification and annotations."""
     pages = [(page.r, sorted(page.components.items()), page.turn_ranks) for page in result.pages]
-    return result.dims, pages, result.collapse_certified, result.annotations
+    return result.dims, pages, result.scenario.certify, result.annotations
 
 
 @pytest.mark.parametrize("prime", (3, 5, 7))

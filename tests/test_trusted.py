@@ -125,7 +125,7 @@ def evaluate(images, el):
     ctx = el.context
     total = ctx.zero()
     for mono, coeff in el.terms.items():
-        product = ctx.scalar(1)
+        product = ctx.monomial_element({}, 1)
         for e, g in zip(mono, ctx.generators):
             for _ in range(e):
                 product = multiply(product, images[g.name])
@@ -190,7 +190,7 @@ class TestAlgebraMapCall:
     def test_scalar_maps_to_itself(self):
         ctx = CTXS[3]
         f = induced_action(FieldMatrix([[0, 1, 0], [1, 1, 0], [2, 0, 1]], 3), ctx)
-        assert f(ctx.scalar(2)) == ctx.scalar(2)
+        assert f(ctx.monomial_element({}, 2)) == ctx.monomial_element({}, 2)
         assert f(ctx.zero()) == ctx.zero()
 
     @pytest.mark.parametrize("prime", PRIMES)
