@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .ffla import check_prime, integers
+from .ffla import FieldMatrix, check_prime, integers
 
 Monomial = tuple[int, ...]
 
@@ -60,27 +60,25 @@ class AlgebraContext:
 
     The odd (exterior) generators are those of odd degree at an odd prime;
     ``_odd_positions`` lists their positions and ``_odd_units`` their unit
-    monomials.
+    monomials.  ``degree_one`` names the degree-1 generators in order and
+    ``declared_partners`` the Bockstein partner each declares (None where it
+    declares none); ``induced_action`` and ``milnor.milnor_q`` read them.
+    ``_degree_one_units`` and ``_partner_units`` are the unit monomials of
+    the degree-1 generators and, at an odd prime, of their declared partners.
 
     Four memos fill lazily.  Three are bounded by the finite set of monomials
     of degree at most ``top_degree``: the basis per degree, the degree of each
     such monomial, and ``_merge_monomials`` of each pair whose product degree
     is within the truncation (``_product`` keys it by left, then right).
-    ``_row_images`` is ``invariants.induced_action``'s image pair of each
-    matrix row it has met (the image of a degree-1 generator and of its
-    Bockstein partner), each pair checked by ``check_image`` before it
-    enters, at most l^n entries for n degree-1 generators.
-    ``_action_layout`` is the unit monomials of the degree-1 generators and
-    their Bockstein partners, set by ``invariants.induced_action`` on its
-    first successful call and never on a failed one, so a generator above the
-    truncation raises on every call.
+    ``_row_images`` is ``induced_action``'s validated image pair of each
+    matrix row it has met, at most l^n entries for n degree-1 generators.
     """
 
     __slots__ = (
         "prime", "generators", "top_degree", "annihilator_pairs",
         "_index", "_degrees", "_odd_positions", "_odd_units",
-        "_basis_cache", "_degree_memo", "_merge_memo",
-        "_row_images", "_action_layout",
+        "degree_one", "declared_partners", "_degree_one_units", "_partner_units",
+        "_basis_cache", "_degree_memo", "_merge_memo", "_row_images",
     )
 
     def __init__(
@@ -113,9 +111,15 @@ class AlgebraContext:
             i for i, g in enumerate(self.generators) if prime % 2 and g.degree % 2
         )
         n = len(self.generators)
-        self._odd_units = frozenset(
-            (0,) * i + (1,) + (0,) * (n - i - 1) for i in self._odd_positions
-        )
+        units = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+        self._odd_units = frozenset(units[i] for i in self._odd_positions)
+        degree_one = [g for g in self.generators if g.degree == 1]
+        self.degree_one = tuple(g.name for g in degree_one)
+        self.declared_partners = tuple(g.bockstein_partner for g in degree_one)
+        self._degree_one_units = tuple(units[self._index[g.name]] for g in degree_one)
+        self._partner_units = tuple(
+            units[self._index[p]] for p in self.declared_partners if p is not None
+        ) if prime % 2 else ()
         pairs = set()
         for a, b in annihilator_pairs:
             if a == b:
@@ -127,7 +131,6 @@ class AlgebraContext:
         self._degree_memo: dict[Monomial, int] = {}
         self._merge_memo: dict[Monomial, dict[Monomial, tuple[int, Monomial] | None]] = {}
         self._row_images: dict[tuple[int, ...], tuple[Element, Element | None]] = {}
-        self._action_layout = None
 
     # -- structure queries ---------------------------------------------------
 
@@ -575,6 +578,58 @@ def linear_substitution(ctx: AlgebraContext, images: Mapping[str, Element]) -> A
     """
     for name, img in images.items():
         check_image(ctx, name, img)
+    return AlgebraMap(ctx, images)
+
+
+def induced_action(m: FieldMatrix, ctx: AlgebraContext) -> AlgebraMap:
+    """The algebra endomorphism induced by a matrix acting on degree-1 generators.
+
+    Convention: with generator row (e_1 .. e_n) (``ctx.degree_one``), the
+    map sends e_j -> sum_i M[j][i] e_i, and acts on Bockstein partners by
+    the same matrix, so that it commutes with Q_0.  Every call checks the
+    matrix's shape and modulus, that all degree-1 generators or none have a
+    partner other than themselves, and that those partners lie within the
+    truncation.  The two images a row gives (sum_i M[j][i] e_i and the same
+    sum over the partners) do not depend on j, so each distinct row's pair is
+    built and validated by ``check_image`` once per context, then kept in its
+    ``_row_images``; a pair that fails is never kept, so every call with that
+    row raises.  Every call builds a map of its own from the kept images;
+    whether M is invertible is ``invariants.invariant_subspace``'s check.
+    """
+    names, partners = ctx.degree_one, ctx.declared_partners
+    units, partner_units = ctx._degree_one_units, ctx._partner_units
+    n = len(names)
+    if m.rows != n or m.cols != n:
+        raise ValueError(
+            f"matrix is {m.rows} x {m.cols}, not {n} x {n} for {n} degree-1 generators"
+        )
+    if m.modulus != ctx.prime:
+        raise ValueError("modulus mismatch")
+    if 0 < len(partner_units) < n:
+        raise ValueError("only some degree-1 generators have a Bockstein partner")
+    if (top := 2 if partner_units else 1) > ctx.top_degree:
+        raise TruncationOverflowError(
+            f"monomial of degree {top} exceeds truncation {ctx.top_degree}"
+        )
+
+    row_images = ctx._row_images
+    images: dict[str, Element] = {}
+    for name, partner, row in zip(names, partners, m.entries):
+        pair = row_images.get(row)
+        if pair is None:
+            # sum_i row[i] * e_i over distinct generators, with reduced coefficients
+            pair = (
+                Element._trusted(ctx, {u: c for u, c in zip(units, row) if c}),
+                Element._trusted(ctx, {u: c for u, c in zip(partner_units, row) if c})
+                if partner_units else None,
+            )
+            check_image(ctx, name, pair[0])
+            if partner_units:
+                check_image(ctx, partner, pair[1])
+            row_images[row] = pair
+        images[name] = pair[0]
+        if partner_units:
+            images[partner] = pair[1]
     return AlgebraMap(ctx, images)
 
 

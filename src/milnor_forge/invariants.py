@@ -3,7 +3,9 @@
 A group is given by its generators, plain ``FieldMatrix`` values acting on
 the degree-1 generators; ``weyl_generators`` and ``sl2_generators`` return
 them as label -> matrix, and the checks name a generator by its label.  The
-prime is the matrices' modulus, and the rank their row count.
+prime is the matrices' modulus, and the rank their row count.  The algebra
+map a matrix induces is ``galg.induced_action``'s, which keeps the validated
+images of each row on the algebra context.
 An invariant subspace is what a list of induced maps all fix
 (``fixed_vectors``, which cuts the degree down map by map with
 ``ffla.preimage``).  No averaging is available (the group order is divisible
@@ -32,8 +34,8 @@ from .galg import (
     AlgebraMap,
     Element,
     Monomial,
-    check_image,
     elementary_abelian_context,
+    induced_action,
     multiply,
     random_element,
 )
@@ -81,82 +83,6 @@ def shape_count(prime: int) -> int:
                     if (a * d - b * c) % prime == 1:
                         sl2 += 1
     return prime * prime * sl2
-
-
-def _action_layout(ctx: AlgebraContext):
-    """``(names, partners, units, partner_units)`` over the degree-1
-    generators in order: each one's name, its Bockstein partner's name (None
-    when it has none or is its own partner, as at l = 2), and the unit
-    monomials of both.  ``generator`` raises for a generator above the
-    truncation, so this does too."""
-    degree_one = [g for g in ctx.generators if g.degree == 1]
-    names = tuple(g.name for g in degree_one)
-    partners = tuple(
-        g.bockstein_partner if g.bockstein_partner != g.name else None
-        for g in degree_one
-    )
-    if None in partners and any(partners):
-        raise ValueError("only some degree-1 generators have a Bockstein partner")
-    units = tuple(_unit_monomial(ctx, name) for name in names)
-    partner_units = tuple(
-        _unit_monomial(ctx, name) for name in partners if name is not None
-    )
-    return names, partners, units, partner_units
-
-
-def _unit_monomial(ctx: AlgebraContext, name: str) -> Monomial:
-    [mono] = ctx.generator(name).terms
-    return mono
-
-
-def induced_action(m: FieldMatrix, ctx: AlgebraContext) -> AlgebraMap:
-    """The algebra endomorphism induced by a matrix acting on degree-1 generators.
-
-    Convention: with generator row (e_1 .. e_n), the map sends
-    e_j -> sum_i M[j][i] e_i, and acts on Bockstein partners by the same
-    matrix, so that it commutes with Q_0.  The unit monomials come from the
-    context's ``_action_layout``, built on the first call that gets past the
-    rank and modulus checks and kept only once it is complete.  The two
-    images a row gives (sum_i M[j][i] e_i and the same sum over the
-    partners) do not depend on j, so each distinct row's pair is built and
-    validated by ``galg.check_image`` once per context, then kept in its
-    ``_row_images``; a pair that fails is never kept, so every call with
-    that row raises.  Every call checks its matrix's shape and modulus and
-    builds a map of its own from the kept images; whether M is invertible is
-    ``invariant_subspace``'s check.
-    """
-    layout = ctx._action_layout
-    if layout is None:
-        n = sum(1 for g in ctx.generators if g.degree == 1)
-    else:
-        n = len(layout[0])
-    if m.rows != n or m.cols != n:
-        raise ValueError(f"matrix rank {m.rows} != {n} degree-1 generators")
-    if m.modulus != ctx.prime:
-        raise ValueError("modulus mismatch")
-    if layout is None:
-        layout = ctx._action_layout = _action_layout(ctx)
-    names, partners, units, partner_units = layout
-
-    row_images = ctx._row_images
-    images: dict[str, Element] = {}
-    for name, partner, row in zip(names, partners, m.entries):
-        pair = row_images.get(row)
-        if pair is None:
-            # sum_i row[i] * e_i over distinct generators, with reduced coefficients
-            pair = (
-                Element._trusted(ctx, {u: c for u, c in zip(units, row) if c}),
-                Element._trusted(ctx, {u: c for u, c in zip(partner_units, row) if c})
-                if partner_units else None,
-            )
-            check_image(ctx, name, pair[0])
-            if partner is not None:
-                check_image(ctx, partner, pair[1])
-            row_images[row] = pair
-        images[name] = pair[0]
-        if partner is not None:
-            images[partner] = pair[1]
-    return AlgebraMap(ctx, images)
 
 
 def fixed_vectors(ctx: AlgebraContext, d: int, maps: Iterable[AlgebraMap]) -> list[Element]:
@@ -476,10 +402,10 @@ def _closure_subspace(job: Job) -> tuple[str, str]:
     The recomputation is ``fixed_vectors`` over every enumerated element g,
     in enumeration order, each applied through its own ``induced_action``
     map, never composed from others; the generator-based answer applies
-    only the generators.  A map's images are the context's ``_row_images``
-    of its rows, each row's pair validated once, when it is first met, and
-    applying it (``AlgebraMap.__call__``) multiplies each monomial's factor
-    images.
+    only the generators.  ``galg.induced_action`` builds a map from the
+    images of its matrix's rows, each distinct row's pair validated once per
+    context, when it is first met, and applying it (``AlgebraMap.__call__``)
+    multiplies each monomial's factor images.
     """
     elements = _closure(job)
     ctx = job_rank3_context(job)

@@ -71,31 +71,25 @@ def milnor_q(j: int, ctx: AlgebraContext) -> Derivation:
         raise ValueError("index must be non-negative")
     p = ctx.prime
     shift = 2 * p**j - 1
-    images: dict[str, Element] = {}
-    partners = set()
+    names, partners = ctx.degree_one, ctx.declared_partners
+    if None in partners:
+        raise ValueError(
+            f"degree-1 generator {names[partners.index(None)]} has no Bockstein partner"
+        )
+    known = {*names, *partners}
     for g in ctx.generators:
-        if g.degree == 1:
-            if g.bockstein_partner is None:
-                raise ValueError(f"degree-1 generator {g.name} has no Bockstein partner")
-            partners.add(g.bockstein_partner)
-    for g in ctx.generators:
-        if g.degree == 1:
-            target_degree = 1 + shift
-            if target_degree > ctx.top_degree:
-                raise TruncationOverflowError(
-                    f"Q_{j} image degree {target_degree} exceeds truncation "
-                    f"{ctx.top_degree}"
-                )
-            if p == 2:
-                images[g.name] = ctx.monomial_element({g.name: 2 ** (j + 1)})
-            else:
-                images[g.name] = ctx.monomial_element({g.bockstein_partner: p**j})
-        elif g.name in partners:
-            pass  # Q_j of a partner generator is zero
-        else:
-            raise ValueError(
-                f"generator {g.name} is neither degree 1 nor a Bockstein partner"
+        if g.name not in known:
+            raise ValueError(f"generator {g.name} is neither degree 1 nor a Bockstein partner")
+        if g.degree == 1 and 1 + shift > ctx.top_degree:
+            raise TruncationOverflowError(
+                f"Q_{j} image degree {1 + shift} exceeds truncation {ctx.top_degree}"
             )
+    # Q_j(g) = (Q_0 g)^(l^j), where Q_0 g is g's partner, or g^2 at l = 2 (g is
+    # its own partner there); Q_j of a partner generator is zero
+    power = 2 * p**j if p == 2 else p**j
+    images = {
+        name: ctx.monomial_element({partner: power}) for name, partner in zip(names, partners)
+    }
     return Derivation(ctx, shift, images)
 
 

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from milnor_forge import invariants
+from milnor_forge import galg, invariants
 from milnor_forge.cli import RunConfig
 from milnor_forge.ffla import FieldMatrix, nullspace, row_space_basis, spans_equal
 from milnor_forge.galg import (
@@ -13,6 +15,7 @@ from milnor_forge.galg import (
     elementary_abelian_context,
     linear_substitution,
     multiply,
+    random_element,
 )
 from milnor_forge.invariants import (
     element_span_contains,
@@ -96,6 +99,12 @@ class TestInducedAction:
         with pytest.raises(ValueError):
             induced_action(FieldMatrix.identity(3, 3), ctx)
 
+    def test_shape_mismatch_names_both_shapes(self):
+        ctx = rank3_context(5)
+        with pytest.raises(ValueError) as raised:
+            induced_action(FieldMatrix([[1, 0], [0, 1], [0, 0]], 5), ctx)
+        assert raised.value.args == ("matrix is 3 x 2, not 3 x 3 for 3 degree-1 generators",)
+
     def test_partner_above_truncation_raises_on_every_call(self):
         # the degree-2 partners lie above truncation 1; no failure is kept, so
         # a call after all three partners have failed once still raises
@@ -134,9 +143,9 @@ class TestInducedAction:
         # first met, and on nothing else
         ctx = elementary_abelian_context(3, 3, 8)
         checked = []
-        real = invariants.check_image
+        real = galg.check_image
         monkeypatch.setattr(
-            invariants, "check_image",
+            galg, "check_image",
             lambda ctx, name, img: checked.append(img) or real(ctx, name, img),
         )
         elements = group_closure(weyl(3))
@@ -148,18 +157,12 @@ class TestInducedAction:
         kept = [img for pair in ctx._row_images.values() for img in pair]
         assert {id(img) for img in checked} == {id(img) for img in kept}
 
-    def test_a_pair_that_fails_the_rule_is_never_kept(self, monkeypatch):
+    def test_a_pair_that_fails_the_rule_is_never_kept(self):
         # partner images built from the degree-1 units instead of the
         # partners' own: every call raises for the first partner image, and
         # no row's pair is kept
-        real = invariants._action_layout
-
-        def swapped(ctx):
-            names, partners, units, _ = real(ctx)
-            return names, partners, units, units
-
-        monkeypatch.setattr(invariants, "_action_layout", swapped)
         ctx = elementary_abelian_context(3, 3, 8)
+        ctx._partner_units = ctx._degree_one_units
         for m in [FieldMatrix.identity(3, 3), *group_closure(weyl(3))[:3]]:
             with pytest.raises(ValueError) as raised:
                 induced_action(m, ctx)
@@ -605,12 +608,19 @@ def ctx_action_element(draw):
     return ctx, action, el
 
 
-@given(ctx_action_element())
-def test_actions_commute_with_bockstein(data):
-    ctx, action, el = data
-    f = induced_action(action, ctx)
-    q0 = milnor_q(0, ctx)
-    assert f(q0(el)) == q0(f(el))
+def test_actions_commute_with_bockstein():
+    # Q0 and Q1 read the same degree-1 generators and partners as the
+    # action, so a partner mixed up on either side shows here
+    for prime in (2, 3, 5, 7):
+        ctx = rank3_context(prime)
+        rng = random.Random(prime)
+        actions = [*weyl(prime), *(g.inverse() for g in weyl(prime))]
+        qs = milnor_q(0, ctx), milnor_q(1, ctx)
+        for _ in range(60):
+            f = induced_action(rng.choice(actions), ctx)
+            el = random_element(ctx, rng, 6)
+            for q in qs:
+                assert f(q(el, truncate=True)) == q(f(el), truncate=True), (prime, el.render())
 
 
 @given(ctx_action_element())

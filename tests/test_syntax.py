@@ -2,9 +2,10 @@
 only.  The package declares ``requires-python = ">=3.10"``: every module of
 it parses as Python 3.10, whichever interpreter runs the tests.  No module
 imports a name at module level that it never uses, no line is longer than
-``MAX_LINE`` characters, and every public function, class and non-dunder
+``MAX_LINE`` characters, every public function, class and non-dunder
 method is referenced by some module of the package (``UNREFERENCED`` names
-the exceptions)."""
+the exceptions), and no module reaches into another's private state
+(``FOREIGN_PRIVATE`` names the exceptions)."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,15 @@ UNREFERENCED = {
     "cyclo.lemma22_holds": (
         "the per-input reference the tests compare the batched check bodies against"
     ),
+}
+
+# underscore names one module reads on another's objects, each with its reason
+FOREIGN_PRIVATE = {
+    "_trusted": (
+        "the package-internal constructors of ffla.FieldMatrix and galg.Element, "
+        "for results the package builds itself"
+    ),
+    "_Echelon": "ffla's echelon basis, which specseq's page engine builds on",
 }
 
 
@@ -81,6 +91,51 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return [qualified for qualified, name in defined if name not in read]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree: ast.AST) -> set[str]:
+    """The underscore names a module defines: functions and classes at any
+    depth, names it assigns, and attributes it assigns on ``self`` or
+    ``cls``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        ):
+            out.add(node.attr)
+    return {name for name in out if _private(name)}
+
+
+def foreign_private_access(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """``(module, name)`` for every ``obj._name`` read or write in a module
+    of ``sources`` (module name -> source), ``obj`` not ``self`` or ``cls``,
+    whose ``_name`` another module defines (``private_definitions``) and this
+    one does not.  Names a from-import binds are not attribute accesses and
+    are not looked at."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {module: private_definitions(tree) for module, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        elsewhere = set().union(*(d for m, d in defined.items() if m != module))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in elsewhere - defined[module]
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                found.add((module, node.attr))
+    return sorted(found)
 
 
 def test_modules_found():
@@ -138,3 +193,39 @@ def test_reference_check_sees_dead_and_live_definitions():
         "b": "from .a import make\nVALUE = make()\n",
     }
     assert unreferenced(sources) == ["a.Box._seal", "a.orphan"]
+
+
+def test_no_module_reaches_into_another_modules_private_state():
+    # a name outside FOREIGN_PRIVATE shows with reason None; an exception
+    # that is no longer reached for, or gone, shows as missing
+    sources = {path.stem: path.read_text() for path in MODULES}
+    found = {name for _, name in foreign_private_access(sources)}
+    assert {name: FOREIGN_PRIVATE.get(name) for name in found} == FOREIGN_PRIVATE
+
+
+def test_foreign_private_check_sees_reads_and_writes_across_modules():
+    sources = {
+        "a": (
+            "class Box:\n"
+            "    def __init__(self): self._memo = {}; self._size = 0\n"
+            "    def _grow(self): self._size += 1\n"
+            "    @classmethod\n"
+            "    def _empty(cls): return cls.__new__(cls)\n"
+            "def _helper(): pass\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import _helper\n"
+            "def peek(box): return box._memo, box.__class__\n"
+            "def poke(box): box._grow(); box._fresh = 1\n"
+            "def make(): return a.Box._empty(), a._helper(), _helper()\n"
+        ),
+        "c": (
+            "class Own:\n"
+            "    def __init__(self): self._size = 1\n"
+            "def size(other): return other._size\n"
+        ),
+    }
+    assert foreign_private_access(sources) == [
+        ("b", "_empty"), ("b", "_grow"), ("b", "_helper"), ("b", "_memo"),
+    ]
