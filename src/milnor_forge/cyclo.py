@@ -7,8 +7,8 @@ imaginary unit, so the ring is the Gaussian integers Z[t]/(t^2 + 1) with
 
 ``CycInt`` holds an element by its coefficients in the canonical basis
 ``1, t, ..., t^(l-2)`` (the integral basis, Washington, GTM 83), or ``1, i``
-at ``l = 2``.  It adds, subtracts and scales by ints, and has no product of
-two elements: none of the matrix identities needs one.  Every entry of their
+at ``l = 2``.  It adds and scales by integers, and has no product of two
+elements: none of the matrix identities needs one.  Every entry of their
 matrices is 0 or a root of unity (of order l, or 4 at ``l = 2``), so each
 matrix is held by exponents:
 
@@ -38,7 +38,7 @@ under conjugation, so e.g. ``tau^-1 alpha tau`` is verified in the form
 from __future__ import annotations
 
 import itertools
-from operator import add, sub
+from operator import add
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -116,33 +116,16 @@ class CycInt:
             raise ValueError("prime mismatch")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = CycInt.from_int(self.prime, other)
         if not isinstance(other, CycInt):
             return NotImplemented
         self._check(other)
         return CycInt._trusted(self.prime, tuple(map(add, self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycInt.from_int(self.prime, other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        self._check(other)
-        return CycInt._trusted(self.prime, tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CycInt._trusted(self.prime, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         """Scaling by an int; a product of two elements is not defined."""
         if not isinstance(other, int):
             return NotImplemented
         return CycInt._trusted(self.prime, tuple([a * other for a in self.coeffs]))
-
-    __rmul__ = __mul__
 
     # -- queries -----------------------------------------------------------
 
@@ -166,12 +149,6 @@ class CycInt:
             and self.prime == other.prime
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        # an element equal to an int hashes as that int
-        if self.is_integer():
-            return hash(self.coeffs[0])
-        return hash((self.prime, self.coeffs))
 
     def __repr__(self) -> str:
         sym = "i" if self.prime == 2 else "t"
@@ -291,6 +268,8 @@ class CycMatrix:
     ) -> tuple[tuple[int, int], CycInt, CycInt] | None:
         """The first (i, j) in row-major order where the entries differ, with
         both entries; None where none does."""
+        if self.prime != other.prime or self.size != other.size:
+            raise ValueError("shape or prime mismatch")
         for i, (mine, theirs) in enumerate(
             zip(zip(self.perm, self.exps), zip(other.perm, other.exps))
         ):
@@ -349,7 +328,7 @@ def triangular(i: int) -> int:
     return a
 
 
-class GeneratorSet:
+def generators(prime: int) -> SimpleNamespace:
     """The unitary generator matrices for one prime, in exponent form.
 
     ``alpha``, ``beta``, ``xi`` and ``s`` are ``CycMatrix``es; ``t`` is T's
@@ -365,42 +344,22 @@ class GeneratorSet:
     ``beta = ((0,i),(i,0))``, ``xi = -I``, ``t = ((1,i),(i,1))`` and the
     derived candidate ``s = diag(1, i)`` (see the ``matrices.l2`` checks).
     """
-
-    __slots__ = ("prime", "alpha", "beta", "xi", "s", "t")
-
-    def __init__(
-        self, prime: int, alpha: CycMatrix, beta: CycMatrix, xi: CycMatrix,
-        s: CycMatrix, t: Sequence[Sequence[int]],
-    ):
-        order = _order(check_prime(prime))
-        self.prime = prime
-        self.alpha = alpha
-        self.beta = beta
-        self.xi = xi
-        self.s = s
-        self.t = tuple(tuple(x % order for x in integers(row)) for row in t)
-        if any(len(row) != alpha.size for row in self.t) or len(self.t) != alpha.size:
-            raise ValueError(f"t must be {alpha.size} x {alpha.size}")
-
-    @classmethod
-    def build(cls, prime: int) -> "GeneratorSet":
-        check_prime(prime)
-        if prime == 2:
-            return cls(
-                2, alpha=CycMatrix(2, (0, 1), (1, 3)), beta=CycMatrix(2, (1, 0), (1, 1)),
-                xi=CycMatrix(2, (0, 1), (2, 2)), s=CycMatrix(2, (0, 1), (0, 1)),
-                t=((0, 1), (1, 0)),
-            )
-        n = prime
-        a = list(itertools.accumulate(range(2 * n + 1)))  # a_i by the recurrence
-        return cls(
-            prime,
-            alpha=CycMatrix(prime, range(n), range(1, n + 1)),
-            beta=CycMatrix(prime, [(i - 1) % n for i in range(n)], [0] * n),
-            xi=CycMatrix(prime, range(n), [1] * n),
-            s=CycMatrix(prime, range(n), a[1:n + 1]),
-            t=[a[i + 2:i + 2 + n] for i in range(n)],
+    if check_prime(prime) == 2:
+        return SimpleNamespace(
+            prime=2, alpha=CycMatrix(2, (0, 1), (1, 3)), beta=CycMatrix(2, (1, 0), (1, 1)),
+            xi=CycMatrix(2, (0, 1), (2, 2)), s=CycMatrix(2, (0, 1), (0, 1)),
+            t=((0, 1), (1, 0)),
         )
+    n = prime
+    a = list(itertools.accumulate(range(2 * n + 1)))  # a_i by the recurrence
+    return SimpleNamespace(
+        prime=prime,
+        alpha=CycMatrix(prime, range(n), range(1, n + 1)),
+        beta=CycMatrix(prime, [(i - 1) % n for i in range(n)], [0] * n),
+        xi=CycMatrix(prime, range(n), [1] * n),
+        s=CycMatrix(prime, range(n), a[1:n + 1]),
+        t=tuple(tuple(x % n for x in a[i + 2:i + 2 + n]) for i in range(n)),
+    )
 
 
 def root_power_sum(prime: int, m: int) -> int:
@@ -460,16 +419,17 @@ def _lemma22_failure(
 # candidate S2 = diag(1, i) and flagged as a note rather than a plain pass.
 
 def _matrices(job: Job) -> SimpleNamespace:
-    """The job's generator matrices, T's exponent table ``t``, the conjugate
-    transposes (suffix ``_h``) of the monomial generators, the identity
-    ``ident``, and the block images ``d_Y`` = Delta(Y) and ``g_Y`` = Gamma(Y)
-    with their identity ``ident2``."""
+    """The job's generator matrices and T's exponent table ``t``, as
+    ``generators`` returns them, with the conjugate transposes (suffix
+    ``_h``) of the monomial generators, the identity ``ident``, and the block
+    images ``d_Y`` = Delta(Y) and ``g_Y`` = Gamma(Y) with their identity
+    ``ident2``."""
 
     def build() -> SimpleNamespace:
-        g = GeneratorSet.build(job.prime)
+        g = generators(job.prime)
         ident = CycMatrix.identity(g.prime, g.alpha.size)
         return SimpleNamespace(
-            prime=g.prime, alpha=g.alpha, beta=g.beta, xi=g.xi, s=g.s, t=g.t,
+            **vars(g),
             alpha_h=g.alpha.conj_transpose(), beta_h=g.beta.conj_transpose(),
             s_h=g.s.conj_transpose(), ident=ident,
             d_alpha=CycMatrix.block_diag(g.alpha, g.alpha),
@@ -500,22 +460,19 @@ def _identity(
     return body
 
 
-def _su_determinants(job: Job) -> tuple[str, str]:
-    m = _matrices(job)
-    da = m.alpha.det()
-    db = m.beta.det()
-    if da == 1 and db == 1:
-        return PASS, "det(alpha) = det(beta) = 1"
-    return FAIL, f"det(alpha) = {da!r}, det(beta) = {db!r}"
+def _determinants(*names: str) -> Callable[[Job], tuple[str, str]]:
+    """The body of the check that passes when each named generator has
+    determinant 1, and otherwise lists all of their determinants."""
+    passed = " = ".join(f"det({name})" for name in names) + " = 1"
 
+    def body(job: Job) -> tuple[str, str]:
+        m = _matrices(job)
+        dets = [getattr(m, name).det() for name in names]
+        if all(d == 1 for d in dets):
+            return PASS, passed
+        return FAIL, ", ".join(f"det({name}) = {d!r}" for name, d in zip(names, dets))
 
-def _l2_determinants(job: Job) -> tuple[str, str]:
-    m = _matrices(job)
-    vals = {name: x.det() for name, x in
-            [("alpha", m.alpha), ("beta", m.beta), ("xi", m.xi)]}
-    if all(v == 1 for v in vals.values()):
-        return PASS, "det(alpha) = det(beta) = det(xi) = 1"
-    return FAIL, ", ".join(f"det({k}) = {v!r}" for k, v in vals.items())
+    return body
 
 
 def _root_sum(job: Job) -> tuple[str, str]:
@@ -569,7 +526,7 @@ CHECKS = (
         lambda m: t_conjugate_mismatch(m.t, m.ident, m.ident),
         "conj_transpose(T) * T = l * I",
     )),
-    Check("matrices.su.determinants", odd, _su_determinants),
+    Check("matrices.su.determinants", odd, _determinants("alpha", "beta")),
     Check("matrices.weyl.alpha_by_s", odd, _identity(
         lambda m: (m.s_h * m.alpha * m.s).first_mismatch(m.alpha),
         "S^-1 alpha S = alpha",
@@ -610,7 +567,7 @@ CHECKS = (
         "otherwise undefined at l = 2)",
         status_on_pass=NOTE,
     )),
-    Check("matrices.l2.determinants", at_two, _l2_determinants),
+    Check("matrices.l2.determinants", at_two, _determinants("alpha", "beta", "xi")),
     Check("matrices.g1.commutator", always, _identity(
         lambda m: (m.d_alpha * m.d_beta).first_mismatch(m.d_beta * m.d_alpha * m.d_xi),
         "Delta(alpha) Delta(beta) = Delta(beta) Delta(alpha) Delta(xi)",

@@ -37,11 +37,10 @@ class Derivation:
     the sign is vacuous.
     """
 
-    __slots__ = ("context", "shift", "images", "_rules")
+    __slots__ = ("context", "images", "_rules")
 
     def __init__(self, context: AlgebraContext, shift: int, images: Mapping[str, Element]):
         self.context = context
-        self.shift = shift
         cleaned: dict[str, Element] = {}
         for name, img in images.items():
             spec = context.spec(name)

@@ -7,13 +7,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milnor_forge import cyclo
 from milnor_forge.cli import RunConfig, run
 from milnor_forge.cyclo import (
     CycInt,
     CycMatrix,
-    GeneratorSet,
     _lemma22_failure,
     _unit,
+    generators,
     lemma22_holds,
     root_power_sum,
     t_conjugate_mismatch,
@@ -154,20 +155,19 @@ class TestCycInt:
             CycInt.root_power(5, 1).as_int()
 
     @pytest.mark.parametrize("p", (2, 3, 5))
-    def test_integer_valued_element_hashes_as_its_int(self, p):
+    def test_integer_valued_element_equals_its_int(self, p):
         for n in (0, 1, 3, -7):
             x = CycInt.from_int(p, n)
-            assert x == n and hash(x) == hash(n)
-            assert len({x, n}) == 1
+            assert x == n and x != n + 1
         root = CycInt(2, (0, 1)) if p == 2 else CycInt.root_power(p, 1)
-        assert len({root, CycInt.from_int(p, 1), 1}) == 2
+        assert root != 1 and root != CycInt.from_int(p, 1)
 
     def test_scales_by_ints_only(self):
         # no product of two elements: the matrix identities need none
         x = CycInt(5, (1, -2, 0, 3))
         with pytest.raises(TypeError):
             x * CycInt.root_power(5, 1)
-        assert (x * 3).coeffs == (3 * x).coeffs == (3, -6, 0, 9)
+        assert (x * 3).coeffs == (3, -6, 0, 9)
 
     def test_non_integer_coefficients_rejected(self):
         # coefficients are integers or raise; none is truncated to one
@@ -361,12 +361,12 @@ class TestProductKernel:
                 assert schoolbook(root(j), root(k)) == root(j + k)
 
     def test_product_entries_are_canonical(self):
-        # a zero-sum product entry compares, hashes and renders as zero
-        g = GeneratorSet.build(5)
+        # a zero-sum product entry compares and renders as zero
+        g = generators(5)
         t = Dense.of_table(5, g.t)
         entry = (t.conj_transpose() * t).rows[0][1]
         assert entry == CycInt.zero(5) and entry.is_zero
-        assert hash(entry) == hash(CycInt.zero(5)) and repr(entry) == "0"
+        assert repr(entry) == "0"
         assert isinstance(entry.coeffs, tuple) and entry.coeffs == (0, 0, 0, 0)
         # and so does one rendered from exponents: conj_transpose(T) alpha T
         # is l alpha^-1 beta, which is 0 at (0, 1) where l beta^-1 is not
@@ -394,9 +394,7 @@ class TestProductKernel:
             CycMatrix(5, (0,), (1.0,))
         assert CycMatrix(5, (True, 0), (7, -1)).exps == (2, 4)
         assert CycMatrix(2, (0,), (7,)).exps == (3,)
-        g = GeneratorSet.build(3)
-        with pytest.raises(ValueError, match="3 x 3"):
-            GeneratorSet(3, g.alpha, g.beta, g.xi, g.s, g.t[:2])
+        g = generators(3)
         for t, want in ((g.t[:2], g.beta), (g.t, CycMatrix.identity(3, 2)),
                         (g.t, CycMatrix.identity(5, 3))):
             with pytest.raises(ValueError, match="mismatch"):
@@ -447,14 +445,14 @@ class TestSparseView:
 
     @pytest.mark.parametrize("p", (2, 3, 7))
     def test_monomial_product_touches_n_entries(self, p):
-        g = GeneratorSet.build(p)
+        g = generators(p)
         product = g.alpha * g.beta
         assert len(product.exps) == g.alpha.size
         assert [sum(not x.is_zero for x in row) for row in product.rows] == [1] * g.alpha.size
 
     def test_gram_zeros_are_outside_the_view(self):
         # the off-diagonal entries of conj_transpose(T) T are cancelling root sums
-        g = GeneratorSet.build(5)
+        g = generators(5)
         t = Dense.of_table(5, g.t)
         assert t.conj_transpose() * t == Dense.of(CycMatrix.identity(5, 5)).scale(5)
         ident = CycMatrix.identity(5, 5)
@@ -474,6 +472,17 @@ class TestSparseView:
                 assert a.first_mismatch(b) == Dense.of(a).first_mismatch(Dense.of(b))
                 assert a.first_mismatch(b)[0] == where
             assert base != other
+
+    def test_first_mismatch_rejects_another_shape_or_prime(self):
+        # as the product does: no entry is compared across shapes or rings
+        a = CycMatrix.identity(3, 2)
+        for other in (CycMatrix.identity(3, 3), CycMatrix.identity(5, 2)):
+            assert a != other
+            for x, y in ((a, other), (other, a)):
+                with pytest.raises(ValueError, match="shape or prime mismatch"):
+                    x.first_mismatch(y)
+                with pytest.raises(ValueError, match="shape or prime mismatch"):
+                    x * y
 
     @settings(max_examples=SPARSE_EXAMPLES)
     @given(structured_pairs())
@@ -495,7 +504,7 @@ class TestSparseView:
 class TestDetMonomial:
     def test_cycle_sign(self):
         # a 3-cycle is even
-        beta = GeneratorSet.build(3).beta
+        beta = generators(3).beta
         assert beta.det() == 1
 
     def test_transposition_sign(self):
@@ -539,7 +548,7 @@ class TestTConjugation:
 
     @pytest.mark.parametrize("p", (2, 11, 13))
     def test_generator_identities_match_the_schoolbook_product(self, p):
-        g = GeneratorSet.build(p)
+        g = generators(p)
         ident = CycMatrix.identity(p, g.alpha.size)
         beta_side = g.beta if p == 2 else g.beta.conj_transpose()
         alpha_side = g.alpha * g.beta if p == 2 else g.alpha.conj_transpose() * g.beta
@@ -561,7 +570,7 @@ class TestGramEntryOracle:
     def assert_gram_entries_by_summation(p):
         # entry (i, j) of conj_transpose(T) T is sum_k xi^(a_(j+k) - a_(i+k)),
         # computed here term by term, independently of the matrix product
-        g = GeneratorSet.build(p)
+        g = generators(p)
         t = Dense.of_table(p, g.t)
         product = t.conj_transpose() * t
         for i in range(1, p + 1):
@@ -580,29 +589,32 @@ class TestGramEntryOracle:
         assert t_conjugate_mismatch(g.t, ident, ident) is None
 
 
+def replaced(g, **fields):
+    """The generators ``g`` with ``fields`` in place of their own; ``g``
+    itself is left as it was."""
+    return SimpleNamespace(**{**vars(g), **fields})
+
+
 def perturbed_t(g):
     t = [list(row) for row in g.t]
-    t[1][2] += 1
-    return GeneratorSet(g.prime, g.alpha, g.beta, g.xi, g.s, t)
+    t[1][2] = (t[1][2] + 1) % g.prime
+    return replaced(g, t=tuple(map(tuple, t)))
 
 
 def s_from_a_i_plus_2(g):
     n = g.alpha.size
-    s = CycMatrix(g.prime, range(n), [triangular(i + 2) for i in range(n)])
-    return GeneratorSet(g.prime, g.alpha, g.beta, g.xi, s, g.t)
+    return replaced(g, s=CycMatrix(g.prime, range(n), [triangular(i + 2) for i in range(n)]))
 
 
 def beta_shifted_the_other_way(g):
     n = g.alpha.size
-    beta = CycMatrix(g.prime, [(i + 1) % n for i in range(n)], [0] * n)
-    return GeneratorSet(g.prime, g.alpha, beta, g.xi, g.s, g.t)
+    return replaced(g, beta=CycMatrix(g.prime, [(i + 1) % n for i in range(n)], [0] * n))
 
 
 def beta_rows_swapped(g):
     perm = list(g.beta.perm)
     perm[0], perm[1] = perm[1], perm[0]
-    beta = CycMatrix(g.prime, perm, g.beta.exps)
-    return GeneratorSet(g.prime, g.alpha, beta, g.xi, g.s, g.t)
+    return replaced(g, beta=CycMatrix(g.prime, perm, g.beta.exps))
 
 
 MUTANTS = {
@@ -693,9 +705,10 @@ class TestMutants:
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
     def test_records_match_the_dense_reference(self, mutant, p, monkeypatch, job_records):
         unmutated = {r.check_id: r for r in job_records("matrices", p, "matrices.")}
-        g = MUTANTS[mutant](GeneratorSet.build(p))
-        monkeypatch.setattr(GeneratorSet, "build", classmethod(lambda cls, prime: g))
+        g = MUTANTS[mutant](generators(p))
+        monkeypatch.setattr(cyclo, "generators", lambda prime: g)
         records = job_records("matrices", p, "matrices.")
+        assert vars(g).keys() == vars(generators(p)).keys()
         assert {r.check_id for r in records} == set(unmutated)
         assert set(DENSE_IDENTITIES) | {"matrices.su.determinants"} <= set(unmutated)
         d = dense_matrices(g)
@@ -749,16 +762,25 @@ class TestCheckSuites:
     def test_t_gram_failure_details(self, monkeypatch, job_records):
         # one perturbed exponent of T: the mismatch renders through
         # CycInt.__repr__, as the dense product rendered it
-        build = GeneratorSet.build.__func__
-        monkeypatch.setattr(
-            GeneratorSet, "build", classmethod(lambda cls, prime: perturbed_t(build(cls, prime)))
-        )
+        monkeypatch.setattr(cyclo, "generators", lambda prime: perturbed_t(generators(prime)))
         [record] = job_records("matrices", 5, "matrices.su.t_gram")
         assert record.status == FAIL
         assert record.details == (
             "conj_transpose(T) * T = l * I: entry (0,2) differs: "
             "2 + 1*t + 1*t^2 + 1*t^3 != 0"
         )
+
+    @pytest.mark.parametrize("p, check_id, mutate, details", [
+        (2, "matrices.l2.determinants", lambda g: replaced(g, xi=CycMatrix(2, (0, 1), (1, 2))),
+         "det(alpha) = 1, det(beta) = 1, det(xi) = -1*i"),
+        (3, "matrices.su.determinants", beta_rows_swapped, "det(alpha) = 1, det(beta) = -1"),
+    ])
+    def test_determinant_failure_details(
+        self, p, check_id, mutate, details, monkeypatch, job_records
+    ):
+        monkeypatch.setattr(cyclo, "generators", lambda prime: mutate(generators(prime)))
+        [record] = job_records("matrices", p, check_id)
+        assert (record.status, record.details) == (FAIL, details)
 
     def test_su_rejects_two(self, planned_ids):
         ids = planned_ids("matrices", 2)
@@ -788,14 +810,14 @@ class TestCycMatrix:
         assert (a * b).conj_transpose() == b.conj_transpose() * a.conj_transpose()
 
 
-class TestGeneratorSet:
+class TestGenerators:
     def test_alpha_entries(self):
-        g = GeneratorSet.build(5)
+        g = generators(5)
         for i in range(5):
             assert g.alpha.rows[i][i] == CycInt.root_power(5, i + 1)
 
     def test_beta_is_cyclic_shift(self):
-        g = GeneratorSet.build(3)
+        g = generators(3)
         one = CycInt.from_int(3, 1)
         for i in range(3):
             for j in range(3):
@@ -803,12 +825,12 @@ class TestGeneratorSet:
                 assert g.beta.rows[i][j] == expected
 
     def test_s_diagonal_uses_triangular_numbers(self):
-        g = GeneratorSet.build(7)
+        g = generators(7)
         for i in range(7):
             assert g.s.rows[i][i] == CycInt.root_power(7, triangular(i + 1))
 
     def test_t_entries_use_triangular_numbers(self):
-        g = GeneratorSet.build(5)
+        g = generators(5)
         t = Dense.of_table(5, g.t)
         for i in range(5):
             for j in range(5):
@@ -817,10 +839,10 @@ class TestGeneratorSet:
                 )
 
     def test_l2_matrices(self):
-        g = GeneratorSet.build(2)
+        g = generators(2)
         i = CycInt(2, (0, 1))
         zero = CycInt.zero(2)
-        assert g.alpha.rows[0][0] == i and g.alpha.rows[1][1] == -i
+        assert g.alpha.rows[0][0] == i and g.alpha.rows[1][1] == CycInt(2, (0, -1))
         assert g.beta.rows == ((zero, i), (i, zero))
         assert g.xi.rows[0][0].as_int() == -1
         assert g.s.rows == ((CycInt.from_int(2, 1), zero), (zero, i))

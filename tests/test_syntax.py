@@ -4,8 +4,9 @@ it parses as Python 3.10, whichever interpreter runs the tests.  No module
 imports a name at module level that it never uses, no line is longer than
 ``MAX_LINE`` characters, every public function, class and non-dunder
 method is referenced by some module of the package (``UNREFERENCED`` names
-the exceptions), and no module reaches into another's private state
-(``FOREIGN_PRIVATE`` names the exceptions)."""
+the exceptions), every ``__slots__`` attribute is read by some module of the
+package (``UNREAD_SLOTS`` names the exceptions), and no module reaches into
+another's private state (``FOREIGN_PRIVATE`` names the exceptions)."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,9 @@ UNREFERENCED = {
         "the per-input reference the tests compare the batched check bodies against"
     ),
 }
+
+# __slots__ attributes no module of the package reads, each with its reason
+UNREAD_SLOTS: dict[str, str] = {}
 
 # underscore names one module reads on another's objects, each with its reason
 FOREIGN_PRIVATE = {
@@ -91,6 +95,38 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return [qualified for qualified, name in defined if name not in read]
+
+
+def unread_slots(sources: dict[str, str]) -> list[str]:
+    """``module.Class.attr`` for every attribute a class of ``sources``
+    (module name -> source) lists in ``__slots__`` whose name no module reads:
+    as a loaded or augmented attribute, or through ``getattr`` with a
+    constant name.  Matching is by name alone, so a read of another object's
+    attribute of the same name counts."""
+    slots, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                    ):
+                        value = stmt.value
+                        names = getattr(value, "elts", [value])
+                        slots += [(f"{module}.{node.name}.{n.value}", n.value) for n in names]
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+    return [qualified for qualified, name in slots if name not in read]
 
 
 def _private(name: str) -> bool:
@@ -193,6 +229,32 @@ def test_reference_check_sees_dead_and_live_definitions():
         "b": "from .a import make\nVALUE = make()\n",
     }
     assert unreferenced(sources) == ["a.Box._seal", "a.orphan"]
+
+
+def test_every_slot_is_read_in_the_package():
+    # a slot outside UNREAD_SLOTS shows with reason None; an exception that
+    # is read now, or gone, shows as missing
+    sources = {path.stem: path.read_text() for path in MODULES}
+    found = unread_slots(sources)
+    assert {name: UNREAD_SLOTS.get(name) for name in found} == UNREAD_SLOTS
+
+
+def test_slot_check_sees_stored_and_read_attributes():
+    sources = {
+        "a": (
+            "class Box:\n"
+            "    __slots__ = ('size', 'label', 'count', 'kept', 'dropped')\n"
+            "    def __init__(self):\n"
+            "        self.size = self.label = self.kept = self.dropped = 0\n"
+            "        self.count = 0\n"
+            "    def grow(self): self.count += 1\n"
+            "class Tag:\n"
+            "    __slots__ = 'name'\n"
+            "def area(box): return box.size * box.size\n"
+        ),
+        "b": "def show(box): return getattr(box, 'label'), getattr(box, box.kept)\n",
+    }
+    assert unread_slots(sources) == ["a.Box.dropped", "a.Tag.name"]
 
 
 def test_no_module_reaches_into_another_modules_private_state():
