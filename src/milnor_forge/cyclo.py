@@ -54,7 +54,7 @@ class CycInt:
     ``t^2 = -1``.
     """
 
-    __slots__ = ("prime", "coeffs", "_zero")
+    __slots__ = ("prime", "coeffs")
 
     def __init__(self, prime: int, coeffs: Sequence[int]):
         check_prime(prime)
@@ -64,7 +64,6 @@ class CycInt:
             raise ValueError(f"expected {rank} coefficients, got {len(coeffs)}")
         self.prime = prime
         self.coeffs = coeffs
-        self._zero = not any(coeffs)
 
     @classmethod
     def _trusted(cls, prime: int, coeffs: tuple[int, ...]) -> "CycInt":
@@ -77,7 +76,6 @@ class CycInt:
         x = cls.__new__(cls)
         x.prime = prime
         x.coeffs = coeffs
-        x._zero = not any(coeffs)
         return x
 
     # -- constructors ------------------------------------------------------
@@ -131,7 +129,7 @@ class CycInt:
 
     @property
     def is_zero(self) -> bool:
-        return self._zero
+        return not any(self.coeffs)
 
     def is_integer(self) -> bool:
         return not any(self.coeffs[1:])
@@ -259,9 +257,6 @@ class CycMatrix:
             and self.perm == other.perm
             and self.exps == other.exps
         )
-
-    def __hash__(self):
-        return hash((self.prime, self.perm, self.exps))
 
     def first_mismatch(
         self, other: "CycMatrix"

@@ -103,9 +103,6 @@ class FieldMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.entries, self.modulus))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"FieldMatrix[{body}] mod {self.modulus}"

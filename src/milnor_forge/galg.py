@@ -175,10 +175,9 @@ class AlgebraContext:
     def generator(self, name: str) -> "Element":
         return self.monomial_element({name: 1})
 
-    def monomial_element(self, powers: Mapping[str, int], coeff: int = 1) -> "Element":
-        coeff, *exponents = integers((coeff, *powers.values()))
+    def monomial_element(self, powers: Mapping[str, int]) -> "Element":
         mono = [0] * len(self.generators)
-        for name, e in zip(powers, exponents):
+        for name, e in zip(powers, integers(powers.values())):
             if e < 0:
                 raise ValueError("negative exponent")
             mono[self._index[name]] = e
@@ -190,8 +189,7 @@ class AlgebraContext:
             )
         if self.monomial_killed(mono_t):
             return self.zero()
-        coeff %= self.prime
-        return Element(self, {mono_t: coeff} if coeff else {})
+        return Element(self, {mono_t: 1})
 
     def basis_of_degree(self, d: int) -> tuple[Monomial, ...]:
         """All normal-form monomials of total degree d, in lexicographic order."""
@@ -333,9 +331,6 @@ class Element:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("Element is unhashable")
-
     def render(self) -> str:
         """Deterministic plain-text form: sorted monomials, explicit coefficients."""
         if not self.terms:
@@ -420,18 +415,17 @@ def _product(
     return terms
 
 
-def multiply(a: Element, b: Element, truncate: bool = False) -> Element:
-    """Bilinear Koszul-signed product of two elements of one context.
+def multiply(a: Element, b: Element) -> Element:
+    """Exact bilinear Koszul-signed product of two elements of one context.
 
-    Exact mode raises ``TruncationOverflowError`` when a surviving term would
-    exceed the truncation degree; truncating mode silently drops such terms.
-    The work is ``_product``'s, which ``signed_leibniz`` and
-    ``AlgebraMap.__call__`` call directly on raw term dicts: the
-    spectral-sequence engine and the Milnor derivations reach the truncating
-    mode through ``signed_leibniz``.
+    A surviving term past the truncation degree raises
+    ``TruncationOverflowError``.  The work is ``_product``'s, which
+    ``signed_leibniz`` and ``AlgebraMap.__call__`` call directly on raw term
+    dicts; only ``signed_leibniz`` uses its truncating mode, for the
+    spectral-sequence engine and the Milnor derivations.
     """
     a._check(b)
-    return Element._trusted(a.context, _product(a.context, a.terms, b.terms, truncate))
+    return Element._trusted(a.context, _product(a.context, a.terms, b.terms, False))
 
 
 def _accumulate(terms: dict[Monomial, int], other: dict[Monomial, int], c: int, p: int) -> None:
@@ -487,21 +481,19 @@ def signed_leibniz(
 class AlgebraMap:
     """The algebra endomorphism extending given generator images.
 
-    ``_powers`` holds, per generator position, the powers f(g)^1 .. f(g)^k
-    of its image that applications of the map have needed so far.
+    ``_image_terms`` holds the terms of each generator's image by position
+    (an unlisted generator maps to itself), and ``_powers`` the powers
+    f(g)^1 .. f(g)^k of each image that applications have needed so far.
     """
 
-    __slots__ = ("context", "images", "_image_terms", "_powers")
+    __slots__ = ("context", "_image_terms", "_powers")
 
     def __init__(self, context: AlgebraContext, images: Mapping[str, Element]):
         self.context = context
-        full: dict[str, Element] = {}
-        for g in context.generators:
-            img = images.get(g.name)
-            full[g.name] = img if img is not None else context.generator(g.name)
-        self.images = full
-        # the images' terms by generator position
-        self._image_terms = tuple([img.terms for img in full.values()])
+        self._image_terms = tuple([
+            (images.get(g.name) or context.generator(g.name)).terms
+            for g in context.generators
+        ])
         self._powers: dict[int, list[dict[Monomial, int]]] = {}
 
     def __call__(self, element: Element) -> Element:

@@ -30,38 +30,33 @@ from .report import FAIL, PASS, Check, Job, always, at_two, note, odd
 
 
 class Derivation:
-    """A degree-homogeneous odd derivation determined by generator images.
+    """An odd derivation given on generator powers and extended by the signed
+    Leibniz rule D(ab) = D(a) b + (-1)^deg(a) a D(b) (vacuous at l = 2).
 
-    Extension to products follows the signed Leibniz rule
-    D(ab) = D(a) b + (-1)^deg(a) a D(b) (``galg.signed_leibniz``); at l = 2
-    the sign is vacuous.
+    ``rules`` maps a generator name to ``(power, image)``: generator^power
+    goes to ``image``, every unlisted generator to zero.  The images must
+    belong to ``context``; zero ones are dropped, and ``rules`` keeps the rest
+    by generator position for ``galg.signed_leibniz``.  Q_j (``milnor_q``)
+    and the page differentials d_r (``specseq.DifferentialSpec``) are both
+    derivations.
     """
 
-    __slots__ = ("context", "images", "_rules")
+    __slots__ = ("context", "rules")
 
-    def __init__(self, context: AlgebraContext, shift: int, images: Mapping[str, Element]):
+    def __init__(self, context: AlgebraContext, rules: Mapping[str, tuple[int, Element]]):
+        if any(img.context is not context for _, img in rules.values()):
+            raise ValueError("image belongs to a different context")
         self.context = context
-        cleaned: dict[str, Element] = {}
-        for name, img in images.items():
-            spec = context.spec(name)
-            if img.context is not context:
-                raise ValueError("image belongs to a different context")
-            if img.is_zero():
-                continue
-            deg = img.homogeneous_degree()
-            if deg is None or deg != spec.degree + shift:
-                raise ValueError(
-                    f"image of {name} must be homogeneous of degree "
-                    f"{spec.degree + shift}"
-                )
-            cleaned[name] = img
-        self.images = cleaned
-        self._rules = {context.position(name): (1, img) for name, img in cleaned.items()}
+        self.rules = {
+            context.position(name): (power, img)
+            for name, (power, img) in rules.items()
+            if not img.is_zero()
+        }
 
     def __call__(self, element: Element, truncate: bool = False) -> Element:
         if element.context is not self.context:
             raise ValueError("element belongs to a different context")
-        return signed_leibniz(element, self._rules, truncate)
+        return signed_leibniz(element, self.rules, truncate)
 
 
 def milnor_q(j: int, ctx: AlgebraContext) -> Derivation:
@@ -86,10 +81,10 @@ def milnor_q(j: int, ctx: AlgebraContext) -> Derivation:
     # Q_j(g) = (Q_0 g)^(l^j), where Q_0 g is g's partner, or g^2 at l = 2 (g is
     # its own partner there); Q_j of a partner generator is zero
     power = 2 * p**j if p == 2 else p**j
-    images = {
-        name: ctx.monomial_element({partner: power}) for name, partner in zip(names, partners)
-    }
-    return Derivation(ctx, shift, images)
+    return Derivation(ctx, {
+        name: (1, ctx.monomial_element({partner: power}))
+        for name, partner in zip(names, partners)
+    })
 
 
 def rank3_context(prime: int) -> AlgebraContext:

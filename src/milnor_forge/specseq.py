@@ -9,16 +9,18 @@ linear algebra keeps one echelon basis per subspace and reduces each vector
 against it once; a component whose subspaces the turn leaves alone carries
 over to the next page unchanged.
 
-A turn's differential (``DifferentialSpec``) is its page, its context and its
-images, fixed when it is built: the images are given on page generators and
-belong to that context, and ``turn_page`` takes only a page of that context.
-A page generator is a power of an ambient generator (power 1 except for the
-characteristic-2 scenario where the page-3 class is the square of the fiber
-generator); the signed Leibniz extension is applied per monomial, by rules
-the differential builds once.  Each turn of a nonzero differential builds
-one table of d on every ambient basis monomial (``verify_dd_zero``), checks
-d o d = 0 on it, and reads each representative's image off it as the same
-combination of rows; a zero differential carries the page over.
+A turn's differential (``DifferentialSpec``) is a ``milnor.Derivation``, the
+same odd derivation type as the Milnor primitives, with its page added: its
+rules are fixed when it is built, their images are given on page generators
+and belong to its context, and ``turn_page`` takes only a page of that
+context.  A page generator is a power of an ambient generator (power 1
+except for the characteristic-2 scenario where the page-3 class is the
+square of the fiber generator); the signed Leibniz extension is applied per
+monomial, by the rules the derivation keeps by generator position.  Each
+turn of a nonzero differential builds one table of d on every ambient basis
+monomial (``verify_dd_zero``), checks d o d = 0 on it, and reads each
+representative's image off it as the same combination of rows; a zero
+differential carries the page over.
 
 Each scenario that several checks of one ``(ss, prime)`` job read is solved
 once, by the first of them, and kept in the job's memo (``Job.shared``); a
@@ -29,14 +31,14 @@ drops it after.
 ``run_scenario`` may take a memo of pages (``turns``): the initial page by its
 context object, and each turned page by its input page by value (the context
 object, the page number and the components, ``SSPage.key``) and its
-differential by value (the page, the context object and the images,
-``DifferentialSpec.key``).  A miss calls ``turn_page``, so d o d = 0 is
-checked on every turn of a nonzero differential computed; a hit returns the
-page that turn made.  One ``(ss, prime)`` job keeps one memo in
-``Job.shared``, for the bg1 scenario and the scalar sweep, which run on one
-context; the other scenarios build contexts of their own.  Each pair of the
-sweep runs its own differentials through it, so each distinct (page,
-differential) of the job turns once.
+differential by value (the page, the context object and, per generator
+position, the power and the image, ``DifferentialSpec.key``).  A miss calls
+``turn_page``, so d o d = 0 is checked on every turn of a nonzero
+differential computed; a hit returns the page that turn made.  One
+``(ss, prime)`` job keeps one memo in ``Job.shared``, for the bg1 scenario
+and the scalar sweep, which run on one context; the other scenarios build
+contexts of their own.  Each pair of the sweep runs its own differentials
+through it, so each distinct (page, differential) of the job turns once.
 The memo only compares values; the hits come from the scenario: every alpha1
 gives the same page 3, and d3 depends only on alpha2.
 """
@@ -55,7 +57,7 @@ from .galg import (
     multiply,
     signed_leibniz,
 )
-from .milnor import job_rank3_context, key_class, milnor_q, two_classes
+from .milnor import Derivation, job_rank3_context, key_class, milnor_q, two_classes
 from .report import FAIL, PASS, Check, Job, always, at_two, note, odd
 
 
@@ -63,27 +65,22 @@ class DifferentialError(Exception):
     """A differential violated d o d = 0 or left the cycle space."""
 
 
-class DifferentialSpec:
-    """The page-r differential d_r of one context, given on page generators.
+class DifferentialSpec(Derivation):
+    """The page-r differential d_r of one context: a ``milnor.Derivation``
+    given on page generators, which adds only its page.
 
-    ``images`` maps generator name to (power, image): the differential is
+    ``rules`` maps generator name to (power, image): the differential is
     defined on the page class generator^power and extended by the signed
-    Leibniz rule.  Unlisted generators map to zero.  Every image belongs to
-    ``context``, which is checked here, and the rules ``signed_leibniz``
-    reads, keyed by generator position, are built here once.
+    Leibniz rule.  Unlisted generators map to zero.
     """
 
-    __slots__ = ("page", "context", "images", "_rules")
+    __slots__ = ("page",)
 
     def __init__(
-        self, page: int, context: AlgebraContext, images: dict[str, tuple[int, Element]]
+        self, page: int, context: AlgebraContext, rules: Mapping[str, tuple[int, Element]]
     ):
-        if any(img.context is not context for _, img in images.values()):
-            raise ValueError("image belongs to a different context")
+        super().__init__(context, rules)
         self.page = page
-        self.context = context
-        self.images = images
-        self._rules = {context.position(name): rule for name, rule in images.items()}
 
     @classmethod
     def build(
@@ -93,39 +90,34 @@ class DifferentialSpec:
         images: Mapping[str, Element],
         powers: Mapping[str, int] | None = None,
     ) -> "DifferentialSpec":
-        powers = dict(powers or {})
-        table: dict[str, tuple[int, Element]] = {}
-        for name, img in images.items():
-            if img.context is not ctx:
-                raise ValueError("image belongs to a different context")
-            power = powers.get(name, 1)
-            if img.is_zero():
-                continue
-            spec = ctx.spec(name)
+        powers = powers or {}
+        dspec = cls(page, ctx, {name: (powers.get(name, 1), img) for name, img in images.items()})
+        for i, (power, img) in dspec.rules.items():
+            spec = ctx.generators[i]
             if spec.bidegree is None:
-                raise ValueError(f"generator {name} carries no bidegree")
+                raise ValueError(f"generator {spec.name} carries no bidegree")
             sp, sq = spec.bidegree
             want = (power * sp + page, power * sq - page + 1)
             for mono in img.terms:
                 if ctx.monomial_bidegree(mono) != want:
                     raise ValueError(
-                        f"image of {name}^{power} has wrong bidegree; expected {want}"
+                        f"image of {spec.name}^{power} has wrong bidegree; expected {want}"
                     )
-            table[name] = (power, img)
-        return cls(page, ctx, table)
+        return dspec
 
     def apply(self, element: Element) -> Element:
-        """Signed Leibniz extension, truncating above the working degree."""
+        """``self(element, truncate=True)``, through ``signed_leibniz`` directly
+        so that the benchmark's ``milnor.Derivation.__call__`` span counts Q_j alone."""
         if element.context is not self.context:
             raise ValueError("element belongs to a different context")
-        return signed_leibniz(element, self._rules, truncate=True)
+        return signed_leibniz(element, self.rules, truncate=True)
 
     def key(self) -> tuple:
         """The differential by value: its page, its context object and, per
-        generator, the name, the power and the image's terms."""
+        generator position, the power and the image's terms."""
         return self.page, self.context, tuple(
-            (name, power, tuple(sorted(img.terms.items())))
-            for name, (power, img) in sorted(self.images.items())
+            (i, power, tuple(sorted(img.terms.items())))
+            for i, (power, img) in sorted(self.rules.items())
         )
 
 
@@ -302,7 +294,7 @@ def turn_page(page: SSPage, dspec: DifferentialSpec) -> SSPage:
     ctx = page.context
     if dspec.context is not ctx:
         raise ValueError("differential belongs to a different context")
-    if all(img.is_zero() for _, img in dspec.images.values()):
+    if not dspec.rules:
         # a zero differential kills nothing and every class is a cycle
         return SSPage(page.r + 1, ctx, dict(page.components))
     p = ctx.prime
@@ -403,14 +395,13 @@ class Scenario:
     """A fixed spectral-sequence computation: ambient data, differentials, target."""
 
     __slots__ = (
-        "name", "prime", "context", "differentials", "target_degree", "named",
+        "name", "context", "differentials", "target_degree", "named",
         "permanent", "certify", "annotations",
     )
 
     def __init__(
         self,
         name: str,
-        prime: int,
         context: AlgebraContext,
         differentials: list[DifferentialSpec],
         target_degree: int,
@@ -420,7 +411,6 @@ class Scenario:
         annotations: Sequence[str] = (),
     ):
         self.name = name
-        self.prime = prime
         self.context = context
         self.differentials = differentials
         self.target_degree = target_degree
@@ -431,19 +421,19 @@ class Scenario:
 
 
 class ScenarioResult:
-    __slots__ = ("scenario", "pages", "final", "dims", "annotations")
+    """A solved scenario; ``pages[-1]`` is its final page."""
+
+    __slots__ = ("scenario", "pages", "dims", "annotations")
 
     def __init__(
         self,
         scenario: Scenario,
         pages: list[SSPage],
-        final: SSPage,
         dims: list[int],
         annotations: list[str],
     ):
         self.scenario = scenario
         self.pages = pages
-        self.final = final
         self.dims = dims
         self.annotations = annotations
 
@@ -475,7 +465,7 @@ def run_scenario(
     if sc.certify:
         _certify_collapse(sc, page, annotations)
     dims = page.dims_by_total_degree(sc.target_degree)
-    return ScenarioResult(sc, pages, page, dims, annotations)
+    return ScenarioResult(sc, pages, dims, annotations)
 
 
 def _turn(page: SSPage, dspec: DifferentialSpec, turns: dict[Hashable, SSPage]) -> SSPage:
@@ -573,7 +563,7 @@ def scenario_bg1(
         "z2": ctx.generator("z2"),
     }
     differentials = _bg1_transgressions(named, alpha1, alpha2)
-    return Scenario("bg1", prime, ctx, differentials, target, named)
+    return Scenario("bg1", ctx, differentials, target, named)
 
 
 def _bg1_transgressions(
@@ -614,7 +604,7 @@ def scenario_bg1_two(slack: int = 0) -> Scenario:
     d3 = DifferentialSpec.build(3, ctx, {"z1": named["a3"]}, powers={"z1": 2})
     z14 = ctx.monomial_element({"z1": 4})
     return Scenario(
-        "bg1", 2, ctx, [d2, d3], target, named,
+        "bg1", ctx, [d2, d3], target, named,
         permanent=[(z14, "rational degree-4 dimension is 2, so the class survives")],
     )
 
@@ -658,7 +648,7 @@ def scenario_bpu(prime: int, beta_prime_zero: bool = False) -> Scenario:
             "computed differential"
         )
     return Scenario(
-        "bpu", prime, ctx, [d3], target, named, certify=False,
+        "bpu", ctx, [d3], target, named, certify=False,
         annotations=annotations,
     )
 
@@ -739,7 +729,7 @@ def _bg1_classes(job: Job) -> tuple[str, str]:
         ]
     checks += [("b2", b2), ("b3", sc.named["b3"])]
     for label, el in checks:
-        if not result.final.class_is_nonzero(el):
+        if not result.pages[-1].class_is_nonzero(el):
             return FAIL, f"{label} is not a nonzero class on the final page"
     return PASS, "nonzero final classes: " + ", ".join(label for label, _ in checks)
 
@@ -787,14 +777,15 @@ def scalar_sweep_results(
     ``turns`` (``run_scenario``).
     """
     sc = solved.scenario
-    for a1 in range(1, sc.prime):
-        for a2 in range(1, sc.prime):
+    prime = sc.context.prime
+    for a1 in range(1, prime):
+        for a2 in range(1, prime):
             if (a1, a2) == (1, 1):
                 yield a1, a2, solved
             else:
                 differentials = _bg1_transgressions(sc.named, a1, a2)
                 pair = Scenario(
-                    sc.name, sc.prime, sc.context, differentials, sc.target_degree,
+                    sc.name, sc.context, differentials, sc.target_degree,
                     sc.named, sc.permanent, sc.certify, sc.annotations,
                 )
                 yield a1, a2, run_scenario(pair, turns)
@@ -848,7 +839,7 @@ def _bpu_branch_nonzero(job: Job) -> tuple[str, str]:
         ("y2^2", multiply(y2, y2)),
         ("y2^3", multiply(multiply(y2, y2), y2)),
     ):
-        if not result.final.class_is_nonzero(el):
+        if not result.pages[-1].class_is_nonzero(el):
             return FAIL, f"{label} dies on page 4"
     return PASS, f"page-4 dims {tuple(want)}: classes 1, y2, u3, y2^2, y2^3"
 
@@ -862,7 +853,7 @@ def _bpu_branch_zero(job: Job) -> tuple[str, str]:
         return FAIL, f"page-4 dims {result.dims}, expected {want}"
     y2 = sc.named["y2"]
     extra = sc.named["y6"] - multiply(y2, sc.named["y4"])
-    if not result.final.class_is_nonzero(extra):
+    if not result.pages[-1].class_is_nonzero(extra):
         return FAIL, "the y6 - y2*y4 combination dies on page 4 unexpectedly"
     if not result.annotations:
         return FAIL, "missing external-kill annotation"

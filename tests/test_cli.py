@@ -684,10 +684,10 @@ def scenario_key(sc):
     """What makes two scenarios the same computation."""
     return (
         sc.name,
-        sc.prime,
+        sc.context.prime,
         sc.context.top_degree,
         tuple(
-            (d.page, tuple((n, power, img.render()) for n, (power, img) in sorted(d.images.items())))
+            (d.page, tuple((i, power, img.render()) for i, (power, img) in sorted(d.rules.items())))
             for d in sc.differentials
         ),
     )

@@ -536,7 +536,7 @@ class TestClosureOracle:
                     expected = ctx.zero()
                     for i, target in enumerate(targets):
                         expected = expected + ctx.generator(target).scale(m[j, i])
-                    assert f.images[name] == expected
+                    assert f(ctx.generator(name)) == expected
 
 
 class TestSL2Generation:

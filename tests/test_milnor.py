@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from milnor_forge.galg import Element, elementary_abelian_context, multiply
+from milnor_forge.galg import Element, _product, elementary_abelian_context, multiply
 from milnor_forge.milnor import Derivation, dickson_mui_generators, milnor_q, rank2_formulas
 from milnor_forge.report import FAIL
 
@@ -134,7 +134,7 @@ class TestDisplayedExpansions:
     def test_q_of_unit_is_zero(self):
         ctx = elementary_abelian_context(5, 3, 12)
         for j in (0, 1):
-            assert milnor_q(j, ctx)(ctx.monomial_element({}, 1)).is_zero()
+            assert milnor_q(j, ctx)(ctx.monomial_element({})).is_zero()
 
     def test_q_of_partner_is_zero(self):
         ctx = elementary_abelian_context(5, 2, 12)
@@ -198,14 +198,22 @@ class TestDerivationValidation:
         with pytest.raises(Exception):
             milnor_q(1, ctx)  # image degree 6 exceeds truncation 4
 
-    def test_image_degree_validated(self):
+    def test_images_from_another_context_rejected_and_zero_images_dropped(self):
         ctx = elementary_abelian_context(3, 2, 8)
-        with pytest.raises(ValueError):
-            Derivation(ctx, 1, {"x1": ctx.generator("x1")})
+        twin = elementary_abelian_context(3, 2, 8)
+        with pytest.raises(ValueError, match=r"^image belongs to a different context$"):
+            Derivation(ctx, {"x1": (1, ctx.generator("x2")), "y1": (1, twin.generator("y2"))})
+        d = Derivation(ctx, {"x1": (1, ctx.zero()), "y1": (1, ctx.generator("y2"))})
+        assert d.rules == {ctx.position("y1"): (1, ctx.generator("y2"))}
 
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+def truncated(a, b):
+    """The product of two elements with the terms above the truncation dropped."""
+    return Element._trusted(a.context, _product(a.context, a.terms, b.terms, True))
 
 
 CTXS = {
@@ -260,10 +268,10 @@ def test_leibniz_rule(data):
     ctx, a, da, b, _ = data
     for j in (0, 1):
         q = milnor_q(j, ctx)
-        product_rule = multiply(q(a, truncate=True), b, True) + multiply(
-            a, q(b, truncate=True), True
+        product_rule = truncated(q(a, truncate=True), b) + truncated(
+            a, q(b, truncate=True)
         ).scale(-1 if (ctx.prime != 2 and da % 2) else 1)
-        assert q(multiply(a, b, True), truncate=True) == product_rule
+        assert q(truncated(a, b), truncate=True) == product_rule
 
 
 class TestRank2Formulas:

@@ -20,6 +20,7 @@ from milnor_forge.galg import (
     AlgebraMap,
     Element,
     TruncationOverflowError,
+    _product,
     elementary_abelian_context,
     linear_substitution,
     multiply,
@@ -70,19 +71,27 @@ def on_fresh_context(*els):
     return [Element(ctx, dict(el.terms)) for el in els]
 
 
+def product_of(a, b, truncate):
+    """``multiply(a, b)``, or with ``truncate`` the product kernel's
+    truncating mode, which drops the terms above the truncation."""
+    if truncate:
+        return Element._trusted(a.context, _product(a.context, a.terms, b.terms, True))
+    return multiply(a, b)
+
+
 @given(prime_and_elements(2, max_degree=8))
 def test_multiply_results_are_well_formed(data):
     _, (a, b) = data
     for truncate in (False, True):
         try:
-            product = multiply(a, b, truncate)
+            product = product_of(a, b, truncate)
         except TruncationOverflowError:
             assert not truncate
             with pytest.raises(TruncationOverflowError):
-                multiply(*on_fresh_context(a, b), truncate)
+                product_of(*on_fresh_context(a, b), truncate)
             continue
         assert_well_formed(product)
-        assert multiply(*on_fresh_context(a, b), truncate).terms == product.terms
+        assert product_of(*on_fresh_context(a, b), truncate).terms == product.terms
 
 
 @st.composite
@@ -125,7 +134,7 @@ def evaluate(images, el):
     ctx = el.context
     total = ctx.zero()
     for mono, coeff in el.terms.items():
-        product = ctx.monomial_element({}, 1)
+        product = ctx.monomial_element({})
         for e, g in zip(mono, ctx.generators):
             for _ in range(e):
                 product = multiply(product, images[g.name])
@@ -190,7 +199,8 @@ class TestAlgebraMapCall:
     def test_scalar_maps_to_itself(self):
         ctx = CTXS[3]
         f = induced_action(FieldMatrix([[0, 1, 0], [1, 1, 0], [2, 0, 1]], 3), ctx)
-        assert f(ctx.monomial_element({}, 2)) == ctx.monomial_element({}, 2)
+        two = ctx.monomial_element({}).scale(2)
+        assert f(two) == two
         assert f(ctx.zero()) == ctx.zero()
 
     @pytest.mark.parametrize("prime", PRIMES)
@@ -200,7 +210,7 @@ class TestAlgebraMapCall:
         f = induced_action(m, ctx)
         images = generator_images(ctx, m)
         for g in ctx.generators:
-            assert f(ctx.generator(g.name)) == f.images[g.name] == images[g.name]
+            assert f(ctx.generator(g.name)) == images[g.name]
 
     def test_exact_product_past_the_truncation_raises(self):
         ctx = elementary_abelian_context(3, 1, 4)
@@ -249,11 +259,11 @@ def assert_validated_matrix(m, prime):
     assert all(0 <= x < prime for row in m.entries for x in row)
     assert (m.rows, m.cols) == (len(m.entries), len(m.entries[0]))
     rebuilt = FieldMatrix(m.entries, prime)
-    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert m == rebuilt
 
 
 @given(matrix_pairs())
-def test_matrix_product_is_reduced_and_hashes_like_a_validated_matrix(data):
+def test_matrix_product_is_reduced_and_equals_a_validated_matrix(data):
     prime, a, b = data
     product = FieldMatrix(a, prime) * FieldMatrix(b, prime)
     assert_validated_matrix(product, prime)
@@ -263,5 +273,4 @@ def test_matrix_product_is_reduced_and_hashes_like_a_validated_matrix(data):
     ]
     validated = FieldMatrix(naive, prime)
     assert product == validated
-    assert hash(product) == hash(validated)
     assert_validated_matrix(rref(product)[1], prime)
